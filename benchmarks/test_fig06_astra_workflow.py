@@ -35,8 +35,8 @@ def test_fig06_astra_workflow(benchmark, world_multiarch):
 def test_fig06_contrast_laptop_build_fails(world_multiarch):
     """The motivating failure: the same workflow from an x86-64 laptop."""
     astra = make_astra(world_multiarch, n_compute=2)
-    rep = laptop_build_workflow(astra, world_multiarch, "alice",
-                                ATSE_DOCKERFILE, "atse-x86", n_nodes=2)
+    rep = laptop_build_workflow(astra, "alice", ATSE_DOCKERFILE,
+                                "atse-x86", n_nodes=2)
     assert rep.build_ok and rep.push_ok
     assert not rep.deploy.success
     assert "Exec format error" in rep.deploy.output

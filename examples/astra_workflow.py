@@ -34,7 +34,7 @@ def main() -> None:
     print("=" * 70)
     print("Anti-pattern: build the ATSE stack on an x86-64 laptop")
     print("=" * 70)
-    report = laptop_build_workflow(astra, world, "alice", ATSE_DOCKERFILE,
+    report = laptop_build_workflow(astra, "alice", ATSE_DOCKERFILE,
                                    "atse-laptop", n_nodes=2)
     for phase in report.phases:
         print(f"  {phase}")

@@ -5,6 +5,11 @@ do not execute there, so images must be built *on the machine*.  The
 workflow: ``podman build`` on a login node → push to the site GitLab
 container registry → parallel deployment on compute nodes with an HPC
 runtime (Charliecloud here, Singularity originally).
+
+Every variant runs through one pipeline, :func:`run_pipeline`: build
+backend (rootless Podman, or ch-image with its §6.2.2 build cache) ×
+distribution (tree broadcast or registry fan-out) × runtime.  The public
+workflows are thin adapters over it.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from typing import Optional
 
 from ..containers.podman import Podman
 from ..core.builder import ChImage
+from ..core.push import push_image
 from ..core.runtime import ChRun
 from ..errors import ReproError
 from ..sim import FaultPlan, RetryPolicy, SimEngine, Topology, retry_call
@@ -78,7 +84,7 @@ class WorkflowReport:
     phases: list[str] = field(default_factory=list)
     cache_records: int = 0             # records exported with the image
     warm_hits: list[int] = field(default_factory=list)  # per-node hits
-    deploy_strategy: str = ""          # "" = legacy untimed deploy
+    deploy_strategy: str = "tree"      # one of DEPLOY_STRATEGIES
     distribution: Optional[BroadcastReport] = None
     link_utilization: dict = field(default_factory=dict)
     build_parallelism: int = 1         # workers the login build used
@@ -105,7 +111,7 @@ class WorkflowReport:
     @property
     def deploy_makespan(self) -> Optional[float]:
         """Virtual seconds from distribution start until the last rank
-        finished (simulated deploys only)."""
+        finished (None until a rank has run)."""
         if self.deploy is None or not self.deploy.rank_finishes:
             return None
         return max(self.deploy.rank_finishes)
@@ -113,22 +119,18 @@ class WorkflowReport:
 
 def _prepare_deploy(
     cluster: AstraCluster,
-    strategy: Optional[str],
+    strategy: str,
     n_nodes: int,
     sim: Optional[SimEngine],
     topology: Optional[Topology],
-) -> tuple[Optional[SimEngine], Optional[Topology], list[Machine]]:
+) -> tuple[SimEngine, Topology, list[Machine]]:
     """Validate the deploy strategy and set up the timed fabric for it.
 
-    Returns ``(engine, topology, target_nodes)``; engine/topology are
-    None when *strategy* is None (legacy untimed sequential deploy).
-    """
-    if strategy is None:
-        return None, None, []
+    Returns ``(engine, topology, target_nodes)``."""
     if strategy not in DEPLOY_STRATEGIES:
         raise WorkflowError(
             f"unsupported deploy strategy {strategy!r} "
-            f"(choose from {DEPLOY_STRATEGIES} or None)")
+            f"(choose from {DEPLOY_STRATEGIES})")
     registry = cluster.world.site_registry
     targets = cluster.scheduler.nodes[:n_nodes]
     engine = sim if sim is not None else SimEngine()
@@ -160,16 +162,15 @@ def _prepare_registry(cluster: AstraCluster, report: "WorkflowReport",
         f"{fleet.replicas} replicas")
 
 
-def _retried_push(report: WorkflowReport, registry, engine,
+def _retried_push(report: WorkflowReport, registry, engine: SimEngine,
                   fault_plan: Optional[FaultPlan],
                   policy: RetryPolicy, key: str, fn):
     """Run one push-phase registry operation under the fault injector,
     retrying transient 5xx-style flakes per *policy* on the engine clock.
 
-    Faults need simulated time to schedule against, so with no engine (the
-    legacy untimed path) or no plan this is just ``fn()``.
+    With no plan this is just ``fn()``.
     """
-    if engine is None or fault_plan is None or fault_plan.empty:
+    if fault_plan is None or fault_plan.empty:
         return fn()
     fault_plan.bind_registry(registry.name)
     installed = registry.fault_injector is None
@@ -193,12 +194,194 @@ def _retried_push(report: WorkflowReport, registry, engine,
 def _fold_distribution_faults(report: WorkflowReport) -> None:
     """Roll the broadcast's fault accounting up into the workflow report."""
     dist = report.distribution
-    if dist is None:
-        return
     report.faults_injected += dist.faults_injected
     report.retries += dist.retries
     report.backoff_seconds += dist.backoff_seconds
     report.degraded_nodes = sorted(set(dist.crashed) | set(dist.degraded))
+
+
+def run_pipeline(
+    cluster: AstraCluster,
+    user: str,
+    dockerfile: str,
+    tag: str,
+    *,
+    cached: bool = False,
+    builder: Optional[Machine] = None,
+    n_nodes: int = 2,
+    app_argv: Optional[list[str]] = None,
+    runtime: str = "charliecloud",
+    force: bool = True,
+    build_parallelism: int = 1,
+    deploy_strategy: str = "tree",
+    registry_shards: int = 1,
+    registry_replicas: int = 1,
+    sim: Optional[SimEngine] = None,
+    topology: Optional[Topology] = None,
+    fault_plan: Optional[FaultPlan] = None,
+    retry_policy: Optional[RetryPolicy] = None,
+) -> WorkflowReport:
+    """Figure 6 as three phases: build backend × distribution × runtime.
+
+    1. Build on *builder* (the login node by default) as *user*, with no
+       privilege: rootless ``podman build``, or with *cached* a
+       ``ch-image`` build with its §6.2.2 build cache on.
+    2. Push the image to the site registry; the cache backend exports its
+       instruction cache beside it.
+    3. Distribute blobs to the first *n_nodes* compute nodes per
+       *deploy_strategy* — ``"tree"`` broadcasts them peer-to-peer after
+       one registry pull, ``"registry"`` lets every node pull (the O(N)
+       storm) — then run one rank per node under the scheduler, each from
+       its node's ready time on the sim clock.  A Podman-built image is
+       pulled and run with *runtime*; a cached build is distributed as its
+       cache export, rebuilt warm on each node and run with ``ch-run``.
+
+    The build phases stay strictly sequential and every job process
+    descends from the user's shell (§3.1).  A *fault_plan* injects its
+    scheduled faults into the push and distribution phases; transient
+    failures are retried per *retry_policy* and crashed nodes are
+    skipped, so the workflow degrades instead of aborting.
+    """
+    n_compute = len(cluster.scheduler.nodes)
+    if not 1 <= n_nodes <= n_compute:
+        raise WorkflowError(f"bad node count {n_nodes} (the cluster has "
+                            f"{n_compute} compute nodes)")
+    if runtime not in ("charliecloud", "singularity"):
+        raise WorkflowError(f"unsupported HPC runtime {runtime!r}")
+    if cached and runtime != "charliecloud":
+        raise WorkflowError(f"the cached workflow rebuilds and runs with "
+                            f"charliecloud, not {runtime!r}")
+    if build_parallelism > 1 and not cached:
+        raise WorkflowError("build parallelism needs the cached workflow "
+                            "(--cached): podman has no parallel build engine")
+    report = WorkflowReport(deploy_strategy=deploy_strategy)
+    _prepare_registry(cluster, report, registry_shards, registry_replicas)
+    engine, topo, targets = _prepare_deploy(
+        cluster, deploy_strategy, n_nodes, sim, topology)
+    if retry_policy is None:
+        retry_policy = RetryPolicy(
+            seed=fault_plan.seed if fault_plan is not None else 0)
+    registry = cluster.world.site_registry
+    image_ref = f"{SITE_REGISTRY}/{user}/{tag}:latest"
+    cache_ref = f"{SITE_REGISTRY}/{user}/{tag}-cache:latest"
+    app_argv = app_argv or ["/opt/atse/bin/atse-info"]
+    builder = builder or cluster.login
+    on = f"on {builder.hostname} ({builder.arch})"
+
+    # Phase 1: unprivileged build.  Container storage must be node-local
+    # ("either /tmp or local disk can be used", §4.2).  With
+    # build_parallelism > 1, independent Dockerfile stages build
+    # concurrently on the sim clock (core.build_graph); image bytes are
+    # identical either way, only the makespan changes.
+    login_proc = builder.login(user)
+    timing = ""
+    if cached:
+        ch = ChImage(builder, login_proc, cache=True)
+        result = ch.build(tag=tag, dockerfile=dockerfile, force=force,
+                          parallel=build_parallelism)
+        report.build_parallelism = build_parallelism
+        report.build_makespan = result.makespan
+        report.build_critical_path = result.critical_path
+        if build_parallelism > 1:
+            timing = (f" [parallel {build_parallelism}: makespan "
+                      f"{result.makespan * 1e3:.3f} ms, critical path "
+                      f"{result.critical_path * 1e3:.3f} ms]")
+        label = f"ch-image build {on}"
+    else:
+        podman = Podman(builder, login_proc,
+                        storage_dir=f"/tmp/{user}-containers")
+        result = podman.build(dockerfile, tag)
+        label = f"build {on}"
+    report.build_ok = result.success
+    report.build_transcript = result.text
+    report.phases.append(
+        f"{label}: {'ok' if result.success else 'FAILED'}{timing}")
+    if not result.success:
+        return report
+
+    # Phase 2: push to the site registry (multi-layer OCI).
+    def push(key: str, fn):
+        return _retried_push(report, registry, engine, fault_plan,
+                             retry_policy, key, fn)
+
+    if cached:
+        manifest = push("push",
+                        lambda: push_image(ch.storage, tag, image_ref))
+        push("cache-export",
+             lambda: ch.cache.export_to_registry(registry, cache_ref))
+        report.cache_records = len(ch.cache.records)
+        pushed = f" + cache export ({report.cache_records} records)"
+    else:
+        manifest = push("push", lambda: podman.push(tag, image_ref))
+        pushed = f": {manifest.layer_count} layers"
+    report.push_ok = True
+    report.pushed_ref = image_ref
+    report.layer_count = manifest.layer_count
+    report.phases.append(f"push {image_ref}{pushed}")
+
+    # Phase 3: distribute blobs first, then interleave rank events from
+    # each node's ready time.
+    def run_rank(node: Machine, rank: int, login) -> tuple[int, str]:
+        env = {"OMPI_COMM_WORLD_RANK": str(rank),
+               "PATH": "/opt/atse/bin:/usr/bin:/bin"}
+        if cached:
+            # pre-seed the node's cache from the export, rebuild warm
+            nch = ChImage(node, login, cache=True)
+            nch.cache.import_from_registry(
+                node.kernel.network.registry(SITE_REGISTRY), cache_ref,
+                local_store=node.content_store)
+            res = nch.build(tag=tag, dockerfile=dockerfile, force=force)
+            if not res.success:
+                return 1, res.text
+            report.warm_hits.append(res.cache_hits)
+            path = nch.storage.path_of(tag)
+        elif runtime == "singularity":
+            from ..containers.oci import ImageRef
+            from ..containers.singularity import Singularity
+            ref = ImageRef.parse(image_ref)
+            _, layers = node.kernel.network.registry(ref.registry).pull(
+                ref, arch=node.arch, local_store=node.content_store)
+            sing = Singularity(node, login)
+            sif = sing.build_from_docker_archive(
+                f"/home/{user}/{tag}.sif", layers)
+            return sing.run(sif, app_argv, env=env)
+        else:
+            path = ChImage(node, login).pull(image_ref)
+        res = ChRun(node, login).run(path, app_argv, env=env)
+        return res.status, res.output
+
+    # The distributors are called through their module-global names, not
+    # a table built at import, so tools that rebind those globals (the
+    # tracing ledger does) see every call.
+    dist = dict(strategy=deploy_strategy, engine=engine,
+                tracer=cluster.login.kernel.tracer,
+                fault_plan=fault_plan, retry_policy=retry_policy)
+    if cached:
+        report.distribution = distribute_cache(
+            registry, cache_ref, targets, topo, **dist)
+        label = "warm rebuild + run"
+    else:
+        report.distribution = distribute_image(
+            registry, image_ref, targets, topo, arch=cluster.arch, **dist)
+        label = "deploy"
+    _fold_distribution_faults(report)
+    report.deploy = cluster.scheduler.srun(
+        user, n_nodes, run_rank, mode="simulated", sim=engine,
+        rank_ready=report.distribution.node_ready, fault_plan=fault_plan)
+    report.link_utilization = topo.utilization()
+    faults = ""
+    if report.faults_injected or report.deploy.skipped:
+        faults = (f", {report.faults_injected} faults / "
+                  f"{report.retries} retries"
+                  + (f", skipped {len(report.deploy.skipped)} node(s)"
+                     if report.deploy.skipped else ""))
+    report.phases.append(
+        f"{label} on {n_nodes} nodes [{deploy_strategy}]: "
+        f"{'ok' if report.deploy.success else 'FAILED'} "
+        f"(makespan {(report.deploy_makespan or 0.0) * 1e3:.1f} ms, "
+        f"registry egress {report.distribution.registry_egress_bytes} B"
+        f"{faults})")
+    return report
 
 
 def astra_build_workflow(
@@ -210,7 +393,7 @@ def astra_build_workflow(
     n_nodes: int = 2,
     app_argv: Optional[list[str]] = None,
     runtime: str = "charliecloud",
-    deploy_strategy: Optional[str] = "tree",
+    deploy_strategy: str = "tree",
     registry_shards: int = 1,
     registry_replicas: int = 1,
     sim: Optional[SimEngine] = None,
@@ -218,118 +401,19 @@ def astra_build_workflow(
     fault_plan: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
 ) -> WorkflowReport:
-    """The full Figure 6 loop on the supercomputer itself.
-
-    1. ``podman build`` on the login node (invoked by the user, rootless);
-    2. ``podman push`` to the site GitLab container registry;
-    3. parallel launch on compute nodes with an HPC runtime — "this was
-       originally demonstrated with Singularity, however any HPC container
-       runtime such as Charliecloud or Shifter could also be used" (§4.2):
-       pass ``runtime`` = ``charliecloud`` (default) or ``singularity``.
-
-    Deployment is distributed and timed per *deploy_strategy*: ``"tree"``
-    (default) broadcasts blobs peer-to-peer after one registry pull,
-    ``"registry"`` lets every node pull from the registry (the O(N) pull
-    storm), and ``None`` is the legacy untimed sequential deploy.  Either
-    way the build phases stay strictly sequential and every job process
-    descends from the user's shell (§3.1).
-
-    A *fault_plan* (timed deploys only) injects its scheduled faults into
-    the push and distribution phases; transient failures are retried per
-    *retry_policy* and crashed nodes are skipped, so the workflow degrades
-    instead of aborting.
-    """
-    if runtime not in ("charliecloud", "singularity"):
-        raise WorkflowError(f"unsupported HPC runtime {runtime!r}")
-    report = WorkflowReport()
-    _prepare_registry(cluster, report, registry_shards, registry_replicas)
-    engine, topo, targets = _prepare_deploy(
-        cluster, deploy_strategy, n_nodes, sim, topology)
-    if retry_policy is None:
-        retry_policy = RetryPolicy(
-            seed=fault_plan.seed if fault_plan is not None else 0)
-    registry_ref = f"{SITE_REGISTRY}/{user}/{tag}:latest"
-    app_argv = app_argv or ["/opt/atse/bin/atse-info"]
-
-    # Phase 1: rootless build on the login node.  Container storage must be
-    # node-local ("either /tmp or local disk can be used", §4.2).
-    login_proc = cluster.login.login(user)
-    podman = Podman(cluster.login, login_proc,
-                    storage_dir=f"/tmp/{user}-containers")
-    result = podman.build(dockerfile, tag)
-    report.build_ok = result.success
-    report.build_transcript = result.text
-    report.phases.append(
-        f"build on {cluster.login.hostname} ({cluster.login.arch}): "
-        f"{'ok' if result.success else 'FAILED'}")
-    if not result.success:
-        return report
-
-    # Phase 2: push to the site registry (multi-layer OCI).
-    manifest = _retried_push(
-        report, cluster.world.site_registry, engine, fault_plan,
-        retry_policy, "push", lambda: podman.push(tag, registry_ref))
-    report.push_ok = True
-    report.pushed_ref = registry_ref
-    report.layer_count = manifest.layer_count
-    report.phases.append(
-        f"push {registry_ref}: {manifest.layer_count} layers")
-
-    # Phase 3: parallel deployment via the resource manager + HPC runtime.
-    def deploy(node: Machine, rank: int, login) -> tuple[int, str]:
-        env = {"OMPI_COMM_WORLD_RANK": str(rank),
-               "PATH": "/opt/atse/bin:/usr/bin:/bin"}
-        if runtime == "singularity":
-            from ..containers.singularity import Singularity
-            from ..containers.oci import ImageRef
-            ref = ImageRef.parse(registry_ref)
-            _, layers = node.kernel.network.registry(ref.registry).pull(
-                ref, arch=node.arch, local_store=node.content_store)
-            sing = Singularity(node, login)
-            sif = sing.build_from_docker_archive(
-                f"/home/{user}/{tag}.sif", layers)
-            status, output = sing.run(sif, app_argv, env=env)
-            return status, output
-        ch = ChImage(node, login)
-        path = ch.pull(registry_ref)
-        run = ChRun(node, login)
-        res = run.run(path, app_argv, env=env)
-        return res.status, res.output
-
-    if engine is None:
-        report.deploy = cluster.scheduler.srun(user, n_nodes, deploy)
-        report.phases.append(
-            f"deploy on {n_nodes} nodes: "
-            f"{'ok' if report.deploy.success else 'FAILED'}")
-        return report
-
-    # Timed deploy: distribute blobs first (tree broadcast or registry
-    # fan-out), then interleave rank events from each node's ready time.
-    registry = cluster.world.site_registry
-    report.deploy_strategy = deploy_strategy
-    report.distribution = distribute_image(
-        registry, registry_ref, targets, topo,
-        arch=cluster.arch, strategy=deploy_strategy, engine=engine,
-        tracer=cluster.login.kernel.tracer,
-        fault_plan=fault_plan, retry_policy=retry_policy)
-    _fold_distribution_faults(report)
-    report.deploy = cluster.scheduler.srun(
-        user, n_nodes, deploy, mode="simulated", sim=engine,
-        rank_ready=report.distribution.node_ready, fault_plan=fault_plan)
-    report.link_utilization = topo.utilization()
-    makespan = report.deploy_makespan or 0.0
-    faults = ""
-    if report.faults_injected or report.deploy.skipped:
-        faults = (f", {report.faults_injected} faults / "
-                  f"{report.retries} retries"
-                  + (f", skipped {len(report.deploy.skipped)} node(s)"
-                     if report.deploy.skipped else ""))
-    report.phases.append(
-        f"deploy on {n_nodes} nodes [{deploy_strategy}]: "
-        f"{'ok' if report.deploy.success else 'FAILED'} "
-        f"(makespan {makespan * 1e3:.1f} ms, registry egress "
-        f"{report.distribution.registry_egress_bytes} B{faults})")
-    return report
+    """The full Figure 6 loop on the supercomputer itself: rootless
+    ``podman build`` on the login node, ``podman push`` to the site GitLab
+    registry, then parallel launch with an HPC runtime — "originally
+    demonstrated with Singularity, however any HPC container runtime such
+    as Charliecloud or Shifter could also be used" (§4.2): *runtime* is
+    ``charliecloud`` (default) or ``singularity``.  See
+    :func:`run_pipeline`."""
+    return run_pipeline(
+        cluster, user, dockerfile, tag, n_nodes=n_nodes, app_argv=app_argv,
+        runtime=runtime, deploy_strategy=deploy_strategy,
+        registry_shards=registry_shards, registry_replicas=registry_replicas,
+        sim=sim, topology=topology, fault_plan=fault_plan,
+        retry_policy=retry_policy)
 
 
 def astra_cached_build_workflow(
@@ -342,7 +426,7 @@ def astra_cached_build_workflow(
     app_argv: Optional[list[str]] = None,
     force: bool = True,
     build_parallelism: int = 1,
-    deploy_strategy: Optional[str] = "tree",
+    deploy_strategy: str = "tree",
     registry_shards: int = 1,
     registry_replicas: int = 1,
     sim: Optional[SimEngine] = None,
@@ -354,122 +438,23 @@ def astra_cached_build_workflow(
 
     ch-image builds on the login node, then pushes *two* artifacts to the
     site registry: the image, and a BuildKit-style export of its
-    instruction cache.  Every compute node pre-seeds its own cache from
-    that export before rebuilding locally — so the per-node rebuild hits
-    on every unchanged instruction instead of re-running it (the
-    re-execution cost §6.1 calls out as Charliecloud's missing cache).
-
-    With a *deploy_strategy* ("tree" default, "registry", or None for the
-    legacy untimed path), the cache export's blobs are what gets
-    distributed — tree mode pulls them from the registry once and
-    re-serves them peer-to-peer, so the O(N) cache-import storm
-    disappears the same way the image-pull storm does.
+    instruction cache.  What gets distributed is the cache export — tree
+    mode pulls it from the registry once and re-serves it peer-to-peer —
+    and every compute node pre-seeds its own cache from it before
+    rebuilding locally, so the per-node rebuild hits on every unchanged
+    instruction instead of re-running it (the re-execution cost §6.1
+    calls out as Charliecloud's missing cache).  See :func:`run_pipeline`.
     """
-    report = WorkflowReport()
-    _prepare_registry(cluster, report, registry_shards, registry_replicas)
-    engine, topo, targets = _prepare_deploy(
-        cluster, deploy_strategy, n_nodes, sim, topology)
-    if retry_policy is None:
-        retry_policy = RetryPolicy(
-            seed=fault_plan.seed if fault_plan is not None else 0)
-    registry_ref = f"{SITE_REGISTRY}/{user}/{tag}:latest"
-    cache_ref = f"{SITE_REGISTRY}/{user}/{tag}-cache:latest"
-    app_argv = app_argv or ["/opt/atse/bin/atse-info"]
-
-    # Phase 1: fully unprivileged build on the login node, cache on.
-    # With build_parallelism > 1, independent Dockerfile stages build
-    # concurrently on the sim clock (core.build_graph); image bytes are
-    # identical either way, only the makespan changes.
-    login_proc = cluster.login.login(user)
-    ch = ChImage(cluster.login, login_proc, cache=True)
-    result = ch.build(tag=tag, dockerfile=dockerfile, force=force,
-                      parallel=build_parallelism)
-    report.build_ok = result.success
-    report.build_transcript = result.text
-    report.build_parallelism = build_parallelism
-    report.build_makespan = result.makespan
-    report.build_critical_path = result.critical_path
-    timing = ""
-    if build_parallelism > 1:
-        timing = (f" [parallel {build_parallelism}: makespan "
-                  f"{result.makespan * 1e3:.3f} ms, critical path "
-                  f"{result.critical_path * 1e3:.3f} ms]")
-    report.phases.append(
-        f"ch-image build on {cluster.login.hostname} "
-        f"({cluster.login.arch}): {'ok' if result.success else 'FAILED'}"
-        f"{timing}")
-    if not result.success:
-        return report
-
-    # Phase 2: push the image and export the cache beside it.
-    from ..core.push import push_image
-    registry = cluster.login.kernel.network.registry(SITE_REGISTRY)
-    manifest = _retried_push(
-        report, registry, engine, fault_plan, retry_policy, "push",
-        lambda: push_image(ch.storage, tag, registry_ref))
-    _retried_push(
-        report, registry, engine, fault_plan, retry_policy, "cache-export",
-        lambda: ch.cache.export_to_registry(registry, cache_ref))
-    report.push_ok = True
-    report.pushed_ref = registry_ref
-    report.layer_count = manifest.layer_count
-    report.cache_records = len(ch.cache.records)
-    report.phases.append(
-        f"push {registry_ref} + cache export "
-        f"({report.cache_records} records)")
-
-    # Phase 3: compute nodes pre-seed their caches, rebuild (warm), run.
-    def deploy(node: Machine, rank: int, login) -> tuple[int, str]:
-        env = {"OMPI_COMM_WORLD_RANK": str(rank),
-               "PATH": "/opt/atse/bin:/usr/bin:/bin"}
-        nch = ChImage(node, login, cache=True)
-        node_registry = node.kernel.network.registry(SITE_REGISTRY)
-        nch.cache.import_from_registry(node_registry, cache_ref,
-                                       local_store=node.content_store)
-        res = nch.build(tag=tag, dockerfile=dockerfile, force=force)
-        if not res.success:
-            return 1, res.text
-        report.warm_hits.append(res.cache_hits)
-        run = ChRun(node, login)
-        r = run.run(nch.storage.path_of(tag), app_argv, env=env)
-        return r.status, r.output
-
-    if engine is None:
-        report.deploy = cluster.scheduler.srun(user, n_nodes, deploy)
-        report.phases.append(
-            f"warm rebuild + run on {n_nodes} nodes: "
-            f"{'ok' if report.deploy.success else 'FAILED'}")
-        return report
-
-    report.deploy_strategy = deploy_strategy
-    report.distribution = distribute_cache(
-        registry, cache_ref, targets, topo,
-        strategy=deploy_strategy, engine=engine,
-        tracer=cluster.login.kernel.tracer,
+    return run_pipeline(
+        cluster, user, dockerfile, tag, cached=True, n_nodes=n_nodes,
+        app_argv=app_argv, force=force, build_parallelism=build_parallelism,
+        deploy_strategy=deploy_strategy, registry_shards=registry_shards,
+        registry_replicas=registry_replicas, sim=sim, topology=topology,
         fault_plan=fault_plan, retry_policy=retry_policy)
-    _fold_distribution_faults(report)
-    report.deploy = cluster.scheduler.srun(
-        user, n_nodes, deploy, mode="simulated", sim=engine,
-        rank_ready=report.distribution.node_ready, fault_plan=fault_plan)
-    report.link_utilization = topo.utilization()
-    makespan = report.deploy_makespan or 0.0
-    faults = ""
-    if report.faults_injected or report.deploy.skipped:
-        faults = (f", {report.faults_injected} faults / "
-                  f"{report.retries} retries"
-                  + (f", skipped {len(report.deploy.skipped)} node(s)"
-                     if report.deploy.skipped else ""))
-    report.phases.append(
-        f"warm rebuild + run on {n_nodes} nodes [{deploy_strategy}]: "
-        f"{'ok' if report.deploy.success else 'FAILED'} "
-        f"(makespan {makespan * 1e3:.1f} ms, registry egress "
-        f"{report.distribution.registry_egress_bytes} B{faults})")
-    return report
 
 
 def laptop_build_workflow(
     cluster: AstraCluster,
-    world: World,
     user: str,
     dockerfile: str,
     tag: str,
@@ -478,35 +463,10 @@ def laptop_build_workflow(
     app_argv: Optional[list[str]] = None,
 ) -> WorkflowReport:
     """The §2 'build on your x86 laptop' anti-pattern, for contrast: the
-    image builds fine but its binaries are ENOEXEC on Astra's aarch64."""
-    report = WorkflowReport()
-    registry_ref = f"{SITE_REGISTRY}/{user}/{tag}:latest"
-    app_argv = app_argv or ["/opt/atse/bin/atse-info"]
-
-    laptop = make_machine("laptop", arch="x86_64", network=world.network,
-                          users={user: 1000})
-    lp = laptop.login(user)
-    podman = Podman(laptop, lp)
-    result = podman.build(dockerfile, tag)
-    report.build_ok = result.success
-    report.build_transcript = result.text
-    report.phases.append(f"build on laptop (x86_64): "
-                         f"{'ok' if result.success else 'FAILED'}")
-    if not result.success:
-        return report
-    podman.push(tag, registry_ref)
-    report.push_ok = True
-    report.pushed_ref = registry_ref
-
-    def deploy(node: Machine, rank: int, login) -> tuple[int, str]:
-        ch = ChImage(node, login)
-        path = ch.pull(registry_ref)
-        run = ChRun(node, login)
-        res = run.run(path, app_argv)
-        return res.status, res.output
-
-    report.deploy = cluster.scheduler.srun(user, n_nodes, deploy)
-    report.phases.append(
-        f"deploy x86_64 image on {cluster.arch}: "
-        f"{'ok' if report.deploy.success else 'FAILED (exec format error)'}")
-    return report
+    same pipeline with the build on an x86_64 laptop.  The image builds,
+    pushes and distributes fine, but its binaries are ENOEXEC on Astra's
+    aarch64 nodes."""
+    laptop = make_machine("laptop", arch="x86_64",
+                          network=cluster.world.network, users={user: 1000})
+    return run_pipeline(cluster, user, dockerfile, tag, builder=laptop,
+                        n_nodes=n_nodes, app_argv=app_argv)

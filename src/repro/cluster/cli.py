@@ -5,13 +5,16 @@ around ``podman build && podman push && srun ch-run ...`` looks like, with
 the distribution strategy exposed the way the paper's §6.3 impact story
 needs it benchmarked::
 
-    astra-deploy [--deploy-strategy {registry,tree,off}] [--nodes N]
+    astra-deploy [--deploy-strategy {registry,tree}] [--nodes N]
                  [--runtime {charliecloud,singularity}] [--cached]
                  [--parallelism N] [--fault-plan SPEC] [--retries N]
                  [--registry-shards N] [--replicas R]
                  -t TAG -f DOCKERFILE USER
 
-``--fault-plan`` takes a :meth:`repro.sim.FaultPlan.parse` spec (e.g.
+Every deploy is distributed and timed on the sim clock
+(:func:`~repro.cluster.astra.run_pipeline`).  ``--cached`` swaps the
+rootless Podman build for ch-image with its build cache, which deploys
+with Charliecloud only.  ``--fault-plan`` takes a :meth:`repro.sim.FaultPlan.parse` spec (e.g.
 ``seed=7,link-loss=0.1,flake=0:0.05``); ``--retries`` caps the retry
 budget per transient failure.  Returns ``(exit_status, output_text)``
 like the other CLI shims.
@@ -24,20 +27,18 @@ build-matrix spec file in place of ``-t``/``-f``, the same
 
 from __future__ import annotations
 
+from ..cliopts import int_opt, str_opt
 from ..errors import KernelError, ReproError
 from ..kernel import Syscalls
 from ..matrix.cli import astra_matrix_cli
 from ..sim import FaultPlan, FaultPlanError, RetryPolicy
-from .astra import (
-    AstraCluster,
-    astra_build_workflow,
-    astra_cached_build_workflow,
-)
+from .astra import AstraCluster, run_pipeline
 from .broadcast import DEPLOY_STRATEGIES
 
 __all__ = ["astra_deploy_cli", "astra_matrix_cli"]
 
-_USAGE = ("usage: astra-deploy [--deploy-strategy {registry,tree,off}] "
+_PROG = "astra-deploy"
+_USAGE = ("usage: astra-deploy [--deploy-strategy {registry,tree}] "
           "[--nodes N] [--runtime RT] [--cached] [--parallelism N] "
           "[--fault-plan SPEC] [--retries N] [--registry-shards N] "
           "[--replicas R] -t TAG -f DOCKERFILE USER")
@@ -45,7 +46,7 @@ _USAGE = ("usage: astra-deploy [--deploy-strategy {registry,tree,off}] "
 
 def astra_deploy_cli(cluster: AstraCluster, argv: list[str]
                      ) -> tuple[int, str]:
-    strategy: str | None = "tree"
+    strategy = "tree"
     n_nodes = 2
     runtime = "charliecloud"
     cached = False
@@ -60,73 +61,27 @@ def astra_deploy_cli(cluster: AstraCluster, argv: list[str]
     i = 0
     while i < len(argv):
         a = argv[i]
-        if a == "--deploy-strategy":
-            i += 1
-            if i >= len(argv):
-                return 1, "astra-deploy: --deploy-strategy needs a value"
-            strategy = argv[i]
-        elif a.startswith("--deploy-strategy="):
-            strategy = a.split("=", 1)[1]
-        elif a == "--nodes":
-            i += 1
-            if i >= len(argv):
-                return 1, "astra-deploy: --nodes needs a value"
-            try:
-                n_nodes = int(argv[i])
-            except ValueError:
-                return 1, f"astra-deploy: bad node count {argv[i]!r}"
-        elif a == "--runtime":
-            i += 1
-            if i >= len(argv):
-                return 1, "astra-deploy: --runtime needs a value"
-            runtime = argv[i]
+        name = a.partition("=")[0]
+        err = ""
+        if name == "--deploy-strategy":
+            strategy, i, err = str_opt(argv, i, _PROG)
+        elif name == "--nodes":
+            n_nodes, i, err = int_opt(argv, i, _PROG, minimum=1,
+                                      what="node count")
+        elif name == "--runtime":
+            runtime, i, err = str_opt(argv, i, _PROG)
         elif a == "--cached":
             cached = True
-        elif a == "--parallelism" or a.startswith("--parallelism="):
-            if a == "--parallelism":
-                i += 1
-                value = argv[i] if i < len(argv) else ""
-            else:
-                value = a.split("=", 1)[1]
-            if not value.isdigit() or int(value) < 1:
-                return 1, f"astra-deploy: bad --parallelism value {value!r}"
-            parallelism = int(value)
-        elif a == "--fault-plan" or a.startswith("--fault-plan="):
-            if a == "--fault-plan":
-                i += 1
-                if i >= len(argv):
-                    return 1, "astra-deploy: --fault-plan needs a value"
-                fault_spec = argv[i]
-            else:
-                fault_spec = a.split("=", 1)[1]
-        elif a == "--retries" or a.startswith("--retries="):
-            if a == "--retries":
-                i += 1
-                value = argv[i] if i < len(argv) else ""
-            else:
-                value = a.split("=", 1)[1]
-            if not value.isdigit():
-                return 1, f"astra-deploy: bad --retries value {value!r}"
-            retries = int(value)
-        elif a == "--registry-shards" or a.startswith("--registry-shards="):
-            if a == "--registry-shards":
-                i += 1
-                value = argv[i] if i < len(argv) else ""
-            else:
-                value = a.split("=", 1)[1]
-            if not value.isdigit() or int(value) < 1:
-                return 1, (f"astra-deploy: bad --registry-shards value "
-                           f"{value!r}")
-            registry_shards = int(value)
-        elif a == "--replicas" or a.startswith("--replicas="):
-            if a == "--replicas":
-                i += 1
-                value = argv[i] if i < len(argv) else ""
-            else:
-                value = a.split("=", 1)[1]
-            if not value.isdigit() or int(value) < 1:
-                return 1, f"astra-deploy: bad --replicas value {value!r}"
-            replicas = int(value)
+        elif name == "--parallelism":
+            parallelism, i, err = int_opt(argv, i, _PROG, minimum=1)
+        elif name == "--fault-plan":
+            fault_spec, i, err = str_opt(argv, i, _PROG)
+        elif name == "--retries":
+            retries, i, err = int_opt(argv, i, _PROG, minimum=0)
+        elif name == "--registry-shards":
+            registry_shards, i, err = int_opt(argv, i, _PROG, minimum=1)
+        elif name == "--replicas":
+            replicas, i, err = int_opt(argv, i, _PROG, minimum=1)
         elif a == "-t":
             i += 1
             tag = argv[i] if i < len(argv) else ""
@@ -134,17 +89,17 @@ def astra_deploy_cli(cluster: AstraCluster, argv: list[str]
             i += 1
             dockerfile_path = argv[i] if i < len(argv) else ""
         elif a.startswith("-"):
-            return 1, f"astra-deploy: unknown option {a!r}\n{_USAGE}"
+            err = f"astra-deploy: unknown option {a!r}\n{_USAGE}"
         else:
             user = a
+        if err:
+            return 1, err
         i += 1
     if not (tag and dockerfile_path and user):
         return 1, _USAGE
-    if strategy == "off":
-        strategy = None
-    elif strategy not in DEPLOY_STRATEGIES:
+    if strategy not in DEPLOY_STRATEGIES:
         return 1, (f"astra-deploy: unknown strategy {strategy!r} "
-                   f"(choose from {', '.join(DEPLOY_STRATEGIES)}, off)")
+                   f"(choose from {', '.join(DEPLOY_STRATEGIES)})")
     if replicas > registry_shards:
         return 1, (f"astra-deploy: --replicas {replicas} exceeds "
                    f"--registry-shards {registry_shards}")
@@ -169,20 +124,15 @@ def astra_deploy_cli(cluster: AstraCluster, argv: list[str]
         return 1, (f"astra-deploy: can't read {dockerfile_path}: "
                    f"{err.strerror}")
 
-    if parallelism > 1 and not cached:
-        return 1, ("astra-deploy: --parallelism needs --cached "
-                   "(the podman path has no parallel build engine)")
-    workflow = astra_cached_build_workflow if cached \
-        else astra_build_workflow
-    kwargs = {"build_parallelism": parallelism} if cached \
-        else {"runtime": runtime}
     try:
-        report = workflow(cluster, user, dockerfile, tag,
-                          n_nodes=n_nodes, deploy_strategy=strategy,
-                          registry_shards=registry_shards,
-                          registry_replicas=replicas,
-                          fault_plan=fault_plan, retry_policy=retry_policy,
-                          **kwargs)
+        report = run_pipeline(cluster, user, dockerfile, tag, cached=cached,
+                              n_nodes=n_nodes, runtime=runtime,
+                              build_parallelism=parallelism,
+                              deploy_strategy=strategy,
+                              registry_shards=registry_shards,
+                              registry_replicas=replicas,
+                              fault_plan=fault_plan,
+                              retry_policy=retry_policy)
     except ReproError as err:
         return 1, f"astra-deploy: {err}"
 
@@ -207,7 +157,8 @@ def astra_deploy_cli(cluster: AstraCluster, argv: list[str]
             f"({d['registry_egress_bytes']} B egress), "
             f"{d['peer_sends']} peer sends ({d['peer_bytes']} B), "
             f"{d['blobs_skipped']} dedup skips")
-        lines.append(f"makespan: {report.deploy_makespan * 1e3:.1f} ms")
+        lines.append(
+            f"makespan: {(report.deploy_makespan or 0.0) * 1e3:.1f} ms")
         if report.faults_injected or report.degraded:
             lines.append(
                 f"faults: {report.faults_injected} injected, "

@@ -163,9 +163,10 @@ class Scheduler:
         """
         if mode not in ("sequential", "simulated"):
             raise SchedulerError(f"unknown scheduling mode {mode!r}")
-        if nodes > len(self.nodes):
+        if not 1 <= nodes <= len(self.nodes):
             raise SchedulerError(
-                f"requested {nodes} nodes but only {len(self.nodes)} exist")
+                f"requested {nodes} nodes; the partition has "
+                f"{len(self.nodes)}, so ask for 1..{len(self.nodes)}")
         job = Job(next(self._job_ids), user, nodes, fn)
         allocated = self.nodes[:nodes]
         outputs: list[Optional[str]] = [None] * nodes

@@ -25,6 +25,7 @@ every other CLI shim here.
 
 from __future__ import annotations
 
+from ..cliopts import int_opt, str_opt
 from ..errors import KernelError, ReproError
 from ..kernel import Syscalls
 from ..sim import FaultPlan, FaultPlanError
@@ -33,28 +34,12 @@ from .spec import MatrixSpecError, parse_spec_text
 
 __all__ = ["astra_matrix_cli"]
 
+_PROG = "astra-matrix"
 _USAGE = ("usage: astra-matrix [--parallelism N] [--registry-shards N] "
           "[--replicas R] [--tenant NAME] [--token T] [--force] "
           "[--fault-plan SPEC] [--retries N] [--policy "
           "[--policy-threshold SEV] [--signing-key NAME]] "
           "-f SPECFILE USER")
-
-
-def _int_opt(argv: list[str], i: int, a: str, name: str, *, minimum: int
-             ) -> tuple[int, int, str]:
-    """Parse ``--opt N`` / ``--opt=N``; returns (value, new_i, error)."""
-    if a == name:
-        i += 1
-        value = argv[i] if i < len(argv) else ""
-    else:
-        value = a.split("=", 1)[1]
-    try:
-        n = int(value)
-    except ValueError:
-        n = minimum - 1
-    if n < minimum:
-        return 0, i, f"astra-matrix: bad {name} value {value!r}"
-    return n, i, ""
 
 
 def astra_matrix_cli(cluster, argv: list[str]) -> tuple[int, str]:
@@ -74,26 +59,16 @@ def astra_matrix_cli(cluster, argv: list[str]) -> tuple[int, str]:
     i = 0
     while i < len(argv):
         a = argv[i]
-        if a == "--parallelism" or a.startswith("--parallelism="):
-            parallelism, i, err = _int_opt(argv, i, a, "--parallelism",
-                                           minimum=1)
-            if err:
-                return 1, err
-        elif a == "--registry-shards" \
-                or a.startswith("--registry-shards="):
-            registry_shards, i, err = _int_opt(
-                argv, i, a, "--registry-shards", minimum=0)
-            if err:
-                return 1, err
-        elif a == "--replicas" or a.startswith("--replicas="):
-            replicas, i, err = _int_opt(argv, i, a, "--replicas",
-                                        minimum=1)
-            if err:
-                return 1, err
-        elif a == "--retries" or a.startswith("--retries="):
-            retries, i, err = _int_opt(argv, i, a, "--retries", minimum=0)
-            if err:
-                return 1, err
+        name = a.partition("=")[0]
+        err = ""
+        if name == "--parallelism":
+            parallelism, i, err = int_opt(argv, i, _PROG, minimum=1)
+        elif name == "--registry-shards":
+            registry_shards, i, err = int_opt(argv, i, _PROG, minimum=0)
+        elif name == "--replicas":
+            replicas, i, err = int_opt(argv, i, _PROG, minimum=1)
+        elif name == "--retries":
+            retries, i, err = int_opt(argv, i, _PROG, minimum=0)
         elif a == "--tenant":
             i += 1
             tenant = argv[i] if i < len(argv) else None
@@ -104,34 +79,21 @@ def astra_matrix_cli(cluster, argv: list[str]) -> tuple[int, str]:
             force = True
         elif a == "--policy":
             policy = True
-        elif a == "--policy-threshold" \
-                or a.startswith("--policy-threshold="):
-            if a == "--policy-threshold":
-                i += 1
-                policy_threshold = argv[i] if i < len(argv) else ""
-            else:
-                policy_threshold = a.split("=", 1)[1]
-        elif a == "--signing-key" or a.startswith("--signing-key="):
-            if a == "--signing-key":
-                i += 1
-                signing_key = argv[i] if i < len(argv) else ""
-            else:
-                signing_key = a.split("=", 1)[1]
-        elif a == "--fault-plan" or a.startswith("--fault-plan="):
-            if a == "--fault-plan":
-                i += 1
-                if i >= len(argv):
-                    return 1, "astra-matrix: --fault-plan needs a value"
-                fault_spec = argv[i]
-            else:
-                fault_spec = a.split("=", 1)[1]
+        elif name == "--policy-threshold":
+            policy_threshold, i, err = str_opt(argv, i, _PROG)
+        elif name == "--signing-key":
+            signing_key, i, err = str_opt(argv, i, _PROG)
+        elif name == "--fault-plan":
+            fault_spec, i, err = str_opt(argv, i, _PROG)
         elif a == "-f":
             i += 1
             spec_path = argv[i] if i < len(argv) else ""
         elif a.startswith("-"):
-            return 1, f"astra-matrix: unknown option {a!r}\n{_USAGE}"
+            err = f"astra-matrix: unknown option {a!r}\n{_USAGE}"
         else:
             user = a
+        if err:
+            return 1, err
         i += 1
     if not (spec_path and user):
         return 1, _USAGE

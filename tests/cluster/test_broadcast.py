@@ -300,13 +300,41 @@ class TestDeployCli:
         assert "makespan:" in out
         assert "busiest link:" in out
 
-    def test_strategy_off_is_the_legacy_path(self, astra):
+    def test_strategy_off_is_rejected(self, astra):
+        """Every deploy is timed: there is no untimed 'off' strategy."""
         path = self.write_dockerfile(astra)
         status, out = astra_deploy_cli(
             astra, ["--deploy-strategy=off", "--nodes", "2",
                     "-t", "app", "-f", path, "alice"])
-        assert status == 0, out
-        assert "distribution" not in out and "makespan" not in out
+        assert status == 1
+        assert "unknown strategy 'off'" in out
+        assert not astra.world.site_registry.has("alice/app:latest")
+
+    @pytest.mark.parametrize("nodes", ["0", "-2"])
+    def test_node_count_below_one_rejected(self, astra, nodes):
+        path = self.write_dockerfile(astra)
+        status, out = astra_deploy_cli(
+            astra, ["--nodes", nodes, "-t", "app", "-f", path, "alice"])
+        assert status == 1
+        assert f"bad node count '{nodes}'" in out
+
+    def test_node_count_above_cluster_rejected_before_build(self, astra):
+        path = self.write_dockerfile(astra)
+        status, out = astra_deploy_cli(
+            astra, ["--nodes=9", "-t", "app", "-f", path, "alice"])
+        assert status == 1
+        assert "bad node count 9" in out
+        assert not astra.world.site_registry.has("alice/app:latest")
+
+    @pytest.mark.parametrize("runtime", ["singularity", "docker"])
+    def test_cached_rejects_other_runtimes(self, astra, runtime):
+        path = self.write_dockerfile(astra)
+        status, out = astra_deploy_cli(
+            astra, ["--cached", "--runtime", runtime,
+                    "-t", "app", "-f", path, "alice"])
+        assert status == 1
+        assert repr(runtime) in out
+        assert not astra.world.site_registry.has("alice/app:latest")
 
     def test_missing_required_args_prints_usage(self, astra):
         status, out = astra_deploy_cli(astra, ["alice"])

@@ -240,7 +240,7 @@ class TestAstraParallelBuild:
         cluster = make_astra(world, n_compute=2)
         report = astra_cached_build_workflow(
             cluster, "alice", MULTISTAGE_ATSE, "atse",
-            build_parallelism=3, deploy_strategy=None)
+            build_parallelism=3)
         assert report.success, report.phases
         assert report.build_parallelism == 3
         assert report.build_makespan > 0.0
@@ -251,8 +251,7 @@ class TestAstraParallelBuild:
         world = make_world()
         cluster = make_astra(world, n_compute=2)
         report = astra_cached_build_workflow(
-            cluster, "alice", MULTISTAGE_ATSE, "atse",
-            deploy_strategy=None)
+            cluster, "alice", MULTISTAGE_ATSE, "atse")
         assert report.success, report.phases
         assert report.build_parallelism == 1
         assert report.build_makespan == 0.0

@@ -9,11 +9,13 @@ from repro.cluster import (
     Scheduler,
     SchedulerError,
     astra_build_workflow,
+    astra_cached_build_workflow,
     laptop_build_workflow,
     make_astra,
     make_machine,
     make_world,
 )
+from repro.cluster.astra import WorkflowError
 from repro.core import ChImage
 from repro.kernel import Syscalls
 
@@ -147,15 +149,50 @@ class TestAstraWorkflow:
         config, _ = world_multiarch.site_registry.pull("alice/atse:latest")
         assert config.arch == "aarch64"
 
-    def test_laptop_antipattern_fails_at_deploy(self, astra,
-                                                world_multiarch):
+    def test_laptop_antipattern_fails_at_deploy(self, astra):
         """§4.2: x86-64 images 'would not execute on Astra'."""
-        report = laptop_build_workflow(astra, world_multiarch, "alice",
-                                       ATSE_DOCKERFILE, "atse-x86")
+        report = laptop_build_workflow(astra, "alice", ATSE_DOCKERFILE,
+                                       "atse-x86")
         assert report.build_ok  # builds fine on the laptop...
         assert report.push_ok
+        assert report.phases[0] == "build on laptop (x86_64): ok"
+        # ...is distributed on the timed path like any other image...
+        assert report.distribution.strategy == "tree"
+        assert report.deploy.mode == "simulated"
         assert not report.deploy.success  # ...but cannot run on Astra
         assert "Exec format error" in report.deploy.output
+
+    def test_cached_workflow_warm_rebuild_hits_everywhere(
+            self, astra, world_multiarch):
+        """§6.2.2: each node pre-seeds its cache from the registry export,
+        so its rebuild hits on every instruction, and the tree broadcast
+        takes the export out of the registry exactly once."""
+        report = astra_cached_build_workflow(
+            astra, "alice", ATSE_DOCKERFILE, "atse", n_nodes=3)
+        assert report.success, report.phases
+        assert report.cache_records == 3          # one per RUN
+        assert report.warm_hits == [3] * 3
+        cache_digests = world_multiarch.site_registry.cache_blob_digests(
+            "alice/atse-cache:latest")
+        assert report.distribution.registry_blobs_pulled \
+            == len(cache_digests)
+        assert report.deploy_strategy == "tree"
+
+    @pytest.mark.parametrize("n_nodes", [0, -2, 4])
+    def test_bad_node_count_rejected_before_build(self, astra,
+                                                  world_multiarch, n_nodes):
+        """1 <= n_nodes <= the compute partition, checked before any
+        phase runs (astra has 3 compute nodes)."""
+        with pytest.raises(WorkflowError, match="bad node count"):
+            astra_build_workflow(astra, "alice", ATSE_DOCKERFILE, "atse",
+                                 n_nodes=n_nodes)
+        assert not world_multiarch.site_registry.has("alice/atse:latest")
+        assert astra.scheduler.completed == []
+
+    def test_cached_workflow_bad_node_count_rejected(self, astra):
+        with pytest.raises(WorkflowError, match="bad node count"):
+            astra_cached_build_workflow(astra, "alice", ATSE_DOCKERFILE,
+                                        "atse", n_nodes=0)
 
     def test_build_failure_stops_workflow(self, astra):
         report = astra_build_workflow(astra, "alice",

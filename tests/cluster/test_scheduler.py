@@ -82,6 +82,13 @@ class TestFailurePropagation:
         partial = sched.completed[0]
         assert partial.rank_outputs == ["ran\n"]  # rank 0 completed first
 
+    @pytest.mark.parametrize("count", [0, -2, 5])
+    def test_node_count_outside_partition_rejected(self, nodes, count):
+        sched = Scheduler(nodes)
+        with pytest.raises(SchedulerError, match="requested"):
+            sched.srun("alice", count, lambda n, r, l: (0, ""))
+        assert sched.completed == []
+
     def test_unknown_mode_rejected(self, nodes):
         with pytest.raises(SchedulerError):
             Scheduler(nodes).srun("alice", 1, lambda n, r, l: (0, ""),
