@@ -28,7 +28,7 @@ from repro.archive import TarArchive, TarMember
 from repro.cas.store import ContentStore
 from repro.cluster import RegistryFleet
 from repro.cluster.broadcast import distribute_blobs, make_deploy_topology
-from repro.containers import ImageConfig
+from repro.containers import ImageConfig, Registry
 from repro.kernel import FileType
 from repro.sim import (
     EngineProfile,
@@ -61,20 +61,19 @@ class _SimNode:
         self.netlink = None
 
 
-class _SimRegistry:
-    """A registry stub serving one blob — no push/auth machinery, so
-    the benchmark times the engine, not the registry."""
+class _SimRegistry(Registry):
+    """A registry serving one blob from memory — no store or push
+    machinery on the hot path, so the benchmark times the engine, not
+    the registry."""
 
     def __init__(self, blob: bytes):
-        self.name = "registry.sim"
-        self.fault_injector = None
-        self.netlink = None
+        super().__init__("registry.sim")
         self._blob = blob
 
     def blob_size(self, digest: str) -> int:
         return len(self._blob)
 
-    def fetch_blob(self, digest: str) -> bytes:
+    def fetch_blob(self, digest: str, *, local_store=None) -> bytes:
         return self._blob
 
 

@@ -1,5 +1,5 @@
 """``--opt V`` / ``--opt=V`` parsing shared by the string-argv CLI shims
-(``astra-deploy``, ``astra-matrix``).
+(``astra-deploy``, ``astra-matrix``, ``ch-image build``).
 
 Each helper reads the option at ``argv[i]`` and returns
 ``(value, new_i, error)``: *new_i* indexes the last argument consumed,

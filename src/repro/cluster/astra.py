@@ -131,16 +131,10 @@ def _prepare_deploy(
         raise WorkflowError(
             f"unsupported deploy strategy {strategy!r} "
             f"(choose from {DEPLOY_STRATEGIES})")
-    registry = cluster.world.site_registry
     targets = cluster.scheduler.nodes[:n_nodes]
     engine = sim if sim is not None else SimEngine()
-    if topology is None:
-        topology = make_deploy_topology(registry, targets)
-    else:
-        for endpoint in getattr(registry, "shards", None) or (registry,):
-            topology.attach(endpoint)
-        for node in targets:
-            topology.attach(node)
+    topology = make_deploy_topology(cluster.world.site_registry, targets,
+                                    topology)
     return engine, topology, targets
 
 

@@ -59,16 +59,15 @@ class BroadcastError(ReproError):
 
 
 def make_deploy_topology(registry: Registry, nodes: Sequence[Machine],
+                         topology: Optional[Topology] = None,
                          **kwargs) -> Topology:
     """A star fabric for one deployment: one uplink per endpoint, the
-    registry and every node attached (``obj.netlink`` set on each).  A
-    sharded fleet (anything exposing ``.shards``) gets one uplink per
-    shard — there is no single origin link in a fleet."""
-    topo = Topology(**kwargs)
-    for endpoint in getattr(registry, "shards", None) or (registry,):
+    registry's endpoints (itself, or each shard of a fleet) and every
+    node attached (``obj.netlink`` set on each).  Attaches to *topology*
+    when given, else to a new ``Topology(**kwargs)``."""
+    topo = topology if topology is not None else Topology(**kwargs)
+    for endpoint in [*registry.endpoints(), *nodes]:
         topo.attach(endpoint)
-    for node in nodes:
-        topo.attach(node)
     return topo
 
 
@@ -170,12 +169,11 @@ class BroadcastReport:
 class _CastContext:
     """Everything the per-blob casts share for one distribution."""
 
-    def __init__(self, registry, nodes, topology, reg_link, chunk, engine,
-                 report, tracer, plan, policy):
+    def __init__(self, registry, nodes, topology, chunk, engine, report,
+                 tracer, plan, policy):
         self.registry = registry
         self.nodes = nodes
         self.topology = topology
-        self.reg_link = reg_link
         self.chunk = chunk
         self.engine = engine
         self.report = report
@@ -197,17 +195,13 @@ class _CastContext:
         A sharded fleet routes each digest to the nearest live holder on
         its ring; a plain registry is the single origin.  Raises
         :class:`~repro.errors.RegistryError` when no live shard holds the
-        blob, and :class:`BroadcastError` when a single registry was never
-        attached to the topology."""
-        route = getattr(self.registry, "route_blob", None)
-        if route is not None:
-            shard = route(digest)
-            return shard.hostname, self.topology.link(shard.hostname)
-        if self.reg_link is None:
+        blob, and :class:`BroadcastError` when the serving endpoint was
+        never attached to the topology."""
+        name = self.registry.route_blob(digest).name
+        if not self.topology.has(name):
             raise BroadcastError(
-                f"registry {self.registry.name!r} is not attached to the "
-                f"deploy topology")
-        return self.registry.name, self.reg_link
+                f"registry {name!r} is not attached to the deploy topology")
+        return name, self.topology.link(name)
 
     def crashed_by(self, hostname: str, t: float) -> bool:
         return self.plan is not None and self.plan.crashed_by(hostname, t)
@@ -547,8 +541,6 @@ def distribute_blobs(
     digests = list(digests)
     report = BroadcastReport(strategy=strategy, blobs=len(digests),
                              started_at=engine.now)
-    reg_link = (topology.link(registry.name)
-                if topology.has(registry.name) else None)
     for node in nodes:
         report.node_ready[node.hostname] = engine.now
 
@@ -558,7 +550,7 @@ def distribute_blobs(
         plan.bind_registry(registry.name)
     if retry_policy is None:
         retry_policy = RetryPolicy(seed=plan.seed if plan is not None else 0)
-    ctx = _CastContext(registry, list(nodes), topology, reg_link,
+    ctx = _CastContext(registry, list(nodes), topology,
                        topology.chunk_size, engine, report, tracer, plan,
                        retry_policy)
     installed = plan is not None and registry.fault_injector is None

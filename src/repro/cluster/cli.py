@@ -137,9 +137,8 @@ def astra_deploy_cli(cluster: AstraCluster, argv: list[str]
         return 1, f"astra-deploy: {err}"
 
     lines = list(report.phases)
-    fleet = cluster.world.site_registry
-    if report.registry_shards > 1 and hasattr(fleet, "report"):
-        f = fleet.report()
+    if report.registry_shards > 1:
+        f = cluster.world.site_registry.report()
         lines.append(
             f"fleet: {f['shards']} shards x {f['replicas']} replicas, "
             f"hit ratio {f['hit_ratio']:.3f}, "

@@ -31,10 +31,12 @@ module grows that seed into a *fleet*:
   ``retry_at``, which composes with the PR-6
   :class:`~repro.sim.RetryPolicy` exactly like a registry flake.
 
-The fleet is a drop-in :class:`Registry` facade: it exposes the same
-push/pull/fetch_blob/manifest surface, so Podman pushes, ch-image pulls,
-and the tree-broadcast deploy path all work unchanged when
-:func:`deploy_fleet` swaps it in as the world's site registry.
+The fleet *is* a :class:`Registry`: the front door and every metadata
+table are inherited and held once, and only the blob plane and tenancy
+are the fleet's own.  Podman pushes, ch-image pulls, the §6.2.5 policy,
+the supply-chain gate, and the tree-broadcast deploy path all work
+unchanged when :func:`deploy_fleet` swaps it in as the world's site
+registry.
 """
 
 from __future__ import annotations
@@ -44,11 +46,11 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
+from ..archive import TarArchive
 from ..cas.store import blob_digest
 from ..containers.oci import ImageConfig, ImageRef, Manifest
-from ..containers.registry import Registry, TransferStats
+from ..containers.registry import Registry, TransferStats, as_ref
 from ..errors import RegistryError, TransientError
-from ..obs.trace import maybe_span
 
 __all__ = [
     "FleetError",
@@ -307,15 +309,18 @@ class Tenant:
 # The fleet
 
 
-class RegistryFleet:
+class RegistryFleet(Registry):
     """N registry shards behind one consistent-hash front door.
 
-    Implements the :class:`Registry` surface (push / pull / fetch_blob /
-    manifest / cache export-import), so every existing client — Podman
-    push, ch-image pull, the tree-broadcast distributor — works against a
-    fleet unchanged.  Blob *bytes* are sharded and replicated; manifests
-    (tiny metadata) are mirrored to every shard, the way production
-    registries back metadata with a shared database.
+    A :class:`Registry` whose blob plane is sharded.  The front door —
+    ref parsing, spans, fault injection, sign-on-push, verify-on-pull,
+    the §6.2.5 policy, transfer accounting — and every metadata table
+    (manifests, cache pointers, signatures, attestations) are inherited
+    and held once, the way production registries back metadata with a
+    shared database.  Shards hold blob *bytes* only: the fleet overrides
+    placement (ring + replicas + peer fill, all-or-nothing per request)
+    and serving (routing + admission), and wraps the shared push/pull
+    bodies in tenant auth and quota.
     """
 
     def __init__(self, name: str, *, n_shards: int, replicas: int = 1,
@@ -328,7 +333,7 @@ class RegistryFleet:
         if not 1 <= replicas <= n_shards:
             raise FleetError(
                 f"replicas must be in [1, {n_shards}]: {replicas}")
-        self.name = name
+        super().__init__(name, tracer=tracer)
         self.replicas = replicas
         self.shards: list[RegistryShard] = [
             RegistryShard(f"{name}.s{i:02d}", queue_limit=queue_limit,
@@ -339,27 +344,15 @@ class RegistryFleet:
         self._by_name = {s.name: s for s in self.shards}
         self.ring = HashRing((s.name for s in self.shards), vnodes=vnodes)
         self.tenants: dict[str, Tenant] = {}
-        self.stats = TransferStats()     # front-door accounting
         self.rebalance_bytes = 0         # shard-to-shard fill traffic
         self.rebalance_blobs = 0
         #: Optional sim clock; admission control needs time to queue
         #: against, so backpressure is active only when a clock is bound.
+        #: A fault injector's plan additionally drives shard liveness
+        #: (crash ⇒ ring re-route to replicas).
         self.clock = clock
-        self.tracer = tracer
-        #: Same contract as :attr:`Registry.fault_injector` — the
-        #: broadcast installs a plan injector here; its plan additionally
-        #: drives shard liveness (crash ⇒ ring re-route to replicas).
-        self.fault_injector = None
         # every blob digest the fleet has accepted, for rebalancing
-        self._known: dict[str, int] = {}  # digest -> size
-        #: Optional :class:`~repro.supply.Signer` — when set, every push
-        #: records a signature over the manifest digest on all live
-        #: shards (sign-on-push).
-        self.signer = None
-        #: Optional :class:`~repro.supply.PolicyGate` — when set, pulls
-        #: verify the served manifest's signature and raise
-        #: :class:`~repro.errors.SupplyPolicyError` on failure.
-        self.policy_gate = None
+        self._known: set[str] = set()
 
     # -- time / liveness ---------------------------------------------------
 
@@ -407,12 +400,9 @@ class RegistryFleet:
         order = {h: i for i, h in enumerate(holders)}
         return min(live, key=lambda s: (s.queue_depth(now), order[s.name]))
 
-    def _manifest_shard(self) -> RegistryShard:
-        """Any live shard can answer metadata (manifests are mirrored)."""
-        live = self.live_shards()
-        if not live:
-            raise FleetError(f"{self.name}: no live shards")
-        return live[0]
+    def endpoints(self) -> list[RegistryShard]:
+        """One uplink per shard: a fleet has no single origin link."""
+        return list(self.shards)
 
     # -- tenancy -----------------------------------------------------------
 
@@ -433,31 +423,28 @@ class RegistryFleet:
         except KeyError:
             raise FleetError(f"{self.name}: unknown tenant {name!r}")
 
-    def _tenant_of(self, repository: str) -> Optional[Tenant]:
-        head = repository.split("/", 1)[0]
-        return self.tenants.get(head)
+    def _tenant_of(self, ref: ImageRef) -> Optional[Tenant]:
+        return self.tenants.get(ref.repository.split("/", 1)[0])
 
-    def _authorize(self, tenant: Optional[Tenant], token: Optional[str],
-                   op: str) -> None:
-        if tenant is None:
-            return                       # unregistered namespace: open
-        if op == "pull" and tenant.public:
-            return
+    def _admit(self, ref: ImageRef, token: Optional[str],
+               op: str) -> Optional[Tenant]:
+        """Token auth for *op* on *ref*'s namespace; returns its tenant
+        (``None`` for an unregistered namespace, which stays open)."""
+        tenant = self._tenant_of(ref)
+        if tenant is None or (op == "pull" and tenant.public):
+            return tenant
         if token != tenant.token or tenant.token is None:
             tenant.auth_rejections += 1
             raise FleetAuthError(
                 f"{self.name}: {op} to tenant {tenant.name!r} denied "
                 f"(bad or missing token)")
+        return tenant
 
     def _reserve_quota(self, tenant: Optional[Tenant],
                        blobs: Sequence[bytes]) -> dict[str, int]:
         """Check the quota without mutating the ledger; returns the
         not-yet-charged digests (digest -> size) for :meth:`_commit_quota`.
-
-        Charging is transactional: the ledger moves only after every
-        blob of the request is placed, so a mid-request failure (no live
-        shard, injected push fault) leaves ``bytes_used``/``digests``
-        exactly as they were — the ledger always equals stored bytes."""
+        """
         if tenant is None:
             return {}
         new = {}
@@ -482,14 +469,38 @@ class RegistryFleet:
         tenant.digests.update(new)
         tenant.bytes_used += sum(new.values())
 
-    # -- blob plane --------------------------------------------------------
+    # -- blob plane: placement ---------------------------------------------
 
-    def _place_blob(self, blob: bytes,
-                    txn: Optional[list[tuple[str, int]]] = None) -> str:
+    def _put_blobs(self, ref: ImageRef, blobs: list[bytes]) -> list[str]:
+        """Place one request's blobs all-or-nothing.
+
+        The tenant's quota is checked first and charged only after every
+        blob is placed.  A mid-request failure (no live shard, injected
+        fault) drops the blobs the request introduced and restores the
+        front-door counters, so the ledger and ``bytes_pushed`` count
+        only bytes actually stored; blobs that pre-existed the request
+        are left alone (another image or tenant references them)."""
+        tenant = self._tenant_of(ref)
+        new = self._reserve_quota(tenant, blobs)
+        snap = _transfer_snapshot(self.stats)
+        fresh: list[str] = []
+        try:
+            digests = [self._place_blob(blob, fresh) for blob in blobs]
+        except Exception:
+            for digest in fresh:
+                for shard in self.shards:
+                    shard.registry.drop_blob(digest)
+                self._known.discard(digest)
+            _transfer_restore(self.stats, snap)
+            raise
+        self._commit_quota(tenant, new)
+        return digests
+
+    def _place_blob(self, blob: bytes, fresh: list[str]) -> str:
         """Write *blob* to its primary holder and fill the replicas
-        shard-to-shard; returns the digest.  With *txn*, blobs the fleet
-        did not previously know are recorded so a failed multi-blob
-        request can roll them back with :meth:`_unplace`."""
+        shard-to-shard; returns the digest.  A blob the fleet already
+        holds counts as a push skip (:class:`Registry`'s dedup rule);
+        a new one is counted as pushed and appended to *fresh*."""
         digest = blob_digest(blob)
         now = self._now()
         holders = [self._by_name[h] for h in self.blob_holders(digest)]
@@ -497,34 +508,20 @@ class RegistryFleet:
         if not live:
             raise FleetError(
                 f"{self.name}: no live shard to place {digest[:19]}...")
-        fresh = digest not in self._known
+        if digest in self._known:
+            self.stats.blobs_push_skipped += 1
+            self.stats.bytes_push_skipped += len(blob)
+        else:
+            self.stats.blobs_pushed += 1
+            self.stats.bytes_pushed += len(blob)
+            self._known.add(digest)
+            fresh.append(digest)
         primary = live[0]
         primary.registry.put_blob(blob)
-        self.stats.blobs_pushed += 1
-        self.stats.bytes_pushed += len(blob)
-        self._known[digest] = len(blob)
-        if txn is not None and fresh:
-            txn.append((digest, len(blob)))
         fill = [s for s in live[1:] if not s.registry.has_blob(digest)]
         if fill:
             self._fill(primary, [digest], fill)
         return digest
-
-    def _unplace(self, txn: list[tuple[str, int]]) -> None:
-        """Roll back the placements of a failed request: every blob the
-        fleet first learned of in this request is dropped from all
-        shards, forgotten, and its bytes removed from the front-door
-        push counters — so accepted bytes always equal stored bytes.
-        Blobs that pre-existed the request are left alone (another image
-        or tenant legitimately references them)."""
-        for digest, size in reversed(txn):
-            if digest not in self._known:
-                continue
-            for shard in self.shards:
-                shard.registry.drop_blob(digest)
-            del self._known[digest]
-            self.stats.blobs_pushed -= 1
-            self.stats.bytes_pushed -= size
 
     def _fill(self, origin: RegistryShard, digests: Sequence[str],
               targets: Sequence[RegistryShard]) -> None:
@@ -543,120 +540,101 @@ class RegistryFleet:
         self.rebalance_blobs += rep.blobs * len(targets)
         for shard in targets:
             for digest in digests:
+                if not shard.content_store.has(digest):
+                    # a zero-byte blob (an empty layer) never travels
+                    shard.content_store.put(
+                        origin.registry.blob_at_rest(digest))
                 shard.registry.adopt_blob(digest)
         if self.tracer is not None:
             self.tracer.metrics.count_net(
                 "fleet_rebalance_bytes",
                 rep.registry_egress_bytes + rep.peer_bytes)
 
+    # -- blob plane: residency and serving ---------------------------------
+
     def has_blob(self, digest: str) -> bool:
         return any(s.registry.has_blob(digest) for s in self.shards)
 
-    def blob_size(self, digest: str) -> int:
-        for name in self.blob_holders(digest):
-            shard = self._by_name[name]
+    def _resident(self, digest: str) -> RegistryShard:
+        """A shard holding *digest*: ring holders first, then any."""
+        for shard in [self._by_name[h] for h in self.blob_holders(digest)] \
+                + self.shards:
             if shard.registry.has_blob(digest):
-                return shard.registry.blob_size(digest)
+                return shard
         raise FleetError(f"{self.name}: no blob {digest[:19]}...")
 
-    def fetch_blob(self, digest: str, *, local_store=None) -> bytes:
-        """Pull one blob through the front door: local CAS short-circuit,
-        flake injection, ring routing, admission, then the shard serves."""
-        if local_store is not None and local_store.has(digest):
-            blob = local_store.get(digest)
-            self.stats.blobs_pull_skipped += 1
-            self.stats.bytes_pull_skipped += len(blob)
-            return blob
-        if self.fault_injector is not None:
-            self.fault_injector.check("fetch_blob")
-        shard = self.route_blob(digest)
-        now = self._now()
-        if self.clock is not None:
-            shard.check_admission(now)
-            shard.reserve(now, shard.registry.blob_size(digest))
+    def blob_size(self, digest: str) -> int:
+        return self._resident(digest).registry.blob_size(digest)
+
+    def blob_at_rest(self, digest: str) -> bytes:
+        return self._resident(digest).registry.blob_at_rest(digest)
+
+    def storage_bytes(self) -> int:
+        """Bytes at rest across all shards (replication included)."""
+        return sum(s.registry.storage_bytes() for s in self.shards)
+
+    def _serve(self, shard: RegistryShard, digest: str) -> bytes:
+        """*shard* serves one blob through the front door."""
         blob = shard.registry.fetch_blob(digest)
         shard.stats.served_blobs += 1
         shard.stats.served_bytes += len(blob)
         self.stats.blobs_pulled += 1
         self.stats.bytes_pulled += len(blob)
-        if local_store is not None:
-            local_store.put(blob)
         return blob
 
-    # -- push / pull -------------------------------------------------------
+    def _get_blob(self, digest: str) -> bytes:
+        """Ring routing, then admission (when a clock is bound), then the
+        nearest live holder serves."""
+        shard = self.route_blob(digest)
+        if self.clock is not None:
+            now = self._now()
+            shard.check_admission(now)
+            shard.reserve(now, shard.registry.blob_size(digest))
+        return self._serve(shard, digest)
+
+    def fetch_blob(self, digest: str, *, local_store=None) -> bytes:
+        """Pull one blob through the front door: local CAS short-circuit
+        and flake injection (shared with :class:`Registry`), then ring
+        routing, admission, and the shard serves."""
+        return self._fetch(digest, local_store)
+
+    # -- tenancy around the shared push / pull bodies ----------------------
 
     def push(self, ref: ImageRef | str, config: ImageConfig,
              layers: Iterable[object], *,
              token: Optional[str] = None,
              attestations: Optional[dict[str, bytes]] = None) -> Manifest:
-        """Push an image; with *attestations* (kind -> statement bytes),
-        the statements are placed as content-addressed blobs, charged to
-        the tenant's quota with the layers, and recorded on every live
-        shard.  Placement and charging are all-or-nothing."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        layers = list(layers)
-        tenant = self._tenant_of(ref.repository)
-        att_blobs = dict(sorted(attestations.items())) if attestations \
-            else {}
-        with maybe_span(self.tracer,
-                        f"fleet-push {ref.repository}:{ref.tag}", "push",
-                        fleet=self.name, layers=len(layers)):
-            if self.fault_injector is not None:
-                self.fault_injector.check("push")
-            self._authorize(tenant, token, "push")
-            serialized = [layer.serialize() for layer in layers]
-            if not serialized:
-                raise FleetError("cannot push an image with no layers")
-            new = self._reserve_quota(
-                tenant, serialized + list(att_blobs.values()))
-            txn: list[tuple[str, int]] = []
-            try:
-                digests = tuple(self._place_blob(blob, txn=txn)
-                                for blob in serialized)
-                att_digests = {kind: self._place_blob(blob, txn=txn)
-                               for kind, blob in att_blobs.items()}
-            except Exception:
-                self._unplace(txn)
-                raise
-            self._commit_quota(tenant, new)
-            manifest = Manifest(config=config, layers=digests)
-            signature = (self.signer.sign(manifest.digest())
-                         if self.signer is not None else None)
-            now = self._now()
-            for shard in self.shards:
-                if self._is_live(shard, now):
-                    shard.registry.put_manifest(ref, manifest)
-                    if att_digests:
-                        shard.registry.record_attestations(ref, att_digests)
-                    if signature is not None:
-                        shard.registry.record_signature(ref, signature)
-            if signature is not None:
-                self._count_supply("signed")
-            if att_digests:
-                self._count_supply("attested")
-            if tenant is not None:
-                tenant.pushes += 1
+        """:meth:`Registry.push` for the tenant *token* authorizes;
+        placement and quota charging are all-or-nothing."""
+        ref = as_ref(ref)
+        tenant = self._admit(ref, token, "push")
+        manifest = self._push(ref, config, list(layers), attestations)
+        if tenant is not None:
+            tenant.pushes += 1
         return manifest
 
     def pull(self, ref: ImageRef | str, *, arch: Optional[str] = None,
              local_store=None, token: Optional[str] = None):
-        from ..archive import TarArchive
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        tenant = self._tenant_of(ref.repository)
-        with maybe_span(self.tracer,
-                        f"fleet-pull {ref.repository}:{ref.tag}", "pull",
-                        fleet=self.name):
-            self._authorize(tenant, token, "pull")
-            manifest = self.manifest(ref, arch=arch)
-            self._verify_served(ref, manifest)
-            layers = [TarArchive.deserialize(
-                          self.fetch_blob(d, local_store=local_store))
-                      for d in manifest.layers]
-            if tenant is not None:
-                tenant.pulls += 1
-        return manifest.config, layers
+        ref = as_ref(ref)
+        tenant = self._admit(ref, token, "pull")
+        result = self._pull(ref, arch, local_store)
+        if tenant is not None:
+            tenant.pulls += 1
+        return result
+
+    def push_cache(self, ref: ImageRef | str, manifest: bytes,
+                   blobs: Iterable[bytes], *,
+                   token: Optional[str] = None) -> str:
+        ref = as_ref(ref)
+        self._admit(ref, token, "push")
+        return self._push_cache(ref, manifest, list(blobs))
+
+    def pull_cache(self, ref: ImageRef | str, *, local_store=None,
+                   token: Optional[str] = None
+                   ) -> tuple[bytes, Callable[[str], bytes]]:
+        ref = as_ref(ref)
+        self._admit(ref, token, "pull")
+        return self._pull_cache(ref, local_store)
 
     def timed_pull(self, ref: ImageRef | str, *,
                    now: Optional[float] = None, arch: Optional[str] = None,
@@ -665,12 +643,9 @@ class RegistryFleet:
         layer first* (all-or-nothing, so a rejected request reserves no
         service and no bytes are double-counted on retry), then reserve
         and serve; returns the virtual completion time."""
-        from ..archive import TarArchive
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+        ref = as_ref(ref)
         now = self._now() if now is None else now
-        tenant = self._tenant_of(ref.repository)
-        self._authorize(tenant, token, "pull")
+        tenant = self._admit(ref, token, "pull")
         if self.fault_injector is not None:
             self.fault_injector.check("fetch_blob")
         manifest = self.manifest(ref, arch=arch)
@@ -688,11 +663,7 @@ class RegistryFleet:
         end = now
         for shard, digest, size in planned:
             end = max(end, shard.reserve(now, size))
-            blob = shard.registry.fetch_blob(digest)
-            shard.stats.served_blobs += 1
-            shard.stats.served_bytes += len(blob)
-            self.stats.blobs_pulled += 1
-            self.stats.bytes_pulled += len(blob)
+            blob = self._serve(shard, digest)
             if local_store is not None:
                 local_store.put(blob)
                 TarArchive.deserialize(blob)  # digest-checked decode
@@ -702,127 +673,6 @@ class RegistryFleet:
         if tenant is not None:
             tenant.pulls += 1
         return end
-
-    # -- metadata plane ----------------------------------------------------
-
-    def manifest(self, ref: ImageRef | str, *,
-                 arch: Optional[str] = None) -> Manifest:
-        return self._manifest_shard().registry.manifest(ref, arch=arch)
-
-    # -- supply-chain metadata (mirrored like manifests) -------------------
-
-    def signatures_of(self, ref: ImageRef | str) -> list:
-        return self._manifest_shard().registry.signatures_of(ref)
-
-    def record_signature(self, ref: ImageRef | str, signature) -> None:
-        now = self._now()
-        for shard in self.shards:
-            if self._is_live(shard, now):
-                shard.registry.record_signature(ref, signature)
-
-    def attestation_digests(self, ref: ImageRef | str) -> dict[str, str]:
-        return self._manifest_shard().registry.attestation_digests(ref)
-
-    def fetch_attestation(self, ref: ImageRef | str, kind: str) -> bytes:
-        """One attestation statement, read at rest (audits run fleet-
-        side, before any broadcast — no client transfer is counted)."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        digests = self.attestation_digests(ref)
-        if kind not in digests:
-            raise FleetError(
-                f"{self.name}: no {kind} attestation for "
-                f"{ref.repository}:{ref.tag}")
-        return self.blob_at_rest(digests[kind])
-
-    def blob_at_rest(self, digest: str) -> bytes:
-        """One blob's bytes from any shard holding them, at rest."""
-        for name in self.blob_holders(digest):
-            shard = self._by_name[name]
-            if shard.registry.has_blob(digest):
-                return shard.registry.blob_at_rest(digest)
-        for shard in self.shards:
-            if shard.registry.has_blob(digest):
-                return shard.registry.blob_at_rest(digest)
-        raise FleetError(f"{self.name}: no blob {digest[:19]}...")
-
-    def _count_supply(self, event: str) -> None:
-        if self.tracer is not None:
-            self.tracer.metrics.count_supply(event)
-
-    def _verify_served(self, ref: ImageRef, manifest: Manifest) -> None:
-        """The pull-time supply check (see Registry._verify_served)."""
-        if not self.signatures_of(ref):
-            self._count_supply("unsigned_pull")
-        if self.policy_gate is not None:
-            self.policy_gate.verify_pull(self, ref, manifest)
-
-    def image_blob_digests(self, ref: ImageRef | str, *,
-                           arch: Optional[str] = None) -> list[str]:
-        return list(self.manifest(ref, arch=arch).layers)
-
-    def has(self, ref: ImageRef | str) -> bool:
-        return self._manifest_shard().registry.has(ref)
-
-    def tags(self, repository: str) -> list[str]:
-        return self._manifest_shard().registry.tags(repository)
-
-    def repositories(self) -> list[str]:
-        return self._manifest_shard().registry.repositories()
-
-    def history(self, repository: str) -> list[str]:
-        return self._manifest_shard().registry.history(repository)
-
-    def storage_bytes(self) -> int:
-        """Bytes at rest across all shards (replication included)."""
-        return sum(s.registry.storage_bytes() for s in self.shards)
-
-    # -- build-cache artifacts (the cached Astra workflow) -----------------
-
-    def push_cache(self, ref: ImageRef | str, manifest: bytes,
-                   blobs: Iterable[bytes], *,
-                   token: Optional[str] = None) -> str:
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        tenant = self._tenant_of(ref.repository)
-        self._authorize(tenant, token, "push")
-        blobs = list(blobs)
-        new = self._reserve_quota(tenant, blobs + [manifest])
-        txn: list[tuple[str, int]] = []
-        try:
-            for blob in blobs:
-                self._place_blob(blob, txn=txn)
-            digest = self._place_blob(manifest, txn=txn)
-        except Exception:
-            self._unplace(txn)
-            raise
-        self._commit_quota(tenant, new)
-        now = self._now()
-        for shard in self.shards:
-            if self._is_live(shard, now):
-                shard.registry.put_cache_manifest(ref, digest)
-        return digest
-
-    def pull_cache(self, ref: ImageRef | str, *, local_store=None,
-                   token: Optional[str] = None
-                   ) -> tuple[bytes, Callable[[str], bytes]]:
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        tenant = self._tenant_of(ref.repository)
-        self._authorize(tenant, token, "pull")
-        digest = self._manifest_shard().registry.cache_manifest_digest(ref)
-        manifest = self.fetch_blob(digest, local_store=local_store)
-
-        def fetch(d: str) -> bytes:
-            return self.fetch_blob(d, local_store=local_store)
-
-        return manifest, fetch
-
-    def cache_blob_digests(self, ref: ImageRef | str) -> list[str]:
-        return self._manifest_shard().registry.cache_blob_digests(ref)
-
-    def has_cache(self, ref: ImageRef | str) -> bool:
-        return self._manifest_shard().registry.has_cache(ref)
 
     # -- fleet operations --------------------------------------------------
 
@@ -846,9 +696,6 @@ class RegistryFleet:
                          else self.shards[0].queue_limit),
             service_bandwidth=self.shards[0].service_bandwidth,
             service_latency=self.shards[0].service_latency)
-        # mirror metadata before the shard serves anything
-        donor = self._manifest_shard().registry
-        shard.registry.mirror_metadata_from(donor)
         self.shards.append(shard)
         self._by_name[shard.name] = shard
         old_ring = self.ring
@@ -857,25 +704,12 @@ class RegistryFleet:
         self.rebalance()
         return shard
 
-    def _sync_metadata(self) -> None:
-        """Metadata anti-entropy.  Any live shard may answer manifest
-        lookups, so a shard that was down while pushes happened must
-        backfill manifests, cache pointers, signatures, and attestation
-        records when it returns — blob placement only moves bytes, and
-        without this a restored shard would serve blobs it cannot name."""
-        live = self.live_shards()
-        for shard in live:
-            for donor in live:
-                if donor is not shard:
-                    shard.registry.mirror_metadata_from(donor.registry)
-
     def rebalance(self) -> int:
         """Converge every known blob onto its current holder set: fill
         missing replicas shard-to-shard (grouped by origin so the tree
-        broadcast batches), release copies on ex-holders, and backfill
-        metadata onto shards that missed pushes while down.  Returns the
-        number of blob movements."""
-        self._sync_metadata()
+        broadcast batches) and release copies on ex-holders.  Metadata
+        lives at the front door, so there is nothing else to backfill.
+        Returns the number of blob movements."""
         now = self._now()
         moved = 0
         fills: dict[str, dict[str, list[str]]] = {}  # origin -> target -> d
@@ -948,17 +782,18 @@ def deploy_fleet(world, *, n_shards: int, replicas: int = 1,
     """Replace *world*'s site registry with a fleet of *n_shards*.
 
     Existing site-registry content is re-pushed through fleet placement
-    so already-published images stay pullable; the network entry and
-    ``world.site_registry`` both point at the fleet afterwards, so every
-    workflow (Podman push, ch-image pull, tree broadcast) routes through
-    it transparently.
+    so already-published images stay pullable, then the registry's
+    §6.2.5 repository policies carry over (after the re-push, so images
+    published before a policy was set still move).  The network entry
+    and ``world.site_registry`` both point at the fleet afterwards, so
+    every workflow (Podman push, ch-image pull, tree broadcast) routes
+    through it transparently.
     """
     old = world.site_registry
     if isinstance(old, RegistryFleet):
         return old
     fleet = RegistryFleet(name or old.name, n_shards=n_shards,
                           replicas=replicas, **kwargs)
-    from ..archive import TarArchive
     for repository in old.repositories():
         for tag in old.tags(repository):
             ref = ImageRef(repository=repository, tag=tag)
@@ -967,6 +802,9 @@ def deploy_fleet(world, *, n_shards: int, replicas: int = 1,
                 layers = [TarArchive.deserialize(old.fetch_blob(d))
                           for d in manifest.layers]
                 fleet.push(ref, manifest.config, layers)
+    for repository, require_flattened in old._policies.items():
+        fleet.set_repo_policy(repository,
+                              require_flattened=require_flattened)
     world.network.registries[fleet.name] = fleet
     world.site_registry = fleet
     return fleet

@@ -49,6 +49,10 @@ class TransferStats:
         }
 
 
+def as_ref(ref: ImageRef | str) -> ImageRef:
+    return ImageRef.parse(ref) if isinstance(ref, str) else ref
+
+
 class Registry:
     """One registry service (e.g. the GitLab Container Registry of §4.2).
 
@@ -57,9 +61,20 @@ class Registry:
     identical layers across images, repositories, and services.  Every
     blob this registry accepts is refcounted so a bounded shared store
     can never evict it — registry persistence is the §4.2 property.
+
+    This class is also the front door of a sharded
+    :class:`~repro.cluster.fleet.RegistryFleet`: ref parsing, spans,
+    fault injection, sign-on-push, verify-on-pull, the §6.2.5 policy,
+    transfer accounting, and every metadata table live here once.  A
+    fleet overrides only the blob plane — :meth:`_put_blobs`,
+    :meth:`_get_blob`, :meth:`has_blob`, :meth:`blob_size`,
+    :meth:`blob_at_rest`, :meth:`storage_bytes`, :meth:`route_blob`,
+    :meth:`endpoints` — and wraps the shared ``_push``/``_pull``/
+    ``_push_cache``/``_pull_cache`` bodies in tenant auth.
     """
 
-    def __init__(self, name: str, *, store: Optional[ContentStore] = None):
+    def __init__(self, name: str, *, store: Optional[ContentStore] = None,
+                 tracer=None):
         self.name = name
         self.store = store if store is not None else ContentStore()
         self._owned: set[str] = set()  # digests this registry references
@@ -85,7 +100,7 @@ class Registry:
         #: Optional :class:`~repro.obs.SyscallTracer` — registries have no
         #: kernel of their own, so callers attach one explicitly to get
         #: push/pull spans.
-        self.tracer = None
+        self.tracer = tracer
         #: Optional :class:`~repro.sim.RegistryFaultInjector` — when set,
         #: ``fetch_blob``/``push`` raise ``TransientRegistryError`` inside
         #: the plan's flake windows and callers retry per their policy.
@@ -112,6 +127,11 @@ class Registry:
             self.store.incref(digest)
         return digest
 
+    def _put_blobs(self, ref: ImageRef, blobs: list[bytes]) -> list[str]:
+        """Accept the blobs of one push request for *ref*; returns their
+        digests.  (A fleet places them on its ring instead.)"""
+        return [self._put_blob(blob) for blob in blobs]
+
     def _get_blob(self, digest: str) -> bytes:
         try:
             blob = self.store.get(digest)
@@ -128,6 +148,10 @@ class Registry:
         and the wire transfer is skipped (counted as a pull-skip — the
         mirror of push-side dedup).  A freshly pulled blob is dropped into
         *local_store* so the next puller on that node skips too."""
+        return self._fetch(digest, local_store)
+
+    def _fetch(self, digest: str,
+               local_store: Optional[ContentStore]) -> bytes:
         if local_store is not None and local_store.has(digest):
             blob = local_store.get(digest)
             self.stats.blobs_pull_skipped += 1
@@ -146,7 +170,34 @@ class Registry:
             raise RegistryError(f"{self.name}: no blob {digest[:19]}...")
         return self.store.size_of(digest)
 
-    # -- fleet plumbing: shard-side primitives the RegistryFleet composes ----------------
+    def blob_at_rest(self, digest: str) -> bytes:
+        """One blob's bytes without counting a transfer (audit-side
+        reads; clients fetching over the wire use :meth:`fetch_blob`)."""
+        try:
+            return self.store.get(digest)
+        except CasError:
+            raise RegistryError(f"{self.name}: no blob {digest[:19]}...")
+
+    def storage_bytes(self) -> int:
+        """Bytes at rest attributable to this registry's blobs.  On a
+        shared store the sum over registries can exceed the store's
+        physical size — that gap *is* the cross-service dedup saving."""
+        return sum(self.store.size_of(d) for d in self._owned
+                   if self.store.has(d))
+
+    # -- deploy routing ------------------------------------------------------------
+
+    def route_blob(self, digest: str) -> "Registry":
+        """The endpoint that serves *digest* to a deploy distributor: a
+        single registry is its own origin."""
+        return self
+
+    def endpoints(self) -> list:
+        """Every endpoint serving blobs — one uplink each, named after
+        the endpoint, on a deploy topology."""
+        return [self]
+
+    # -- shard primitives: the blob plane of one fleet shard --------------------------
 
     def put_blob(self, blob: bytes) -> str:
         """Accept one raw blob (a fleet shard receiving its placement);
@@ -175,126 +226,37 @@ class Registry:
         self.store.decref(digest)
         return self.store.discard(digest)
 
-    def owned_digests(self) -> list[str]:
-        """Every blob digest this registry owns (sorted)."""
-        return sorted(self._owned)
-
-    def put_manifest(self, ref: ImageRef | str, manifest: Manifest) -> None:
-        """Record a manifest whose layer blobs were placed separately
-        (fleet metadata mirroring — no blob transfer happens here)."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        variants = self._manifests.setdefault((ref.repository, ref.tag), {})
-        variants[manifest.config.arch] = manifest
-        self._manifest_log.append((ref.repository, ref.tag,
-                                   manifest.digest()))
-
-    def manifest_variants(self, ref: ImageRef | str) -> dict[str, Manifest]:
-        """All architecture variants recorded for *ref* (may be empty)."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        return dict(self._manifests.get((ref.repository, ref.tag), {}))
-
-    def put_cache_manifest(self, ref: ImageRef | str, digest: str) -> None:
-        """Record a cache-manifest pointer placed separately (fleet
-        metadata mirroring)."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        self._cache_manifests[(ref.repository, ref.tag)] = digest
-
-    def cache_manifest_digest(self, ref: ImageRef | str) -> str:
-        """The cache-manifest blob digest recorded for *ref*."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        try:
-            return self._cache_manifests[(ref.repository, ref.tag)]
-        except KeyError:
-            raise RegistryError(
-                f"{self.name}: cache manifest unknown: "
-                f"{ref.repository}:{ref.tag}")
-
-    def mirror_metadata_from(self, other: "Registry") -> None:
-        """Copy *other*'s manifest, cache-manifest, signature, and
-        attestation tables (a shard joining — or rejoining — the fleet
-        mirrors metadata before serving).  Blob bytes are NOT copied —
-        placement moves those."""
-        for (repo, tag), variants in other._manifests.items():
-            mine = self._manifests.setdefault((repo, tag), {})
-            mine.update(variants)
-        self._manifest_log.extend(
-            e for e in other._manifest_log if e not in self._manifest_log)
-        self._cache_manifests.update(other._cache_manifests)
-        for key, sigs in other._signatures.items():
-            mine_sigs = self._signatures.setdefault(key, [])
-            mine_sigs.extend(s for s in sigs if s not in mine_sigs)
-        for key, kinds in other._attestations.items():
-            self._attestations.setdefault(key, {}).update(kinds)
-
     # -- supply-chain metadata: signatures + attestations --------------------------------
 
     def record_signature(self, ref: ImageRef | str, signature) -> None:
-        """Attach a detached signature to *ref* (fleet metadata
-        mirroring, or sign-on-push).  Signatures accumulate — one per
-        signed manifest variant; verification matches on payload."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+        """Attach a detached signature to *ref* (sign-on-push).
+        Signatures accumulate — one per signed manifest variant;
+        verification matches on payload."""
+        ref = as_ref(ref)
         sigs = self._signatures.setdefault((ref.repository, ref.tag), [])
         if signature not in sigs:
             sigs.append(signature)
 
     def signatures_of(self, ref: ImageRef | str) -> list:
         """Every signature recorded for *ref* (may be empty)."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+        ref = as_ref(ref)
         return list(self._signatures.get((ref.repository, ref.tag), ()))
-
-    def put_attestations(self, ref: ImageRef | str,
-                         blobs: dict[str, bytes]) -> dict[str, str]:
-        """Accept attestation blobs (SBOM, provenance) for *ref*: each
-        becomes a content-addressed blob, counted like a layer push
-        (dedup included); returns kind -> digest."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        digests = {kind: self._put_blob(blob)
-                   for kind, blob in sorted(blobs.items())}
-        self._attestations.setdefault(
-            (ref.repository, ref.tag), {}).update(digests)
-        return digests
-
-    def record_attestations(self, ref: ImageRef | str,
-                            digests: dict[str, str]) -> None:
-        """Record attestation pointers whose blobs were placed separately
-        (fleet metadata mirroring — no blob transfer happens here)."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        self._attestations.setdefault(
-            (ref.repository, ref.tag), {}).update(digests)
 
     def attestation_digests(self, ref: ImageRef | str) -> dict[str, str]:
         """kind -> blob digest of every attestation on *ref*."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+        ref = as_ref(ref)
         return dict(self._attestations.get((ref.repository, ref.tag), {}))
 
     def fetch_attestation(self, ref: ImageRef | str, kind: str) -> bytes:
         """One attestation statement, read at rest (no transfer counted
         — audits run registry-side, not over the wire)."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+        ref = as_ref(ref)
         digests = self._attestations.get((ref.repository, ref.tag), {})
         if kind not in digests:
             raise RegistryError(
                 f"{self.name}: no {kind} attestation for "
                 f"{ref.repository}:{ref.tag}")
         return self.blob_at_rest(digests[kind])
-
-    def blob_at_rest(self, digest: str) -> bytes:
-        """One blob's bytes without counting a transfer (audit-side
-        reads; clients fetching over the wire use :meth:`fetch_blob`)."""
-        try:
-            return self.store.get(digest)
-        except CasError:
-            raise RegistryError(f"{self.name}: no blob {digest[:19]}...")
 
     def _count_supply(self, event: str) -> None:
         if self.tracer is not None:
@@ -332,32 +294,42 @@ class Registry:
     # -- push / pull ------------------------------------------------------------------
 
     def push(self, ref: ImageRef | str, config: ImageConfig,
-             layers: Iterable[TarArchive]) -> Manifest:
+             layers: Iterable[TarArchive], *,
+             attestations: Optional[dict[str, bytes]] = None) -> Manifest:
         """Push an image: layers become content-addressed blobs (already-
-        present layers are not re-sent, like real registries)."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        layers = list(layers)
+        present layers are not re-sent, like real registries).  With
+        *attestations* (kind -> statement bytes), the statements become
+        blobs of the same request, recorded under *ref*."""
+        return self._push(as_ref(ref), config, list(layers), attestations)
+
+    def _push(self, ref: ImageRef, config: ImageConfig,
+              layers: list[TarArchive],
+              attestations: Optional[dict[str, bytes]]) -> Manifest:
         with maybe_span(self.tracer,
                         f"push {ref.repository}:{ref.tag}", "push",
                         registry=self.name, layers=len(layers)):
             if self.fault_injector is not None:
                 self.fault_injector.check("push")
             self._check_policy(ref, layers)
-            digests = tuple(self._put_blob(layer.serialize())
-                            for layer in layers)
-            if not digests:
+            blobs = [layer.serialize() for layer in layers]
+            if not blobs:
                 raise RegistryError("cannot push an image with no layers")
-            manifest = Manifest(config=config, layers=digests)
-            variants = self._manifests.setdefault(
-                (ref.repository, ref.tag), {})
-            variants[config.arch] = manifest
-            self._manifest_log.append((ref.repository, ref.tag,
-                                       manifest.digest()))
+            kinds = sorted(attestations or {})
+            digests = self._put_blobs(
+                ref, blobs + [attestations[kind] for kind in kinds])
+            manifest = Manifest(config=config,
+                                layers=tuple(digests[:len(blobs)]))
+            key = (ref.repository, ref.tag)
+            self._manifests.setdefault(key, {})[config.arch] = manifest
+            self._manifest_log.append((*key, manifest.digest()))
             if self.signer is not None:
                 self.record_signature(ref,
                                       self.signer.sign(manifest.digest()))
                 self._count_supply("signed")
+            if kinds:
+                self._attestations.setdefault(key, {}).update(
+                    zip(kinds, digests[len(blobs):]))
+                self._count_supply("attested")
         return manifest
 
     def pull(self, ref: ImageRef | str, *, arch: Optional[str] = None,
@@ -367,8 +339,11 @@ class Registry:
         returns (config, layers base-first).  With *local_store* (the
         pulling node's CAS), layer blobs already held locally are not
         re-sent over the wire — the pull-side mirror of push dedup."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+        return self._pull(as_ref(ref), arch, local_store)
+
+    def _pull(self, ref: ImageRef, arch: Optional[str],
+              local_store: Optional[ContentStore]
+              ) -> tuple[ImageConfig, list[TarArchive]]:
         with maybe_span(self.tracer,
                         f"pull {ref.repository}:{ref.tag}", "pull",
                         registry=self.name):
@@ -385,10 +360,14 @@ class Registry:
         first — what a deploy distributor needs to plan with."""
         return list(self.manifest(ref, arch=arch).layers)
 
+    def manifest_variants(self, ref: ImageRef | str) -> dict[str, Manifest]:
+        """All architecture variants recorded for *ref* (may be empty)."""
+        ref = as_ref(ref)
+        return dict(self._manifests.get((ref.repository, ref.tag), {}))
+
     def manifest(self, ref: ImageRef | str, *,
                  arch: Optional[str] = None) -> Manifest:
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+        ref = as_ref(ref)
         try:
             variants = self._manifests[(ref.repository, ref.tag)]
         except KeyError:
@@ -419,15 +398,14 @@ class Registry:
         manifest naming them, tracked under *ref* like an OCI artifact.
         Already-present blobs are deduplicated like layers; returns the
         manifest blob digest."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        blobs = list(blobs)
+        return self._push_cache(as_ref(ref), manifest, list(blobs))
+
+    def _push_cache(self, ref: ImageRef, manifest: bytes,
+                    blobs: list[bytes]) -> str:
         with maybe_span(self.tracer,
                         f"push-cache {ref.repository}:{ref.tag}", "push",
                         registry=self.name, blobs=len(blobs)):
-            for blob in blobs:
-                self._put_blob(blob)
-            digest = self._put_blob(manifest)
+            digest = self._put_blobs(ref, blobs + [manifest])[-1]
             self._cache_manifests[(ref.repository, ref.tag)] = digest
         return digest
 
@@ -438,14 +416,12 @@ class Registry:
         ``(manifest_bytes, fetch)`` where *fetch* retrieves diff blobs by
         digest (and counts them as pulled, or as pull-skips when
         *local_store* already holds them)."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        try:
-            digest = self._cache_manifests[(ref.repository, ref.tag)]
-        except KeyError:
-            raise RegistryError(
-                f"{self.name}: cache manifest unknown: "
-                f"{ref.repository}:{ref.tag}")
+        return self._pull_cache(as_ref(ref), local_store)
+
+    def _pull_cache(self, ref: ImageRef,
+                    local_store: Optional[ContentStore]
+                    ) -> tuple[bytes, Callable[[str], bytes]]:
+        digest = self._cache_digest(ref)
         with maybe_span(self.tracer,
                         f"pull-cache {ref.repository}:{ref.tag}", "pull",
                         registry=self.name):
@@ -456,19 +432,20 @@ class Registry:
 
         return manifest, fetch
 
-    def cache_blob_digests(self, ref: ImageRef | str) -> list[str]:
-        """Every blob a cache import of *ref* would transfer: the diff
-        blobs the manifest names, then the manifest blob itself (no
-        transfer is counted — this is planning data for a distributor)."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+    def _cache_digest(self, ref: ImageRef) -> str:
         try:
-            digest = self._cache_manifests[(ref.repository, ref.tag)]
+            return self._cache_manifests[(ref.repository, ref.tag)]
         except KeyError:
             raise RegistryError(
                 f"{self.name}: cache manifest unknown: "
                 f"{ref.repository}:{ref.tag}")
-        manifest = json.loads(self.store.get(digest))
+
+    def cache_blob_digests(self, ref: ImageRef | str) -> list[str]:
+        """Every blob a cache import of *ref* would transfer: the diff
+        blobs the manifest names, then the manifest blob itself (no
+        transfer is counted — this is planning data for a distributor)."""
+        digest = self._cache_digest(as_ref(ref))
+        manifest = json.loads(self.blob_at_rest(digest))
         diffs = [entry["diff"] for entry in manifest.get("records", ())]
         # preserve first-seen order, dedup (records may share diffs)
         seen: set[str] = set()
@@ -476,13 +453,11 @@ class Registry:
         return ordered + [digest]
 
     def has_cache(self, ref: ImageRef | str) -> bool:
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+        ref = as_ref(ref)
         return (ref.repository, ref.tag) in self._cache_manifests
 
     def has(self, ref: ImageRef | str) -> bool:
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+        ref = as_ref(ref)
         return (ref.repository, ref.tag) in self._manifests
 
     def tags(self, repository: str) -> list[str]:
@@ -495,10 +470,3 @@ class Registry:
         """All manifest digests ever pushed to *repository* (old versions
         stay reachable — the §4.2 persistence property)."""
         return [d for (r, _, d) in self._manifest_log if r == repository]
-
-    def storage_bytes(self) -> int:
-        """Bytes at rest attributable to this registry's blobs.  On a
-        shared store the sum over registries can exceed the store's
-        physical size — that gap *is* the cross-service dedup saving."""
-        return sum(self.store.size_of(d) for d in self._owned
-                   if self.store.has(d))

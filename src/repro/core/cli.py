@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 
+from ..cliopts import int_opt, str_opt
 from ..containers.oci import ImageRef
 from ..errors import KernelError, ReproError
 from ..obs.export import trace_to_dict
@@ -23,6 +24,8 @@ from .images import DEFAULT_HUB
 from .push import push_image
 
 __all__ = ["ch_image_cli"]
+
+_PROG = "ch-image"
 
 
 def ch_image_cli(ch: ChImage, argv: list[str]) -> tuple[int, str]:
@@ -44,6 +47,8 @@ def ch_image_cli(ch: ChImage, argv: list[str]) -> tuple[int, str]:
         i = 0
         while i < len(args):
             a = args[i]
+            name = a.partition("=")[0]
+            err = ""
             if a == "--force":
                 force = True
             elif a.startswith("--force="):
@@ -51,44 +56,24 @@ def ch_image_cli(ch: ChImage, argv: list[str]) -> tuple[int, str]:
                 force_mode = a.split("=", 1)[1]
                 if force_mode not in ("fakeroot", "seccomp"):
                     return 1, f"ch-image: unknown --force mode {force_mode!r}"
-            elif a == "--parallel" or a.startswith("--parallel="):
-                if a == "--parallel":
-                    i += 1
-                    value = args[i] if i < len(args) else ""
-                else:
-                    value = a.split("=", 1)[1]
-                if not value.isdigit() or int(value) < 1:
-                    return 1, f"ch-image: bad --parallel value {value!r}"
-                parallel = int(value)
-            elif a == "--fault-plan" or a.startswith("--fault-plan="):
-                if a == "--fault-plan":
-                    i += 1
-                    if i >= len(args):
-                        return 1, "ch-image: --fault-plan needs a value"
-                    fault_spec = args[i]
-                else:
-                    fault_spec = a.split("=", 1)[1]
-            elif a == "--retries" or a.startswith("--retries="):
-                if a == "--retries":
-                    i += 1
-                    value = args[i] if i < len(args) else ""
-                else:
-                    value = a.split("=", 1)[1]
-                if not value.isdigit():
-                    return 1, f"ch-image: bad --retries value {value!r}"
-                retry_budget = int(value)
+            elif name == "--parallel":
+                parallel, i, err = int_opt(args, i, _PROG, minimum=1)
+            elif name == "--fault-plan":
+                fault_spec, i, err = str_opt(args, i, _PROG)
+            elif name == "--retries":
+                retry_budget, i, err = int_opt(args, i, _PROG, minimum=0)
             elif a == "--trace":
                 ch.enable_tracing()
             elif a == "--profile":
                 profile = True
             elif a == "-t":
-                i += 1
-                tag = args[i]
+                tag, i, err = str_opt(args, i, _PROG)
             elif a == "-f":
-                i += 1
-                dockerfile_path = args[i]
+                dockerfile_path, i, err = str_opt(args, i, _PROG)
             else:
                 rest.append(a)
+            if err:
+                return 1, err
             i += 1
         if not tag or not dockerfile_path:
             return 1, "ch-image build: need -t TAG and -f DOCKERFILE"

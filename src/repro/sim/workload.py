@@ -227,8 +227,8 @@ def run_workload(fleet, spec: WorkloadSpec, *,
         report.latencies.append(end - req.at)
         report.makespan = max(report.makespan, end)
 
-    prev_clock = getattr(fleet, "clock", None)
-    prev_injector = getattr(fleet, "fault_injector", None)
+    prev_clock = fleet.clock
+    prev_injector = fleet.fault_injector
     fleet.clock = engine.clock
     if fault_plan is not None and prev_injector is None:
         fault_plan.bind_registry(fleet.name)

@@ -7,12 +7,13 @@ of the SBOM, a per-layer size budget — into one audit that runs
 a full :class:`AuditReport` (violations included); ``check`` raises
 :class:`~repro.errors.SupplyPolicyError` when the report has any.
 
-The gate works against anything with the registry metadata surface:
+The gate works against the one registry metadata surface:
 ``manifest`` / ``signatures_of`` / ``attestation_digests`` /
-``fetch_attestation`` / ``blob_at_rest`` — both :class:`Registry` and
-:class:`RegistryFleet` provide it, so the same gate guards a single
-service and a sharded fleet.  Audit reads are at-rest (no transfer is
-counted): the gate runs registry-side, not over the wire.
+``fetch_attestation`` / ``blob_at_rest`` of :class:`Registry`.  A
+:class:`RegistryFleet` is a :class:`Registry` whose front door holds
+that metadata once, so the same gate guards a single service and a
+sharded fleet.  Audit reads are at-rest (no transfer is counted): the
+gate runs registry-side, not over the wire.
 """
 
 from __future__ import annotations

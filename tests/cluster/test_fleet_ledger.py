@@ -5,9 +5,10 @@ ledger *before* placing blobs, so a push that failed mid-request (no
 live shard for one of its blobs) left ``bytes_used`` and ``digests``
 charged for bytes that were never stored — a leak that compounds until
 the tenant's quota is exhausted by phantom data.  Charging is now
-transactional (reserve, place, commit; placements roll back on
-failure), and restored shards backfill *metadata* — manifests,
-signatures, attestation records — not just blobs.
+transactional (reserve, place, commit; placements and front-door push
+counters roll back on failure), and metadata — manifests, signatures,
+attestation records — is held once at the front door, so a restored
+shard has nothing to backfill but blobs.
 """
 
 import pytest
@@ -116,6 +117,24 @@ class TestQuotaLeakRegression:
         assert len(layers) == 1
         assert ledger_is_consistent(fleet)
 
+    def test_failed_push_sharing_a_layer_leaves_push_counters_alone(self):
+        """A failed push that re-placed a pre-existing blob counts it as
+        neither a push nor a skip: the front-door counters return exactly
+        to their prior state (they used to grow by the shared layer)."""
+        fleet = self.make_fleet()
+        shared = layer("shared", b"s" * 3000)
+        fleet.push("alice/base:v1", ImageConfig(), [shared], token="tok")
+        before = fleet.stats.as_dict()
+        doomed_shard = next(s.name for s in fleet.shards
+                            if s.name != primary_of(fleet, shared))
+        (doomed,) = probe_layers(fleet, doomed_shard, off=0, on=1)
+        fleet.crash_shard(doomed_shard)
+        with pytest.raises(FleetError):
+            fleet.push("alice/app:v1", ImageConfig(), [shared, doomed],
+                       token="tok")
+        assert fleet.stats.as_dict() == before
+        assert fleet.stats.bytes_pushed == fleet.storage_bytes()
+
     def test_quota_rejection_still_charges_nothing(self):
         fleet = RegistryFleet("site", n_shards=2, replicas=1)
         fleet.add_tenant("alice", token="tok", quota_bytes=1000)
@@ -152,27 +171,10 @@ class TestManifestBackfill:
                    attestations={"sbom": b'{"format":"repro.sbom/v1"}'})
         return fleet
 
-    def test_restored_shard_backfills_manifests(self):
-        """The regression: restore used to re-fill *blobs* only, so a
-        restored shard would serve bytes it could not name — manifest
-        lookups routed to it failed on images pushed while it was down."""
-        fleet = self.push_while_down()
-        fleet.restore_shard("site.s00")
-        restored = fleet.shards[0].registry
-        assert restored.has("hpc/app:v1")
-        assert restored.manifest("hpc/app:v1").layers
-
-    def test_restored_shard_backfills_signatures_and_attestations(self):
-        fleet = self.push_while_down()
-        fleet.restore_shard("site.s00")
-        restored = fleet.shards[0].registry
-        assert len(restored.signatures_of("hpc/app:v1")) == 1
-        assert "sbom" in restored.attestation_digests("hpc/app:v1")
-
     def test_fleet_serves_metadata_through_the_restored_shard_alone(self):
         """End to end: after restore, crash every *other* shard — the
-        metadata plane routes to the restored shard, which must answer
-        manifest and signature lookups by itself (blob reads still
+        front door still answers manifest, signature, and attestation
+        lookups (metadata never lived on the shards; blob reads still
         follow ring placement, which the restored shard may not hold)."""
         fleet = self.push_while_down()
         fleet.restore_shard("site.s00")

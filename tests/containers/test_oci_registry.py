@@ -3,6 +3,7 @@
 import pytest
 
 from repro.archive import TarArchive, TarMember
+from repro.cluster import RegistryFleet
 from repro.containers import ImageConfig, ImageRef, Registry
 from repro.errors import RegistryError
 from repro.kernel import FileType
@@ -109,9 +110,14 @@ class TestRegistry:
         assert r.stats.blobs_pulled == 1
         assert r.stats.bytes_pulled > 0
 
-    def test_push_skip_counts_bytes_saved(self):
-        """The dedup saving is measured in bytes, not just blob counts."""
-        r = Registry("hub")
+    @pytest.mark.parametrize("make", [
+        lambda: Registry("hub"),
+        lambda: RegistryFleet("hub", n_shards=3, replicas=2),
+    ], ids=["registry", "fleet"])
+    def test_push_skip_counts_bytes_saved(self, make):
+        """The dedup saving is measured in bytes, not just blob counts —
+        on a single registry and on a fleet's front door alike."""
+        r = make()
         base = layer("base", b"x" * 100)
         size = len(base.serialize())
         r.push("a:1", ImageConfig(), [base])

@@ -197,3 +197,19 @@ class TestCli:
         assert ch_image_cli(ch, ["build"])[0] == 1
         assert ch_image_cli(ch, ["frobnicate"])[0] == 1
         assert ch_image_cli(ch, ["pull"])[0] == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["build", "-f", "/x", "-t"], "ch-image: -t needs a value"),
+        (["build", "-t", "foo", "-f"], "ch-image: -f needs a value"),
+        (["build", "-t", "foo", "-f", "/x", "--fault-plan"],
+         "ch-image: --fault-plan needs a value"),
+        (["build", "--parallel", "0", "-t", "foo", "-f", "/x"],
+         "ch-image: bad --parallel value '0'"),
+        (["build", "--parallel"], "ch-image: bad --parallel value ''"),
+        (["build", "--retries=-1", "-t", "foo", "-f", "/x"],
+         "ch-image: bad --retries value '-1'"),
+    ])
+    def test_build_flag_errors(self, ch, argv, message):
+        """A trailing -t/-f is an error, not an IndexError; the other
+        flag errors keep their exact text."""
+        assert ch_image_cli(ch, argv) == (1, message)

@@ -3,6 +3,7 @@ ch-image build cache, §6.2.4 kernel auto-maps, §6.2.5 registry policy."""
 
 import pytest
 
+from repro.cluster.fleet import deploy_fleet
 from repro.containers import Podman, Registry
 from repro.core import ChImage, push_image
 from repro.errors import KernelError, RegistryError
@@ -308,3 +309,30 @@ class TestRegistryOwnershipPolicy:
         podman = Podman(login, alice)
         assert podman.build(FIG2_DOCKERFILE, "foo").success
         podman.push("foo", "gitlab.example.gov/alice/other:v1")  # fine
+
+
+class TestFleetOwnershipPolicy:
+    """§6.2.5 on a sharded site registry: the marks survive
+    ``deploy_fleet`` and the fleet's front door enforces them."""
+
+    def test_policy_carries_over_to_the_fleet(self, login, alice, world):
+        world.site_registry.set_repo_policy("alice/safe",
+                                            require_flattened=True)
+        fleet = deploy_fleet(world, n_shards=3, replicas=2)
+        podman = Podman(login, alice)
+        assert podman.build(FIG2_DOCKERFILE, "foo").success
+        with pytest.raises(RegistryError) as exc:
+            podman.push("foo", "gitlab.example.gov/alice/safe:v1")
+        assert "ownership-flattened" in str(exc.value)
+        assert not fleet.has("alice/safe:v1")
+        podman.push("foo", "gitlab.example.gov/alice/other:v1")  # fine
+        assert fleet.has("alice/other:v1")
+
+    def test_flattened_push_accepted_by_fleet(self, login, alice, world):
+        fleet = deploy_fleet(world, n_shards=3, replicas=2)
+        fleet.set_repo_policy("alice/safe", require_flattened=True)
+        ch = ChImage(login, alice)
+        assert ch.build(tag="foo", dockerfile=FIG2_DOCKERFILE,
+                        force=True).success
+        push_image(ch.storage, "foo", "gitlab.example.gov/alice/safe:v1")
+        assert fleet.has("alice/safe:v1")

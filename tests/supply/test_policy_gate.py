@@ -121,8 +121,9 @@ class TestTamperedLayer:
         m_clean = w.push("clean", CLEAN_DOCKERFILE)
         w.push("app", FIG2_DOCKERFILE)
         forged = Manifest(config=m_clean.config, layers=m_clean.layers)
-        for shard in w.fleet.shards:
-            shard.registry.put_manifest("hpc/app", forged)
+        # the fleet's one manifest table, at the front door
+        w.fleet._manifests[("hpc/app", "latest")] = {
+            forged.config.arch: forged}
 
     def test_rejected_by_gate_before_broadcast(self, w):
         self.tamper(w)
