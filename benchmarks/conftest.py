@@ -84,10 +84,10 @@ def report(title: str, rows: list[tuple[str, str]]) -> None:
 
 
 def write_bench(name: str, payload: dict) -> pathlib.Path:
-    """Write the committed ``BENCH_<name>.json`` artifact a smoke CI job
-    gates on.  One emitter for every ``test_scaling_*`` file: stable key
-    order, 2-space indent, trailing newline — so regenerated artifacts
-    diff cleanly."""
+    """Write the ``BENCH_<name>.json`` artifact; ``benchmarks/gate.py``
+    checks the committed ones against their baselines.  One emitter for
+    every ``test_scaling_*`` file: stable key order, 2-space indent,
+    trailing newline — so regenerated artifacts diff cleanly."""
     path = BENCH_DIR / f"BENCH_{name}.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path

@@ -12,7 +12,7 @@ Three shapes, all on the sim clock so the numbers are deterministic:
   work — one execution, the rest wait and replay warm (``inflight_hits``).
 
 ``test_ablation_build_parallelism`` also emits ``BENCH_build.json`` (the
-makespan trajectory) for the ``build-scaling-smoke`` CI job.
+makespan trajectory, uploaded by CI but not gated).
 """
 
 import pytest

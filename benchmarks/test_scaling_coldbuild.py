@@ -10,9 +10,8 @@ ways, asserting **bit-identical** image trees, cache keys, and cached
 diff blobs while timing the two, and gates on the walker being
 **>= 5x** faster end-to-end.
 
-Emits ``BENCH_coldbuild.json`` for the ``coldbuild-smoke`` CI job, which
-gates on speedup no worse than 0.9x the committed baseline plus digest
-identity.
+Emits ``BENCH_coldbuild.json``; ``benchmarks/gate.py`` gates it on speedup
+no worse than 0.9x the committed baseline plus digest identity.
 """
 
 import time

@@ -17,8 +17,8 @@ per-chunk availability, so they stay on the reference-style chunk loop
 by design; it gates on identity and on coalescing shrinking the event
 count instead.
 
-Emits ``BENCH_engine.json`` for the ``engine-throughput-smoke`` CI job,
-which gates on events/sec no worse than 0.9x the committed baseline.
+Emits ``BENCH_engine.json``; ``benchmarks/gate.py`` gates it on events/sec
+no worse than 0.9x the committed baseline.
 """
 
 import hashlib

@@ -7,7 +7,8 @@ the 64 cells fold to 86 unique chains — predicted amplification 4.47×,
 and the prediction is *exact*: on a cold shared cache the farm records
 one diff store per unique stage build, no more.
 
-Gates (mirrored by the ``matrix-smoke`` CI job):
+Gates (``benchmarks/gate.py`` holds ``BENCH_matrix.json`` exactly to its
+committed baseline):
 
 * cache amplification >= 3x on the 64-cell family;
 * every variant digest identical to its sequentially built counterpart

@@ -3,23 +3,29 @@
 A two-image family — one clean, one installing the CVE-tripping
 ``openssh`` — is built, attested, signed, and pushed into a sharded
 fleet; the policy gate then audits every ref registry-side.  Gates
-(mirrored by the ``policy-smoke`` CI job):
+(``BENCH_policy.json`` is held to its committed baseline by
+``benchmarks/gate.py``):
 
-* the signed clean image passes and deploys;
 * the CVE image, a tampered manifest, and an unsigned push are each
   rejected with ``SupplyPolicyError`` *before* any broadcast — the
   audit itself moves zero bytes through the fleet's front door;
+* the signed clean image passes and deploys through the gated fleet to
+  every compute node;
 * attestation digests are deterministic: a fresh world re-attests the
   same Dockerfile to byte-identical blob digests.
 
-Emits ``BENCH_policy.json``, the committed baseline the CI job
-compares against.
+Emits ``BENCH_policy.json``.
 """
 
 import pytest
 
 from repro.archive import TarArchive
-from repro.cluster import make_machine, make_world
+from repro.cluster import (
+    distribute_blobs,
+    make_deploy_topology,
+    make_machine,
+    make_world,
+)
 from repro.cluster.fleet import RegistryFleet
 from repro.containers import Manifest
 from repro.core import ChImage
@@ -56,6 +62,7 @@ def make_site():
         SupplyPolicy(severity_threshold="high", trusted_keys=("site-ci",)),
         keys=keys, advisories=make_advisory_db(seed=0))
     fleet.signer = keys.signer("site-ci")
+    fleet.policy_gate = gate
     return fleet, gate
 
 
@@ -95,6 +102,7 @@ def test_scaling_policy_gate():
     assert any("at or above high" in v for v in cve.value.violations)
 
     # tampered manifest: swap layers post-signing, gate catches it
+    signed = fleet._manifests[("hpc/clean", "latest")]
     forged = Manifest(config=fleet.manifest("hpc/clean").config,
                       layers=fleet.manifest("hpc/ssh").layers)
     fleet._manifests[("hpc/clean", "latest")] = {forged.config.arch: forged}
@@ -103,8 +111,18 @@ def test_scaling_policy_gate():
     assert any("served manifest" in v for v in tam.value.violations)
 
     # every audit above was registry-side: zero front-door pull traffic
-    assert fleet.stats.bytes_pulled == 0
+    audit_bytes = fleet.stats.bytes_pulled
+    assert audit_bytes == 0
     assert fleet.stats.blobs_pulled == 0
+
+    # the untampered signed clean image deploys to 4 nodes end to end
+    fleet._manifests[("hpc/clean", "latest")] = signed
+    assert gate.check(fleet, "hpc/clean").ok
+    nodes = [make_machine(f"cn{i}") for i in range(4)]
+    blobs = fleet.image_blob_digests("hpc/clean")
+    distribute_blobs(fleet, blobs, nodes, make_deploy_topology(fleet, nodes),
+                     strategy="tree")
+    assert all(node.content_store.has(d) for node in nodes for d in blobs)
 
     # unsigned push on a fresh site: rejected outright
     ch2 = fresh_builder()
@@ -126,7 +144,7 @@ def test_scaling_policy_gate():
         "cve_violations": list(cve.value.violations),
         "tampered_rejected": True,
         "unsigned_rejected": True,
-        "audit_front_door_bytes": fleet.stats.bytes_pulled,
+        "audit_front_door_bytes": audit_bytes,
         "attestation_digests": digests["ssh"],
         "attestations_deterministic": True,
     })
@@ -137,6 +155,7 @@ def test_scaling_policy_gate():
         ("CVE image", "REJECTED (openssh 7.4p1, high >= high)"),
         ("tampered manifest", "REJECTED (digest mismatch)"),
         ("unsigned push", "REJECTED (no signature recorded)"),
-        ("audit traffic", f"{fleet.stats.bytes_pulled} front-door bytes"),
+        ("audit traffic", f"{audit_bytes} front-door bytes"),
+        ("clean deploy", f"{len(nodes)} nodes, tree broadcast"),
         ("determinism", "fresh worlds attest byte-identically"),
     ])

@@ -9,9 +9,9 @@ least-queue-depth read fan-out spreads the same offered load across the
 fleet, and the acceptance gate is 8 shards sustaining >= 4x the
 single-shard pulls/sec with digest-identical deploys.
 
-Emits ``BENCH_registry.json`` for the ``registry-scaling-smoke`` CI job,
-which gates on pulls/sec no worse than 0.9x the committed baseline and
-on seeded-replay byte-identity at 4 shards.
+Emits ``BENCH_registry.json``; ``benchmarks/gate.py`` gates it on
+pulls/sec no worse than 0.9x the committed baseline and on seeded-replay
+byte-identity at 4 shards.
 """
 
 from repro.archive import TarArchive, TarMember

@@ -27,8 +27,8 @@ Hypothesis suite in ``tests/cas/test_incremental_property.py`` asserts
 across random mutation sequences.  The walker counts its work in
 :data:`repro.sim.profile.COUNTERS` (``snapshot.walk_full``,
 ``snapshot.walk_dirty``, ``snapshot.splice``, ``digest.memo_hit``,
-``digest.memo_miss``) and, when a tracer is attached, in
-``TraceMetrics.snapshots``.
+``digest.memo_miss``) and, when a tracer is attached, under the same
+names in its ``TraceMetrics.counters``.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def _count(sys: Syscalls, event: str, n: int = 1) -> None:
     COUNTERS.count(event, n)
     tracer = sys.kernel.tracer
     if tracer is not None:
-        tracer.metrics.count_snapshot(event, n)
+        tracer.metrics.counters.count(event, n)
 
 
 def _journal_capable(sys: Syscalls, prev) -> Optional[Snapshot]:

@@ -590,26 +590,26 @@ def _count_metrics(tracer, report: BroadcastReport) -> None:
     """Link-utilization and egress counters on the tracer's metrics."""
     if tracer is None:
         return
-    m = tracer.metrics
-    m.count_net("deploy_distributions", 1)
-    m.count_net("deploy_registry_egress_bytes",
-                report.registry_egress_bytes)
-    m.count_net("deploy_peer_bytes", report.peer_bytes)
-    m.count_net("deploy_peer_sends", report.peer_sends)
-    m.count_net("deploy_blobs_skipped", report.blobs_skipped)
-    m.count_net("deploy_makespan_usec", int(report.makespan * 1e6))
+    m = tracer.metrics.counters
+    m.count("net.deploy_distributions", 1)
+    m.count("net.deploy_registry_egress_bytes",
+            report.registry_egress_bytes)
+    m.count("net.deploy_peer_bytes", report.peer_bytes)
+    m.count("net.deploy_peer_sends", report.peer_sends)
+    m.count("net.deploy_blobs_skipped", report.blobs_skipped)
+    m.count("net.deploy_makespan_usec", int(report.makespan * 1e6))
     if report.faults_injected:
-        m.count_net("deploy_faults_injected", report.faults_injected)
+        m.count("net.deploy_faults_injected", report.faults_injected)
     if report.retries:
-        m.count_net("deploy_retries", report.retries)
+        m.count("net.deploy_retries", report.retries)
     if report.backoff_seconds:
-        m.count_net("deploy_backoff_usec",
-                    int(report.backoff_seconds * 1e6))
+        m.count("net.deploy_backoff_usec",
+                int(report.backoff_seconds * 1e6))
     if report.reparented_subtrees:
-        m.count_net("deploy_reparented_subtrees",
-                    report.reparented_subtrees)
+        m.count("net.deploy_reparented_subtrees",
+                report.reparented_subtrees)
     if report.registry_fallbacks:
-        m.count_net("deploy_registry_fallbacks", report.registry_fallbacks)
+        m.count("net.deploy_registry_fallbacks", report.registry_fallbacks)
 
 
 def distribute_image(

@@ -546,8 +546,8 @@ class RegistryFleet(Registry):
                         origin.registry.blob_at_rest(digest))
                 shard.registry.adopt_blob(digest)
         if self.tracer is not None:
-            self.tracer.metrics.count_net(
-                "fleet_rebalance_bytes",
+            self.tracer.metrics.counters.count(
+                "net.fleet_rebalance_bytes",
                 rep.registry_egress_bytes + rep.peer_bytes)
 
     # -- blob plane: residency and serving ---------------------------------

@@ -258,16 +258,16 @@ class Registry:
                 f"{ref.repository}:{ref.tag}")
         return self.blob_at_rest(digests[kind])
 
-    def _count_supply(self, event: str) -> None:
+    def _count(self, event: str) -> None:
         if self.tracer is not None:
-            self.tracer.metrics.count_supply(event)
+            self.tracer.metrics.counters.count(f"supply.{event}")
 
     def _verify_served(self, ref: ImageRef, manifest: Manifest) -> None:
         """The pull-time supply check: count unsigned pulls, and when a
         policy gate is attached, verify the served manifest's signature
         (raising :class:`~repro.errors.SupplyPolicyError`)."""
         if not self._signatures.get((ref.repository, ref.tag)):
-            self._count_supply("unsigned_pull")
+            self._count("unsigned_pull")
         if self.policy_gate is not None:
             self.policy_gate.verify_pull(self, ref, manifest)
 
@@ -325,11 +325,11 @@ class Registry:
             if self.signer is not None:
                 self.record_signature(ref,
                                       self.signer.sign(manifest.digest()))
-                self._count_supply("signed")
+                self._count("signed")
             if kinds:
                 self._attestations.setdefault(key, {}).update(
                     zip(kinds, digests[len(blobs):]))
-                self._count_supply("attested")
+                self._count("attested")
         return manifest
 
     def pull(self, ref: ImageRef | str, *, arch: Optional[str] = None,

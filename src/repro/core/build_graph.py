@@ -355,7 +355,7 @@ class BuildGraphScheduler:
         self._dead_workers.add(worker)
         tracer = self._tracer()
         if tracer is not None:
-            tracer.metrics.count_build("worker_crashes")
+            tracer.metrics.counters.count("build.worker_crashes")
         if self._alive_workers() <= 0:
             unfinished = [t.name for t in self._tasks
                           if t.state in ("pending", "ready", "running",
@@ -390,7 +390,7 @@ class BuildGraphScheduler:
         self._retire_worker(task.worker)
         tracer = self._tracer()
         if tracer is not None:
-            tracer.metrics.count_build("task_requeues")
+            tracer.metrics.counters.count("build.task_requeues")
         if task.flight_leader and self.cache is not None:
             # demote the dead leader and wake every waiter: the flight
             # re-forms at the next dispatch and the first contender leads
@@ -457,11 +457,11 @@ class BuildGraphScheduler:
         task.attempts += 1
         tracer = self._tracer()
         if tracer is not None:
-            tracer.metrics.count_build("tasks")
-            tracer.metrics.count_build("queue_wait_us",
-                                       int(task.queue_wait * 1e6))
+            m = tracer.metrics.counters
+            m.count("build.tasks")
+            m.count("build.queue_wait_us", int(task.queue_wait * 1e6))
             if task.deduped:
-                tracer.metrics.count_build("inflight_hits")
+                m.count("build.inflight_hits")
         if task.deduped and self.cache is not None:
             self.cache.note_inflight_hit()
         ticks_before = self._ticks()
@@ -580,8 +580,8 @@ class BuildGraphScheduler:
         ]
         tracer = self._tracer()
         if tracer is not None:
-            tracer.metrics.count_build("makespan_us",
-                                       int(report.makespan * 1e6))
+            tracer.metrics.counters.count("build.makespan_us",
+                                          int(report.makespan * 1e6))
         return report
 
 

@@ -435,7 +435,7 @@ class ChImage:
                 sp.meta["result"] = event
             tracer = self.tracer
             if tracer is not None:
-                tracer.metrics.count_cache(event)
+                tracer.metrics.counters.count(f"cache.{event}")
         return diff
 
     def _cache_store(self, ckey: str, inst: Instruction, image_path: str,
@@ -450,7 +450,7 @@ class ChImage:
                 sp.meta["diff_members"] = len(diff)
             tracer = self.tracer
             if tracer is not None:
-                tracer.metrics.count_cache("store")
+                tracer.metrics.counters.count("cache.store")
         return snap
 
     def _run_in_container(self, image_path: str, argv: list[str],

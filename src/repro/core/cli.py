@@ -18,7 +18,8 @@ from ..containers.oci import ImageRef
 from ..errors import KernelError, ReproError
 from ..obs.export import trace_to_dict
 from ..obs.report import privilege_audit, render_span_tree, render_summary
-from ..sim.profile import COUNTERS, render_counter_table
+from ..obs.metrics import render_counter_table
+from ..sim.profile import COUNTERS
 from .builder import ChImage
 from .images import DEFAULT_HUB
 from .push import push_image
@@ -40,7 +41,7 @@ def ch_image_cli(ch: ChImage, argv: list[str]) -> tuple[int, str]:
         parallel = 1
         fault_spec = None
         retry_budget = 8
-        profile = False
+        trace = profile = False
         tag = ""
         dockerfile_path = ""
         rest = []
@@ -63,7 +64,7 @@ def ch_image_cli(ch: ChImage, argv: list[str]) -> tuple[int, str]:
             elif name == "--retries":
                 retry_budget, i, err = int_opt(args, i, _PROG, minimum=0)
             elif a == "--trace":
-                ch.enable_tracing()
+                trace = True
             elif a == "--profile":
                 profile = True
             elif a == "-t":
@@ -77,11 +78,6 @@ def ch_image_cli(ch: ChImage, argv: list[str]) -> tuple[int, str]:
             i += 1
         if not tag or not dockerfile_path:
             return 1, "ch-image build: need -t TAG and -f DOCKERFILE"
-        try:
-            dockerfile = ch.sys.read_file(dockerfile_path).decode()
-        except KernelError as err:
-            return 1, f"ch-image: can't read {dockerfile_path}: " \
-                      f"{err.strerror}"
         fault_plan = None
         if fault_spec is not None:
             from ..sim import FaultPlan, FaultPlanError
@@ -92,6 +88,13 @@ def ch_image_cli(ch: ChImage, argv: list[str]) -> tuple[int, str]:
                 fault_plan = FaultPlan.parse(fault_spec)
             except FaultPlanError as err:
                 return 1, f"ch-image: {err}"
+        if trace:
+            ch.enable_tracing()
+        try:
+            dockerfile = ch.sys.read_file(dockerfile_path).decode()
+        except KernelError as err:
+            return 1, f"ch-image: can't read {dockerfile_path}: " \
+                      f"{err.strerror}"
         saved_mode = ch.force_mode
         if force_mode is not None:
             ch.force_mode = force_mode

@@ -14,8 +14,8 @@ counters and a ``matrix <name>`` span.
 
 On a cold shared cache the plan is exact: the farm records one diff
 store per *unique* stage build, so ``report.measured_stores ==
-report.plan.unique_stage_builds`` — the matrix-smoke CI job and the
-scaling benchmark both pin this.
+report.plan.unique_stage_builds`` — the matrix scaling benchmark pins
+this.
 """
 
 from __future__ import annotations
@@ -269,23 +269,21 @@ def build_matrix(machine, user_proc, spec: MatrixSpec, *,
             report.fleet_report = fleet.report()
 
         if tracer is not None:
-            m = tracer.metrics
-            m.count_matrix("cells", plan.n_cells)
-            m.count_matrix("unique_cell_builds", plan.unique_cell_builds)
-            m.count_matrix("stage_builds_total", plan.total_stage_builds)
-            m.count_matrix("stage_builds_unique",
-                           plan.unique_stage_builds)
-            m.count_matrix("amplification_x100",
-                           int(plan.amplification * 100))
-            m.count_matrix("makespan_us", int(report.makespan * 1e6))
-            m.count_matrix("pushed", report.pushed)
+            m = tracer.metrics.counters
+            m.count("matrix.cells", plan.n_cells)
+            m.count("matrix.unique_cell_builds", plan.unique_cell_builds)
+            m.count("matrix.stage_builds_total", plan.total_stage_builds)
+            m.count("matrix.stage_builds_unique", plan.unique_stage_builds)
+            m.count("matrix.amplification_x100",
+                    int(plan.amplification * 100))
+            m.count("matrix.makespan_us", int(report.makespan * 1e6))
+            m.count("matrix.pushed", report.pushed)
             if report.policy_rejections:
-                m.count_matrix("policy_rejections",
-                               report.policy_rejections)
+                m.count("matrix.policy_rejections",
+                        report.policy_rejections)
             if not report.success:
-                m.count_matrix("failed_cells",
-                               sum(1 for c in report.cells
-                                   if not c.success))
+                m.count("matrix.failed_cells",
+                        sum(1 for c in report.cells if not c.success))
         if not report.success and sp is not None:
             sp.fail(f"{sum(1 for c in report.cells if not c.success)} "
                     f"of {plan.n_cells} cells failed")

@@ -11,7 +11,7 @@ from .export import (
     span_to_dict,
     trace_to_dict,
 )
-from .metrics import RingBuffer, TraceMetrics
+from .metrics import CounterRegistry, RingBuffer, TraceMetrics
 from .report import (
     PRIVILEGED_SYSCALLS,
     AuditEntry,
@@ -33,6 +33,7 @@ from .trace import (
 
 __all__ = [
     "AuditEntry",
+    "CounterRegistry",
     "PRIVILEGED_SYSCALLS",
     "PrivilegeAudit",
     "RingBuffer",

@@ -1,4 +1,4 @@
-"""Counters and bounded buffers backing the tracer.
+"""The counter registry and bounded buffers backing the tracer.
 
 Kept free of any kernel imports so the observability layer sits *below*
 :mod:`repro.kernel` in the import graph (the kernel imports us, never the
@@ -10,7 +10,8 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Generic, Iterator, TypeVar
 
-__all__ = ["RingBuffer", "TraceMetrics"]
+__all__ = ["CounterRegistry", "RingBuffer", "TraceMetrics",
+           "render_counter_table"]
 
 T = TypeVar("T")
 
@@ -47,6 +48,64 @@ class RingBuffer(Generic[T]):
         return len(self._items) + self.dropped
 
 
+class CounterRegistry:
+    """Deterministic named counters under dotted ``category.event`` names.
+
+    The one counter type: the process-wide
+    :data:`repro.sim.profile.COUNTERS` and every tracer's
+    :attr:`TraceMetrics.counters` are instances.  Counting is a pure
+    function of the operations performed — two identical runs count
+    identically — so tests and benchmarks can assert on deltas.
+    ``snapshot()``/``delta()`` give cheap before/after views.
+    """
+
+    __slots__ = ("_counts",)
+
+    def __init__(self):
+        self._counts: dict[str, int] = {}
+
+    def count(self, name: str, n: int = 1) -> None:
+        self._counts[name] = self._counts.get(name, 0) + n
+
+    def get(self, name: str) -> int:
+        return self._counts.get(name, 0)
+
+    def snapshot(self) -> dict[str, int]:
+        """A sorted copy, safe to diff against a later one."""
+        return dict(sorted(self._counts.items()))
+
+    def delta(self, earlier: dict[str, int]) -> dict[str, int]:
+        """Counts accumulated since *earlier* (a prior ``snapshot()``),
+        zero-entries dropped."""
+        out = {}
+        for name, n in self._counts.items():
+            d = n - earlier.get(name, 0)
+            if d:
+                out[name] = d
+        return dict(sorted(out.items()))
+
+    def reset(self) -> None:
+        self._counts.clear()
+
+
+def render_counter_table(counts: dict[str, int],
+                         title: str = "engine counters") -> str:
+    """Render counters as the per-category profile table the CLI prints:
+    dotted names grouped by category, with a derived ``digest`` hit rate
+    so cold vs warm builds are explainable at a glance."""
+    lines = [title, "  category            event                count"]
+    for name in sorted(counts):
+        category, _, event = name.partition(".")
+        lines.append(f"  {category:<19} {event:<20} {counts[name]:>6}")
+    hits = counts.get("digest.memo_hit", 0)
+    misses = counts.get("digest.memo_miss", 0)
+    if hits or misses:
+        rate = 100.0 * hits / (hits + misses)
+        lines.append(f"  digest memo hit rate: {rate:.1f}% "
+                     f"({hits} hit / {misses} miss)")
+    return "\n".join(lines)
+
+
 class TraceMetrics:
     """Aggregate counters, never evicted (unlike the event ring).
 
@@ -57,36 +116,19 @@ class TraceMetrics:
       (that is exactly the §5.1 "absorbed" signal, and what the errno-
       coverage test walks).
     * ``errnos_by_syscall``: ``(syscall, errno)`` pair counts, any depth.
-    * ``cache``: build-cache events (``hit`` / ``miss`` / ``store``) —
-      what the CI cache-smoke job compares cold vs. warm.
-    * ``net``: deploy-time distribution counters (registry egress bytes,
-      peer-broadcast bytes, makespan in µs, dedup skips) — what the
-      deploy-scaling smoke job compares across strategies.
-    * ``build``: parallel-build scheduling counters (tasks run, queue
-      wait in µs, in-flight dedup hits, makespan in µs) — what the
-      build-scaling smoke job compares across parallelism levels.
-    * ``matrix``: build-matrix orchestration counters (cells expanded,
-      unique cell builds, total/unique stage builds, amplification
-      ×100, images pushed) — what the matrix-smoke job gates on.
-    * ``snapshots``: instruction-boundary snapshot work (``walk_full`` /
-      ``walk_dirty`` walks, ``memo_hit`` / ``memo_miss`` member digests)
-      — what the coldbuild-smoke job compares against the reference
-      full-walk oracle.
-    * ``supply``: supply-chain events (``signed`` / ``unsigned_pull`` /
-      ``verify_ok`` / ``verify_fail`` / ``gate_pass`` / ``gate_reject``
-      / ``attested``) — what the policy-smoke job gates on.
+    * ``counters``: every other subsystem's events, by dotted name —
+      ``cache.*`` (build-cache hit/miss/store), ``net.*`` (deploy and
+      workload distribution), ``build.*`` (parallel-build scheduling),
+      ``matrix.*`` (build-matrix orchestration), ``supply.*`` (signing,
+      verification and policy gating), and the snapshot walker's
+      ``snapshot.*``/``digest.*``.
     """
 
     def __init__(self):
         self.syscalls: Counter[str] = Counter()
         self.errnos: Counter[str] = Counter()
         self.errnos_by_syscall: Counter[tuple[str, str]] = Counter()
-        self.cache: Counter[str] = Counter()
-        self.net: Counter[str] = Counter()
-        self.build: Counter[str] = Counter()
-        self.matrix: Counter[str] = Counter()
-        self.snapshots: Counter[str] = Counter()
-        self.supply: Counter[str] = Counter()
+        self.counters = CounterRegistry()
 
     def count_call(self, name: str, *, top_level: bool) -> None:
         if top_level:
@@ -96,34 +138,11 @@ class TraceMetrics:
         self.errnos[errno_name] += 1
         self.errnos_by_syscall[(name, errno_name)] += 1
 
-    def count_cache(self, event: str) -> None:
-        self.cache[event] += 1
-
-    def count_net(self, event: str, n: int = 1) -> None:
-        self.net[event] += n
-
-    def count_build(self, event: str, n: int = 1) -> None:
-        self.build[event] += n
-
-    def count_matrix(self, event: str, n: int = 1) -> None:
-        self.matrix[event] += n
-
-    def count_snapshot(self, event: str, n: int = 1) -> None:
-        self.snapshots[event] += n
-
-    def count_supply(self, event: str, n: int = 1) -> None:
-        self.supply[event] += n
-
     def clear(self) -> None:
         self.syscalls.clear()
         self.errnos.clear()
         self.errnos_by_syscall.clear()
-        self.cache.clear()
-        self.net.clear()
-        self.build.clear()
-        self.matrix.clear()
-        self.snapshots.clear()
-        self.supply.clear()
+        self.counters.reset()
 
     def snapshot(self) -> dict:
         """A JSON-friendly copy (sorted keys for deterministic exports)."""
@@ -134,10 +153,5 @@ class TraceMetrics:
                 f"{sc}:{en}": n
                 for (sc, en), n in sorted(self.errnos_by_syscall.items())
             },
-            "cache": dict(sorted(self.cache.items())),
-            "net": dict(sorted(self.net.items())),
-            "build": dict(sorted(self.build.items())),
-            "matrix": dict(sorted(self.matrix.items())),
-            "snapshot": dict(sorted(self.snapshots.items())),
-            "supply": dict(sorted(self.supply.items())),
+            "counters": self.counters.snapshot(),
         }

@@ -20,13 +20,7 @@ from .faults import (
     retry_call,
 )
 from .opts import optimizations_enabled, reference_engine, set_optimizations
-from .profile import (
-    COUNTERS,
-    CounterRegistry,
-    EngineProfile,
-    category_of,
-    render_counter_table,
-)
+from .profile import COUNTERS, EngineProfile, category_of
 from .topology import (
     DEFAULT_BANDWIDTH,
     DEFAULT_CHUNK_SIZE,
@@ -61,8 +55,6 @@ __all__ = [
     "EngineProfile",
     "category_of",
     "COUNTERS",
-    "CounterRegistry",
-    "render_counter_table",
     "optimizations_enabled",
     "reference_engine",
     "set_optimizations",

@@ -7,7 +7,7 @@ discrete-event semantics: the closed-form bulk transmit path
 (:mod:`~repro.cluster.broadcast`).  All three are *pure* speedups — every
 virtual timestamp, LinkStats float, and deploy digest is bit-identical
 with them on or off — and this module is the single switch the parity
-tests and the ``engine-throughput-smoke`` ablation flip to prove it.
+tests and the engine-throughput ablation flip to prove it.
 
 Set ``REPRO_SIM_REFERENCE=1`` in the environment to start with the
 reference (pre-optimization) engine, or use :func:`reference_engine` to

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-__all__ = ["EngineProfile", "category_of", "CounterRegistry", "COUNTERS",
-           "render_counter_table"]
+from ..obs.metrics import CounterRegistry
+
+__all__ = ["EngineProfile", "category_of", "COUNTERS"]
 
 
 def category_of(fn: Callable) -> str:
@@ -85,65 +86,7 @@ class EngineProfile:
                 f"vt={self.total_virtual_seconds:.6f}s, top: {busiest})")
 
 
-class CounterRegistry:
-    """Deterministic named counters for hot paths outside the event loop.
-
-    The snapshot/digest layer counts its work here (``snapshot.walk_full``,
-    ``snapshot.walk_dirty``, ``digest.memo_hit``, ``digest.memo_miss``)
-    under dotted ``category.event`` names.  Like :class:`EngineProfile`,
-    counting is a pure function of the operations performed — two
-    identical runs count identically — so tests and benchmarks can assert
-    on deltas.  ``snapshot()``/``delta()`` give cheap before/after views.
-    """
-
-    __slots__ = ("_counts",)
-
-    def __init__(self):
-        self._counts: dict[str, int] = {}
-
-    def count(self, name: str, n: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + n
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def snapshot(self) -> dict[str, int]:
-        """A sorted copy, safe to diff against a later one."""
-        return dict(sorted(self._counts.items()))
-
-    def delta(self, earlier: dict[str, int]) -> dict[str, int]:
-        """Counts accumulated since *earlier* (a prior ``snapshot()``),
-        zero-entries dropped."""
-        out = {}
-        for name, n in self._counts.items():
-            d = n - earlier.get(name, 0)
-            if d:
-                out[name] = d
-        return dict(sorted(out.items()))
-
-    def reset(self) -> None:
-        self._counts.clear()
-
-
 #: Process-global registry (mirrors how ``opts.ENABLED`` is one switch):
 #: the snapshot fast path counts here regardless of which kernel ran it;
-#: per-kernel attribution lives in the obs TraceMetrics instead.
+#: per-kernel attribution lives in each tracer's ``metrics.counters``.
 COUNTERS = CounterRegistry()
-
-
-def render_counter_table(counts: dict[str, int],
-                         title: str = "engine counters") -> str:
-    """Render counters as the per-category profile table the CLI prints:
-    dotted names grouped by category, with a derived ``digest`` hit rate
-    so cold vs warm builds are explainable at a glance."""
-    lines = [title, "  category            event                count"]
-    for name in sorted(counts):
-        category, _, event = name.partition(".")
-        lines.append(f"  {category:<19} {event:<20} {counts[name]:>6}")
-    hits = counts.get("digest.memo_hit", 0)
-    misses = counts.get("digest.memo_miss", 0)
-    if hits or misses:
-        rate = 100.0 * hits / (hits + misses)
-        lines.append(f"  digest memo hit rate: {rate:.1f}% "
-                     f"({hits} hit / {misses} miss)")
-    return "\n".join(lines)

@@ -241,9 +241,9 @@ def run_workload(fleet, spec: WorkloadSpec, *,
         fleet.clock = prev_clock
         fleet.fault_injector = prev_injector
     if tracer is not None:
-        m = tracer.metrics
-        m.count_net("workload_offered", report.offered)
-        m.count_net("workload_completed", report.completed)
-        m.count_net("workload_dropped", report.dropped)
-        m.count_net("workload_retries", report.retries)
+        m = tracer.metrics.counters
+        m.count("net.workload_offered", report.offered)
+        m.count("net.workload_completed", report.completed)
+        m.count("net.workload_dropped", report.dropped)
+        m.count("net.workload_retries", report.retries)
     return report

@@ -270,4 +270,4 @@ class PolicyGate:
 
     def _count(self, event: str) -> None:
         if self.tracer is not None:
-            self.tracer.metrics.count_supply(event)
+            self.tracer.metrics.counters.count(f"supply.{event}")

@@ -8,7 +8,7 @@ and release suffixes, which is enough for every version string the
 simulated catalogs mint.
 
 ``make_advisory_db(seed)`` mints the deterministic advisory set the
-policy-smoke job and golden transcripts pin: identifiers are derived
+policy benchmark and golden transcripts pin: identifiers are derived
 from the seed, contents from the catalog's package inventory (openssh
 before 8.0 is the canonical "high" hit — exactly what the paper's
 Figure 2 image installs).

@@ -185,11 +185,10 @@ class TestDistributeBlobs:
         assert spans[0].meta["strategy"] == "tree"
         assert spans[0].meta["makespan"] == pytest.approx(rep.makespan,
                                                           abs=1e-9)
-        net = tracer.metrics.net
-        assert net["deploy_distributions"] == 1
-        assert net["deploy_registry_egress_bytes"] == rep.image_bytes
-        assert net["deploy_peer_sends"] == 3 * len(digests)
-        assert "net" in tracer.metrics.snapshot()
+        net = tracer.metrics.snapshot()["counters"]
+        assert net["net.deploy_distributions"] == 1
+        assert net["net.deploy_registry_egress_bytes"] == rep.image_bytes
+        assert net["net.deploy_peer_sends"] == 3 * len(digests)
 
     def test_shared_engine_starts_from_its_clock(self, registry, digests):
         nodes = nodes_named(2)

@@ -208,8 +208,15 @@ class TestCli:
         (["build", "--parallel"], "ch-image: bad --parallel value ''"),
         (["build", "--retries=-1", "-t", "foo", "-f", "/x"],
          "ch-image: bad --retries value '-1'"),
+        (["build", "--trace", "-f", "/x", "-t"],
+         "ch-image: -t needs a value"),
+        (["build", "--trace", "--parallel", "0", "-t", "a", "-f", "/x"],
+         "ch-image: bad --parallel value '0'"),
     ])
     def test_build_flag_errors(self, ch, argv, message):
         """A trailing -t/-f is an error, not an IndexError; the other
-        flag errors keep their exact text."""
+        flag errors keep their exact text.  A rejected build attaches no
+        tracer, even with --trace before the bad flag."""
+        before = ch.machine.kernel.tracer   # None unless REPRO_TRACE=1
         assert ch_image_cli(ch, argv) == (1, message)
+        assert ch.machine.kernel.tracer is before

@@ -144,8 +144,8 @@ RUN echo hello
         tracer = ch.enable_tracing()
         ch.build(tag="a", dockerfile=FIG2_DOCKERFILE, force=True)
         ch.build(tag="b", dockerfile=FIG2_DOCKERFILE, force=True)
-        m = tracer.metrics.snapshot()["cache"]
-        assert m["miss"] == 2 and m["store"] == 2 and m["hit"] == 2
+        m = tracer.metrics.snapshot()["counters"]
+        assert m["cache.miss"] == m["cache.store"] == m["cache.hit"] == 2
         cache_spans = [s for root in tracer.roots for s in root.walk()
                        if s.kind == "cache"]
         assert any(s.meta.get("result") == "hit" for s in cache_spans)

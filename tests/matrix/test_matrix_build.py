@@ -142,13 +142,13 @@ class TestBuildMatrix:
         tracer = attach_tracer(login.kernel)
         report = build_matrix(login, alice, family(), parallelism=2)
         assert report.success
-        snap = tracer.metrics.snapshot()["matrix"]
-        assert snap["cells"] == 4
-        assert snap["unique_cell_builds"] == 4
-        assert snap["stage_builds_total"] == 8
-        assert snap["stage_builds_unique"] == 6
-        assert snap["amplification_x100"] == 133
-        assert "failed_cells" not in snap
+        snap = tracer.metrics.snapshot()["counters"]
+        assert snap["matrix.cells"] == 4
+        assert snap["matrix.unique_cell_builds"] == 4
+        assert snap["matrix.stage_builds_total"] == 8
+        assert snap["matrix.stage_builds_unique"] == 6
+        assert snap["matrix.amplification_x100"] == 133
+        assert "matrix.failed_cells" not in snap
         assert any(sp.name == "matrix fam" and sp.kind == "matrix"
                    for sp in tracer.roots)
 

@@ -80,7 +80,7 @@ class World:
         return manifest
 
     def supply_counters(self):
-        return self.tracer.metrics.snapshot().get("supply", {})
+        return self.tracer.metrics.snapshot()["counters"]
 
 
 @pytest.fixture
@@ -101,10 +101,11 @@ class TestSignedDeploy:
         config, layers = w.fleet.pull("hpc/clean")
         assert len(layers) == 1
         counters = w.supply_counters()
-        assert counters["signed"] == 1 and counters["attested"] == 1
-        assert counters["gate_pass"] == 1
-        assert counters["verify_ok"] == 1
-        assert "unsigned_pull" not in counters
+        assert counters["supply.signed"] == 1
+        assert counters["supply.attested"] == 1
+        assert counters["supply.gate_pass"] == 1
+        assert counters["supply.verify_ok"] == 1
+        assert "supply.unsigned_pull" not in counters
 
     def test_audit_reads_are_at_rest(self, w):
         """The gate runs registry-side: a full audit moves zero bytes
@@ -132,14 +133,14 @@ class TestTamperedLayer:
         assert any("does not match the served manifest" in v
                    for v in err.value.violations)
         assert w.fleet.stats.bytes_pulled == 0
-        assert w.supply_counters()["gate_reject"] == 1
+        assert w.supply_counters()["supply.gate_reject"] == 1
 
     def test_rejected_on_pull(self, w):
         self.tamper(w)
         with pytest.raises(SupplyPolicyError):
             w.fleet.pull("hpc/app")
         assert w.fleet.stats.bytes_pulled == 0
-        assert w.supply_counters()["verify_fail"] == 1
+        assert w.supply_counters()["supply.verify_fail"] == 1
 
 
 class TestMissingSignature:
@@ -154,7 +155,7 @@ class TestMissingSignature:
         w.fleet.policy_gate = None        # ungated fleet still observes
         w.push("app", CLEAN_DOCKERFILE, sign=False)
         w.fleet.pull("hpc/app")
-        assert w.supply_counters()["unsigned_pull"] == 1
+        assert w.supply_counters()["supply.unsigned_pull"] == 1
 
     def test_untrusted_key_is_rejected(self, w):
         w.fleet.signer = w.keys.signer("rogue")
@@ -179,7 +180,7 @@ class TestCveThreshold:
             w.gate.check(w.fleet, "hpc/app")
         assert any("at or above high" in v for v in err.value.violations)
         assert w.fleet.stats.bytes_pulled == 0
-        assert w.supply_counters()["gate_reject"] == 1
+        assert w.supply_counters()["supply.gate_reject"] == 1
 
     def test_critical_threshold_lets_it_through(self, w):
         w.push("app", FIG2_DOCKERFILE)

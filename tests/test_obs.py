@@ -187,6 +187,8 @@ class TestExports:
         d = trace_to_dict(tracer)
         assert set(d) == {"metrics", "events_kept", "events_dropped",
                           "spans"}
+        assert set(d["metrics"]) == {"syscalls", "errnos",
+                                     "errnos_by_syscall", "counters"}
         assert d["spans"][-1]["syscalls"]["write_file"] == 1
 
     def test_golden_summary_excludes_timing(self, traced):
