@@ -62,6 +62,7 @@ GATES: dict[str, Rule] = {
         exact=("attestation_digests", "clean_packages", "clean_findings",
                "cve_violations", "tampered_rejected", "unsigned_rejected",
                "audit_front_door_bytes")),
+    "walk": Rule(true=("identical",), floor=("speedup",)),
 }
 
 MISSING = object()

@@ -745,9 +745,18 @@ class Syscalls:
         victim = rp_old.fs.lookup(rp_old.dir_inode, rp_old.name)
         if victim is None:
             raise KernelError(Errno.ENOENT, old, syscall="rename")
-        self._check_sticky(rp_old.dir_inode, victim, old, "rename")
         existing = rp_new.fs.lookup(rp_new.dir_inode, rp_new.name)
+        if existing is victim:
+            return  # the same entry, or two links to one inode: a no-op
+        self._check_sticky(rp_old.dir_inode, victim, old, "rename")
+        if victim.is_dir and rp_new.fs.is_within(rp_new.dir_inode, victim):
+            raise KernelError(Errno.EINVAL, f"{new}: inside {old}",
+                              syscall="rename")
         if existing is not None:
+            if victim.is_dir and not existing.is_dir:
+                raise KernelError(Errno.ENOTDIR, new, syscall="rename")
+            if existing.is_dir and not victim.is_dir:
+                raise KernelError(Errno.EISDIR, new, syscall="rename")
             if existing.is_dir and existing.entries:
                 raise KernelError(Errno.ENOTEMPTY, new, syscall="rename")
             rp_new.fs.unlink_child(rp_new.dir_inode, rp_new.name)
@@ -832,6 +841,8 @@ class Syscalls:
                     syscall="chown",
                 )
 
+        if node.is_dir and (uid_changes or gid_changes):
+            res.fs.walk_gen += 1  # the owner gates search permission
         if kuid is not None:
             node.uid = kuid
         if kgid is not None:
@@ -864,6 +875,8 @@ class Syscalls:
             and not capable_wrt_inode(c, node, Cap.FSETID)
         ):
             eff &= ~0o2000
+        if node.is_dir and node.mode != eff:
+            res.fs.walk_gen += 1  # the mode gates search permission
         node.mode = eff
         node.ctime = self.kernel.now()
         res.fs.touch(node)

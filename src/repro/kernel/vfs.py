@@ -187,6 +187,9 @@ class Filesystem:
         #: ``_parents`` so "anything changed below here since gen G?" is a
         #: single integer comparison.
         self.gen = 0
+        #: Dentry-cache generation: moves only on mutations that can change
+        #: an existing path walk (see ``MountNamespace._walk_prefix``).
+        self.walk_gen = 0
         self._parents: dict[int, set[int]] = {}
         root = Inode(
             ino=1, ftype=FileType.DIR, mode=root_mode, uid=root_uid, gid=root_gid,
@@ -273,6 +276,8 @@ class Filesystem:
         except KeyError:
             raise KernelError(Errno.ENOENT, name)
         child = self.inode(ino)
+        if child.ftype is FileType.DIR or child.ftype is FileType.SYMLINK:
+            self.walk_gen += 1
         child.nlink -= 1
         if child.is_dir:
             child.nlink -= 1  # its "." entry
@@ -289,6 +294,16 @@ class Filesystem:
             self._parents.pop(ino, None)
         self.touch(parent)
         return child
+
+    def is_within(self, node: Inode, top: Inode) -> bool:
+        """Is directory *node* the directory *top* or below it?"""
+        ino = node.ino
+        while ino != top.ino:
+            parents = self._parents.get(ino)
+            if not parents:
+                return False
+            ino = next(iter(parents))  # a directory has one parent
+        return True
 
     def lookup(self, parent: Inode, name: str) -> Optional[Inode]:
         ino = parent.entries.get(name)

@@ -4,10 +4,14 @@ The fleet-scale engine has three optimizations layered on the reference
 discrete-event semantics: the closed-form bulk transmit path
 (:mod:`~repro.sim.transfer`), the same-timestamp bucket event queue
 (:mod:`~repro.sim.events`), and broadcast event coalescing
-(:mod:`~repro.cluster.broadcast`).  All three are *pure* speedups — every
-virtual timestamp, LinkStats float, and deploy digest is bit-identical
-with them on or off — and this module is the single switch the parity
-tests and the engine-throughput ablation flip to prove it.
+(:mod:`~repro.cluster.broadcast`).  A fourth fast path sits in the
+simulated kernel: the path-walk dentry cache of
+:class:`~repro.kernel.mounts.MountNamespace`, which resolves a path's
+parent directory without re-walking it from ``/``.  All four are *pure*
+speedups — every virtual timestamp, LinkStats float, deploy digest and
+path walk is identical with them on or off — and this module is the
+single switch the parity tests and the ablations flip to prove it.  The
+journal walker of :mod:`repro.cas.diff` reads the same switch.
 
 Set ``REPRO_SIM_REFERENCE=1`` in the environment to start with the
 reference (pre-optimization) engine, or use :func:`reference_engine` to
@@ -42,7 +46,8 @@ def set_optimizations(enabled: bool) -> bool:
 @contextmanager
 def reference_engine():
     """Run a block on the reference (pre-optimization) engine: per-chunk
-    transmit loop, plain binary-heap event queue, no event coalescing."""
+    transmit loop, plain binary-heap event queue, no event coalescing,
+    uncached path walks."""
     previous = set_optimizations(False)
     try:
         yield

@@ -10,7 +10,7 @@ a 1 000-file base with 8 RUN instructions.
 from repro.cluster import make_machine, make_world
 from repro.core import ChImage
 from repro.obs import attach_tracer
-from repro.sim import reference_engine
+from repro.sim import reference_engine, set_optimizations
 
 N_DIRS, PER_DIR, N_RUNS = 40, 25, 8
 DOCKERFILE = "FROM bigbase:1\n" + "".join(
@@ -39,7 +39,11 @@ def traced_build():
 
 
 def test_traced_walker_build_stays_on_the_fast_path():
-    walker = traced_build()
+    previous = set_optimizations(True)
+    try:
+        walker = traced_build()
+    finally:
+        set_optimizations(previous)
     with reference_engine():
         reference = traced_build()
     # one full walk of the base, then only dirty directories; the

@@ -66,6 +66,60 @@ class TestLinksAndDirs:
             alice_sys.rename("/home/alice/src", "/home/alice/dst")
         assert exc.value.errno == Errno.ENOTEMPTY
 
+    def test_rename_onto_itself_is_a_noop(self, alice_sys):
+        alice_sys.write_file("/tmp/a", b"A")
+        alice_sys.rename("/tmp/a", "/tmp/a")
+        assert alice_sys.read_file("/tmp/a") == b"A"
+
+    def test_rename_onto_another_link_of_the_same_inode_is_a_noop(
+            self, alice_sys):
+        alice_sys.write_file("/tmp/a", b"A")
+        alice_sys.link("/tmp/a", "/tmp/b")
+        alice_sys.rename("/tmp/a", "/tmp/b")
+        assert alice_sys.read_file("/tmp/a") == b"A"
+        assert alice_sys.read_file("/tmp/b") == b"A"
+        assert alice_sys.stat("/tmp/a").st_nlink == 2
+
+    def test_rename_directory_into_itself_einval(self, alice_sys):
+        alice_sys.mkdir("/tmp/d")
+        with pytest.raises(KernelError) as exc:
+            alice_sys.rename("/tmp/d", "/tmp/d/sub")
+        assert exc.value.errno == Errno.EINVAL
+        assert alice_sys.stat("/tmp/d").ftype is FileType.DIR
+
+    def test_rename_directory_below_itself_einval(self, alice_sys):
+        alice_sys.mkdir_p("/tmp/d/e")
+        with pytest.raises(KernelError) as exc:
+            alice_sys.rename("/tmp/d", "/tmp/d/e/sub")
+        assert exc.value.errno == Errno.EINVAL
+        assert alice_sys.exists("/tmp/d/e")
+
+    def test_rename_file_onto_empty_directory_eisdir(self, alice_sys):
+        alice_sys.write_file("/tmp/f", b"F")
+        alice_sys.mkdir("/tmp/d")
+        with pytest.raises(KernelError) as exc:
+            alice_sys.rename("/tmp/f", "/tmp/d")
+        assert exc.value.errno == Errno.EISDIR
+        assert alice_sys.read_file("/tmp/f") == b"F"
+        assert alice_sys.stat("/tmp/d").ftype is FileType.DIR
+
+    def test_rename_directory_onto_file_enotdir(self, alice_sys):
+        alice_sys.mkdir("/tmp/d")
+        alice_sys.write_file("/tmp/f", b"F")
+        with pytest.raises(KernelError) as exc:
+            alice_sys.rename("/tmp/d", "/tmp/f")
+        assert exc.value.errno == Errno.ENOTDIR
+        assert alice_sys.read_file("/tmp/f") == b"F"
+        assert alice_sys.stat("/tmp/d").ftype is FileType.DIR
+
+    def test_parent_dotdot_after_a_symlink_is_physical(self, root_sys):
+        root_sys.mkdir_p("/x/y")
+        root_sys.symlink("/x/y", "/tmp/link")
+        root_sys.write_file("/tmp/link/../f", b"F")
+        assert root_sys.read_file("/tmp/link/../f") == b"F"
+        assert root_sys.read_file("/x/f") == b"F"
+        assert not root_sys.exists("/tmp/f")
+
     def test_chdir_to_file_enotdir(self, alice_sys):
         alice_sys.write_file("/home/alice/f", b"")
         with pytest.raises(KernelError) as exc:

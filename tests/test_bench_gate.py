@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from benchmarks.gate import FLOOR, GATES, ROOT, check, lookup
+from benchmarks.gate import FLOOR, GATES, ROOT, Rule, check, lookup
 
 
 def committed(name):
@@ -75,3 +75,21 @@ def test_missing_key_fails():
     del current["pull_storm"]["events_per_sec"]
     assert check("engine", baseline, current) == [
         "BENCH_engine.json: pull_storm.events_per_sec is missing"]
+
+
+def test_walk_rule_gates_identity_and_the_same_process_ratio():
+    """The walk cache's artifact is gated on its identity bit and its
+    reference/cached ratio only: its wall-clock seconds may move freely."""
+    assert GATES["walk"] == Rule(true=("identical",), floor=("speedup",))
+    baseline = committed("walk")
+    slower_host = dict(baseline,
+                       reference_seconds=3 * baseline["reference_seconds"],
+                       cached_seconds=3 * baseline["cached_seconds"])
+    assert check("walk", baseline, slower_host) == []
+    drifted = dict(baseline, identical=False,
+                   speedup=0.5 * baseline["speedup"])
+    assert check("walk", baseline, drifted) == [
+        "BENCH_walk.json: identical is False, not true",
+        f"BENCH_walk.json: speedup regressed: {0.5 * baseline['speedup']} "
+        f"< {FLOOR} x baseline {baseline['speedup']}",
+    ]
