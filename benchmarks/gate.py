@@ -43,9 +43,10 @@ class Rule:
 
 GATES: dict[str, Rule] = {
     "coldbuild": Rule(
-        true=("digest_identical",),
+        true=("digest_identical", "rebuild_digest_identical"),
         floor=("speedup",),
-        ceiling=("walker_full_walks",)),
+        ceiling=("walker_full_walks", "rebuild_full_walks",
+                 "rebuild_members_hashed")),
     "registry": Rule(
         true=("replay_identical", "deploys_digest_identical"),
         floor=tuple(f"pulls_per_sec.{n}" for n in (1, 2, 4, 8))),

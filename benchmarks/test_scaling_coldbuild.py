@@ -10,8 +10,15 @@ ways, asserting **bit-identical** image trees, cache keys, and cached
 diff blobs while timing the two, and gates on the walker being
 **>= 5x** faster end-to-end.
 
+A second cold build follows in the same world (a new nonce in the first
+RUN, so every instruction misses again, on the same base): the steady
+state of a long-lived builder.  Its FROM clone inherits the base's
+snapshot, so it walks nothing in full and hashes about one member per
+RUN.
+
 Emits ``BENCH_coldbuild.json``; ``benchmarks/gate.py`` gates it on speedup
-no worse than 0.9x the committed baseline plus digest identity.
+no worse than 0.9x the committed baseline, digest identity, and full
+walks and hashed members that may not grow.
 """
 
 import time
@@ -30,9 +37,13 @@ FILES_PER_DIR = 100
 N_FILES = N_DIRS * FILES_PER_DIR
 N_INSTRUCTIONS = 12
 
-DOCKERFILE = f"FROM {BASE}\n" + "".join(
-    f"RUN echo build-step-{i} > /out{i}.txt\n"
-    for i in range(N_INSTRUCTIONS))
+
+def dockerfile(nonce: str = "") -> str:
+    """``N_INSTRUCTIONS`` small RUNs; *nonce* goes into the first, so a
+    new nonce misses the cache at every instruction."""
+    return f"FROM {BASE}\n" + "".join(
+        f"RUN echo build-step-{i}{nonce if i == 0 else ''} > /out{i}.txt\n"
+        for i in range(N_INSTRUCTIONS))
 
 
 def _make_base(storage) -> None:
@@ -53,29 +64,44 @@ def _make_base(storage) -> None:
     storage.set_digest(BASE, "sha256:" + "ab" * 32)
 
 
-def _cold_build():
-    """One fresh world, one cold cache-enabled build; returns the
-    builder, wall seconds, image tree digest, and counter deltas."""
+def _build(ch, nonce: str = ""):
+    """One cache-enabled build of ``app``; returns wall seconds, the
+    image tree digest and size, and the walker's counter deltas."""
+    before = COUNTERS.snapshot()
+    t0 = time.perf_counter()
+    result = ch.build(tag="app", dockerfile=dockerfile(nonce))
+    seconds = time.perf_counter() - t0
+    counts = COUNTERS.delta(before)
+    assert result.success, result.text
+    assert result.cache_hits == 0, result.text
+    snap = snapshot_tree(ch.sys, ch.storage.path_of("app"))
+    return seconds, snapshot_digest(snap), len(snap), counts
+
+
+def _cold_builds():
+    """One fresh world: a cold cache-enabled build, then a second cold
+    build on the same base.  Returns the builder, the first build's
+    seconds, digest, size and counts, and the second's digest, counts
+    and cache keys."""
     world = make_world(arches=("x86_64",))
     login = make_machine("login1", network=world.network)
     alice = login.login("alice")
     ch = ChImage(login, alice, cache=True)
     _make_base(ch.storage)
-    before = COUNTERS.snapshot()
-    t0 = time.perf_counter()
-    result = ch.build(tag="app", dockerfile=DOCKERFILE)
-    seconds = time.perf_counter() - t0
-    counts = COUNTERS.delta(before)
-    assert result.success, result.text
-    snap = snapshot_tree(ch.sys, ch.storage.path_of("app"))
-    return ch, seconds, snapshot_digest(snap), len(snap), counts
+    seconds, digest, members, counts = _build(ch)
+    keys = set(ch.cache.keys())
+    _s, re_digest, _m, re_counts = _build(ch, "-rebuild")
+    return (ch, seconds, digest, members, counts,
+            (re_digest, re_counts, set(ch.cache.keys()) - keys))
 
 
 class TestColdBuildScaling:
     def test_journal_walker_vs_reference(self):
-        ch_opt, opt_seconds, opt_digest, members, opt_counts = _cold_build()
+        ch_opt, opt_seconds, opt_digest, members, opt_counts, opt_re = \
+            _cold_builds()
         with reference_engine():
-            ch_ref, ref_seconds, ref_digest, _m, ref_counts = _cold_build()
+            ch_ref, ref_seconds, ref_digest, _m, ref_counts, ref_re = \
+                _cold_builds()
 
         # identity first: the speedup is meaningless if the results drift
         assert opt_digest == ref_digest
@@ -83,6 +109,11 @@ class TestColdBuildScaling:
         assert sorted(r.diff_digest
                       for r in ch_opt.cache.records.values()) == \
             sorted(r.diff_digest for r in ch_ref.cache.records.values())
+
+        # the rebuild: same tree digest and new cache keys as the reference
+        rebuild_identical = opt_re[0] == ref_re[0] and opt_re[2] == ref_re[2]
+        rebuild_full = opt_re[1].get("snapshot.walk_full", 0)
+        rebuild_hashed = opt_re[1].get("digest.memo_miss", 0)
 
         hashed_opt = opt_counts.get("digest.memo_miss", 0)
         speedup = ref_seconds / opt_seconds
@@ -103,6 +134,8 @@ class TestColdBuildScaling:
             ("reference seconds", f"{ref_seconds:.2f}"),
             ("walker seconds", f"{opt_seconds:.2f}"),
             ("speedup", f"{speedup:.1f}x"),
+            ("rebuild full walks", str(rebuild_full)),
+            ("rebuild members hashed", str(rebuild_hashed)),
         ])
         write_bench("coldbuild", {
             "files": N_FILES,
@@ -116,7 +149,15 @@ class TestColdBuildScaling:
             "walker_full_walks": opt_counts.get("snapshot.walk_full", 0),
             "walker_dirty_dirs": opt_counts.get("snapshot.walk_dirty", 0),
             "digest_identical": opt_digest == ref_digest,
+            "rebuild_full_walks": rebuild_full,
+            "rebuild_members_hashed": rebuild_hashed,
+            "rebuild_digest_identical": rebuild_identical,
         })
+        assert rebuild_identical
+        # the rebuild's FROM clone inherits the base's snapshot: no full
+        # walk, and one hashed member (the RUN's output file) per RUN
+        assert rebuild_full == 0
+        assert rebuild_hashed == N_INSTRUCTIONS
         # the tentpole gate: an order-of-magnitude class win, asserted
         # conservatively so slow CI machines don't flake
         assert speedup >= 5.0, (

@@ -51,6 +51,7 @@ __all__ = [
     "snapshot_of_archive",
     "snapshot_digest",
     "snapshot_and_diff",
+    "rebase_snapshot",
     "diff_against_snapshot",
     "apply_diff_to_snapshot",
 ]
@@ -62,11 +63,25 @@ _AFTER_SLASH = chr(ord("/") + 1)
 
 
 def member_digest(m: TarMember) -> str:
-    """Content+metadata digest of one archive member."""
+    """Content+metadata digest of one archive member.
+
+    Extended attributes (file capabilities, ...) count only when there
+    are any: they wrap the plain digest, so a member without xattrs keeps
+    the digest it has always had.  A symlink's are left out: the kernel
+    stores none on symlinks (``setxattr`` follows them), so the ones
+    :func:`~repro.archive.member_of` lists for a symlink are its
+    target's, which can change without the symlink changing."""
     h = hashlib.sha256()
     h.update(f"{m.ftype}|{m.mode}|{m.uid}|{m.gid}|{m.target}|"
              f"{m.rdev}".encode())
     h.update(m.data)
+    digest = h.hexdigest()
+    if not m.xattrs or m.ftype is FileType.SYMLINK:
+        return digest
+    h = hashlib.sha256(f"xattrs\x00{digest}".encode())
+    for name, value in sorted(m.xattrs):
+        h.update(f"\x00{name}\x00{len(value)}\x00".encode())
+        h.update(value)
     return h.hexdigest()
 
 
@@ -126,9 +141,13 @@ def snapshot_of_archive(archive: TarArchive) -> dict[str, str]:
 # kernel -> {view_key -> {(device, inode): (generation, digest)}}.  Keyed
 # weakly by kernel so simulated machines are collectable; partitioned by
 # view key because the *same* inode stats differently through different
-# interfaces (fakeroot lies, user-namespace ID display).
+# interfaces (fakeroot lies, user-namespace ID display).  Inode numbers
+# are never reused, so an entry for a freed inode can never hit again:
+# once a view's memo passes _MEMO_SLACK x the live inodes of the
+# filesystems mounted where it walks, those entries are dropped.
 
 _DIGEST_MEMO: "WeakKeyDictionary" = WeakKeyDictionary()
+_MEMO_SLACK = 2
 
 
 def _memo_for(sys: Syscalls) -> tuple[tuple, dict]:
@@ -304,21 +323,59 @@ def _walk_incremental(sys: Syscalls, root: str, jprev: Optional[Snapshot],
     _count(sys, "digest.memo_hit", memo_hits)
     _count(sys, "digest.memo_miss", memo_misses)
     _count(sys, "snapshot.splice", spliced)
+    if len(memo) > _MEMO_SLACK * sum(fs.live_inodes
+                                     for fs in fs_by_dev.values()):
+        _drop_freed(memo, fs_by_dev)
     return cur, changed, dirty_dirs
 
 
-def snapshot_tree(sys: Syscalls, root: str):
+def _drop_freed(memo: dict, fs_by_dev: dict) -> None:
+    """Forget memo entries for inodes a mounted filesystem has freed
+    (entries for filesystems not mounted here are left alone)."""
+    for key in [k for k in memo
+                if k[0] in fs_by_dev and not fs_by_dev[k[0]].has_inode(k[1])]:
+        del memo[key]
+
+
+def snapshot_tree(sys: Syscalls, root: str, prev=None):
     """Digest the tree under *root* as seen through *sys*.
 
-    Reference mode packs and hashes everything; otherwise the journal
-    walker runs with an empty baseline (a full walk, but memoized and
-    producing a journal-capable :class:`Snapshot`)."""
+    Reference mode packs and hashes everything.  Otherwise the journal
+    walker runs against *prev* when it is a journal-capable
+    :class:`Snapshot` of this tree from the same view (re-reading only
+    what changed since), or with an empty baseline (a full walk, but
+    memoized and producing a journal-capable :class:`Snapshot`)."""
     if not _opts.optimizations_enabled():
         _count(sys, "snapshot.walk_full")
         return snapshot_of_archive(TarArchive.pack(sys, root))
-    cur, _changed, _dirty = _walk_incremental(sys, root, None, None)
-    _count(sys, "snapshot.walk_full")
+    jprev = _journal_capable(sys, prev)
+    cur, _changed, dirty = _walk_incremental(sys, root, jprev, None)
+    if jprev is None:
+        _count(sys, "snapshot.walk_full")
+    else:
+        _count(sys, "snapshot.walk_dirty", dirty)
     return cur
+
+
+def rebase_snapshot(src: Snapshot, dev: int, inos: dict[str, int],
+                    floor: int) -> Snapshot:
+    """*src* re-anchored onto a byte-identical copy of its tree: the
+    digests and view carry over, each path's ``meta`` names the copy's
+    inode at that path (``inos``, on device *dev*), and the journal floor
+    is *floor*, the copy's filesystem generation right after the copy.
+
+    Exact when the copy preserves every field
+    :func:`~repro.archive.member_of` reads (``clone_tree`` does) and
+    *src* describes the source as it was at copy time: any copy inode
+    changed since has ``gen > floor`` (a changed directory
+    ``tree_gen > floor``), so the next walk re-reads exactly those, and a
+    path whose inode moved fails the ``(dev, ino)`` anchor check."""
+    out = Snapshot(src, view_key=src.view_key)
+    meta = src.meta
+    out.meta = {p: (dev, inos[p], meta[p][2]) for p in src}
+    out.base_gen = {dev: floor}
+    out._digest, out._sorted = src._digest, src._sorted  # same mapping
+    return out
 
 
 def snapshot_digest(snapshot) -> str:

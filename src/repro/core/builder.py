@@ -18,11 +18,7 @@ from typing import Optional
 
 from ..archive import TarArchive
 from ..cas.cache import BuildCache
-from ..cas.diff import (
-    apply_diff_to_snapshot,
-    snapshot_and_diff,
-    snapshot_tree,
-)
+from ..cas.diff import apply_diff_to_snapshot, snapshot_and_diff
 from ..cas.store import blob_digest
 from ..containers.dockerfile import (
     Instruction,
@@ -301,7 +297,7 @@ class ChImage:
                                 snap = apply_diff_to_snapshot(snap, diff)
                             continue
                         if snap is None:
-                            snap = snapshot_tree(self.sys, image_path)
+                            snap = self.storage.snapshot(tag)
                     status = self._do_copy(inst, image_path, out,
                                            stage_names=stage_names)
                     if status != 0:
@@ -332,7 +328,7 @@ class ChImage:
                             snap = apply_diff_to_snapshot(snap, diff)
                         continue
                     if snap is None:
-                        snap = snapshot_tree(self.sys, image_path)
+                        snap = self.storage.snapshot(tag)
                 modifiable = (force_config is not None
                               and force_config.run_modifiable(inst.args))
                 seccomp = False

@@ -9,17 +9,37 @@ ownership, so the whole tree belongs to the invoking user.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from ..archive import TarArchive
+from ..cas.diff import (
+    Snapshot,
+    rebase_snapshot,
+    snapshot_digest,
+    snapshot_tree,
+)
 from ..errors import BuildError, KernelError, RegistryError
 from ..kernel import FileType, Process, Syscalls
 from ..containers.oci import ImageConfig, ImageRef
 from ..containers.registry import Registry
+from ..sim import opts as _opts
 
 __all__ = ["ImageStorage", "DEFAULT_HUB"]
 
 DEFAULT_HUB = "docker.io"
+
+
+@dataclass(frozen=True)
+class _Clone:
+    """What ``copy(..., clone=True)`` records so that the clone's first
+    snapshot can start from its source's instead of a full walk."""
+
+    src: str  # the source tag
+    src_root: tuple[int, int]  # (device, inode) of the source root
+    root: tuple[int, int]  # (device, inode) of the clone root
+    floor: int  # the filesystem's generation right after the clone
+    inos: dict[str, int]  # clone path (relative) -> inode
 
 
 class ImageStorage:
@@ -36,6 +56,9 @@ class ImageStorage:
         self.sys.mkdir_p(self.img_dir)
         self._configs: dict[str, ImageConfig] = {}
         self._digests: dict[str, str] = {}  # name -> identity digest
+        #: name -> (root (device, inode), the last snapshot taken of it)
+        self._snapshots: dict[str, tuple[tuple[int, int], dict]] = {}
+        self._clones: dict[str, _Clone] = {}
 
     # -- naming ---------------------------------------------------------------------
 
@@ -65,13 +88,70 @@ class ImageStorage:
         same image derive the same chain keys."""
         digest = self._digests.get(name)
         if digest is None:
-            from ..cas.diff import snapshot_digest, snapshot_tree
-            path = self.path_of(name)
-            if not self.sys.exists(path):
+            if not self.sys.exists(self.path_of(name)):
                 raise BuildError(f"no image {name!r} in storage")
-            digest = snapshot_digest(snapshot_tree(self.sys, path))
+            digest = snapshot_digest(self.snapshot(name))
             self._digests[name] = digest
         return digest
+
+    # -- snapshots ------------------------------------------------------------------
+
+    def snapshot(self, name: str):
+        """The tree snapshot of image *name* (see :mod:`repro.cas.diff`).
+
+        The walk is incremental from the last snapshot taken of this
+        image.  An image cloned by :meth:`copy` that has none yet starts
+        from its source's snapshot, re-anchored onto the clone, so only
+        what changed since the clone is re-read.  The reference engine
+        packs the whole tree every time."""
+        path = self.path_of(name)
+        root = self._root_of(path)
+        prev = None
+        last = self._snapshots.get(name)
+        if last is not None and last[0] == root:
+            prev = last[1]
+        clone = self._clones.pop(name, None)
+        if prev is None and clone is not None and clone.root == root \
+                and _opts.optimizations_enabled():
+            prev = self._inherited(clone)
+        snap = snapshot_tree(self.sys, path, prev)
+        self._snapshots[name] = (root, snap)
+        return snap
+
+    def _resolved(self, path: str):
+        """The path walk to *path*, done driver-side (untraced), or None."""
+        try:
+            return self.sys.mnt_ns.resolve(path, self.sys.cred,
+                                           cwd=self.sys.getcwd())
+        except KernelError:
+            return None
+
+    def _root_of(self, path: str) -> Optional[tuple[int, int]]:
+        """``(device, inode)`` of the directory at *path*, or None."""
+        res = self._resolved(path)
+        return None if res is None else (res.fs.device_id, res.inode.ino)
+
+    def _inherited(self, clone: _Clone) -> Optional[Snapshot]:
+        """The source's snapshot re-anchored onto *clone*, or None when
+        that would not be exact: the source changed since the clone (or
+        was replaced), a mount sits under it, or its snapshot fails (the
+        clone's own full walk then reports the error on the clone's
+        path)."""
+        res = self._resolved(self.path_of(clone.src))
+        if res is None or (res.fs.device_id, res.inode.ino) != clone.src_root \
+                or res.inode.tree_gen > clone.floor \
+                or any(mp == res.path or mp.startswith(res.path + "/")
+                       for mp in self.sys.mnt_ns.mounts):
+            return None
+        dev = clone.root[0]
+        try:
+            src = self.snapshot(clone.src)
+        except KernelError:
+            return None
+        if src.keys() != clone.inos.keys() \
+                or any(src.meta.get(p, (None,))[0] != dev for p in src):
+            return None
+        return rebase_snapshot(src, dev, clone.inos, clone.floor)
 
     def set_digest(self, name: str, digest: str) -> None:
         self._digests[name] = digest
@@ -120,8 +200,10 @@ class ImageStorage:
             raise BuildError(f"no image {src_name!r} in storage")
         if self.sys.exists(dst):
             self.delete(dst_name)
+        self._forget(dst_name)
         if clone:
             self.sys.clone_tree(src, dst)
+            self._clones[dst_name] = self._clone_record(src_name, src, dst)
         else:
             archive = TarArchive.pack(self.sys, src)
             self.sys.mkdir_p(dst)
@@ -132,6 +214,17 @@ class ImageStorage:
             self._digests[dst_name] = self._digests[src_name]
         return dst
 
+    def _clone_record(self, src_name: str, src: str, dst: str) -> _Clone:
+        """Record the clone *dst* of *src* just after ``clone_tree``: both
+        roots, the journal floor, and the clone's path -> inode map, read
+        driver-side (the tree walk issues no syscalls)."""
+        res = self._resolved(dst)
+        fs = res.fs
+        return _Clone(
+            src=src_name, src_root=self._root_of(src),
+            root=(fs.device_id, res.inode.ino), floor=fs.gen,
+            inos={p: node.ino for p, node in fs.iter_tree(res.inode.ino)})
+
     def set_config(self, name: str, config: ImageConfig) -> None:
         self._configs[name] = config
 
@@ -141,6 +234,11 @@ class ImageStorage:
         self._rm_tree(self.path_of(name))
         self._configs.pop(name, None)
         self._digests.pop(name, None)
+        self._forget(name)
+
+    def _forget(self, name: str) -> None:
+        self._snapshots.pop(name, None)
+        self._clones.pop(name, None)
 
     def _rm_tree(self, path: str) -> None:
         st = self.sys.lstat(path)

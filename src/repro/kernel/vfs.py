@@ -210,6 +210,15 @@ class Filesystem:
     def root(self) -> Inode:
         return self.inode(self.root_ino)
 
+    def has_inode(self, ino: int) -> bool:
+        """Is inode *ino* still allocated (not freed by its last unlink)?"""
+        return ino in self._inodes
+
+    @property
+    def live_inodes(self) -> int:
+        """How many inodes are allocated."""
+        return len(self._inodes)
+
     def alloc(
         self,
         ftype: FileType,
@@ -236,9 +245,11 @@ class Filesystem:
     def touch(self, node: Inode) -> int:
         """Journal one mutation of *node*: bump the superblock generation,
         stamp the inode, and propagate ``tree_gen`` to every ancestor
-        directory.  Propagation early-exits at ancestors already stamped
-        with a newer-or-equal generation, so repeated mutations in one
-        subtree cost O(depth) only on the first."""
+        directory.  Every touch stamps a strictly newer generation, so the
+        propagation reaches the root each time (O(depth) per touch); the
+        check that skips ancestors already at this generation only keeps
+        a hardlinked inode's shared ancestors (a "diamond" of parent
+        edges) from being visited twice."""
         self.gen += 1
         g = self.gen
         node.gen = g
@@ -312,16 +323,18 @@ class Filesystem:
     def iter_tree(self, start_ino: int | None = None) -> Iterator[tuple[str, Inode]]:
         """Yield (path-relative, inode) pairs depth-first from *start_ino*."""
         start = self.inode(start_ino if start_ino is not None else self.root_ino)
-
-        def walk(node: Inode, prefix: str) -> Iterator[tuple[str, Inode]]:
-            for name in sorted(node.entries):
-                child = self.inode(node.entries[name])
-                path = f"{prefix}/{name}" if prefix else name
-                yield path, child
-                if child.is_dir:
-                    yield from walk(child, path)
-
-        yield from walk(start, "")
+        # an explicit stack (children pushed in reverse name order) keeps
+        # the recursive pre-order without a generator per directory level
+        stack = [(name, self.inode(ino))
+                 for name, ino in sorted(start.entries.items(), reverse=True)]
+        while stack:
+            path, node = stack.pop()
+            yield path, node
+            if node.ftype is FileType.DIR:
+                stack.extend(
+                    (f"{path}/{name}", self.inode(ino))
+                    for name, ino in sorted(node.entries.items(),
+                                            reverse=True))
 
     def total_bytes(self, start_ino: int | None = None) -> int:
         """Total regular-file bytes under *start_ino* (storage accounting)."""

@@ -16,16 +16,19 @@ fails.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cas import diff as diff_mod
 from repro.cas.diff import (
     Snapshot,
     apply_diff_to_snapshot,
     snapshot_and_diff,
     snapshot_digest,
+    snapshot_tree,
 )
 from repro.errors import KernelError
 from repro.fakeroot import PSEUDO, FakerootSyscalls
 from repro.kernel import FileType, Kernel, Syscalls, make_ext4
 from repro.sim.opts import reference_engine, set_optimizations
+from repro.sim.profile import COUNTERS
 
 ROOT = "/img"
 
@@ -209,3 +212,57 @@ class TestJournalWalkerEdges:
         sys.write_file(f"{ROOT}/new", b"x")
         diff, cur = snapshot_and_diff(sys, ROOT, snap)
         assert [m.path for m in diff] == ["new"]
+
+
+def _memo_counts(batch_list, slack):
+    """The walker's memo hits and misses over *batch_list* on a fresh
+    kernel, with freed-inode entries dropped past *slack* x live inodes."""
+    saved = diff_mod._MEMO_SLACK
+    diff_mod._MEMO_SLACK = slack
+    before = COUNTERS.snapshot()
+    try:
+        kernel = Kernel(make_ext4(), hostname="h")
+        sys = Syscalls(kernel.init_process)
+        _seed(sys)
+        _check_batches(sys, batch_list)
+    finally:
+        diff_mod._MEMO_SLACK = saved
+    delta = COUNTERS.delta(before)
+    return delta.get("digest.memo_hit", 0), delta.get("digest.memo_miss", 0)
+
+
+class TestDigestMemoBound:
+    """Inode numbers are never reused, so memo entries for freed inodes
+    can never hit: dropping them bounds the memo and changes no hit."""
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(batch_list=batches)
+    def test_dropping_freed_entries_changes_no_hit_or_miss(self, batch_list):
+        previous = set_optimizations(True)  # the memo is a fast path
+        try:
+            assert _memo_counts(batch_list, 0) \
+                == _memo_counts(batch_list, float("inf"))
+        finally:
+            set_optimizations(previous)
+
+    def test_clone_snapshot_delete_cycles_keep_the_memo_bounded(self):
+        kernel = Kernel(make_ext4(), hostname="h")
+        sys = Syscalls(kernel.init_process)
+        _seed(sys)
+        for d in range(4):
+            sys.mkdir(f"{ROOT}/d{d}", 0o755)
+            for f in range(25):
+                sys.write_file(f"{ROOT}/d{d}/f{f}", f"{d}/{f}".encode())
+        filesystems = {m.fs for m in sys.mnt_ns.mounts.values()}
+        previous = set_optimizations(True)
+        try:
+            for cycle in range(8):
+                sys.clone_tree(ROOT, "/copy")
+                snapshot_tree(sys, "/copy")  # every inode is new: all miss
+                memo = diff_mod._memo_for(sys)[1]
+                live = sum(fs.live_inodes for fs in filesystems)
+                assert len(memo) <= 2 * live, cycle
+                _rm_tree(sys, "/copy")
+        finally:
+            set_optimizations(previous)

@@ -10,8 +10,10 @@ and therefore cache blob digests — stable.
 
 import pytest
 
+from repro.archive import TarMember
 from repro.cas.diff import (
     apply_diff_to_snapshot,
+    member_digest,
     snapshot_and_diff,
     snapshot_digest,
 )
@@ -119,3 +121,43 @@ class TestWhiteoutEdges:
         diff, cur = snapshot_and_diff(sys, ROOT, snap)
         assert len(diff) == 0
         assert dict(cur) == dict(snap)
+
+
+class TestXattrChanges:
+    """Extended attributes are part of a member: a change to them alone
+    (``RUN setcap ...``) must reach the layer diff, or a cached layer
+    would drop the file capability."""
+
+    def test_xattr_only_change_reaches_the_diff(self, sys):
+        _, snap = snapshot_and_diff(sys, ROOT, {})
+        sys.setxattr(f"{ROOT}/top", "security.capability", b"cap_net_raw+ep")
+        diff, cur = snapshot_and_diff(sys, ROOT, snap)
+        assert _changed_paths(diff) == ["top"]
+        assert diff.member("top").xattrs == (
+            ("security.capability", b"cap_net_raw+ep"),)
+        assert dict(apply_diff_to_snapshot(snap, diff)) == dict(cur)
+        sys.removexattr(f"{ROOT}/top", "security.capability")
+        diff, back = snapshot_and_diff(sys, ROOT, cur)
+        assert _changed_paths(diff) == ["top"]
+        assert dict(back) == dict(snap)
+
+    def test_symlink_digest_leaves_out_its_targets_xattrs(self, sys):
+        """``listxattr`` follows a symlink, so the attributes listed for
+        one are its target's; the target's change is the target's alone."""
+        sys.symlink("top", f"{ROOT}/link")
+        _, snap = snapshot_and_diff(sys, ROOT, {})
+        sys.setxattr(f"{ROOT}/top", "user.k", b"v")
+        diff, _cur = snapshot_and_diff(sys, ROOT, snap)
+        assert _changed_paths(diff) == ["top"]
+
+
+def test_a_member_without_xattrs_keeps_its_digest():
+    """The digest every member without xattrs had before xattrs counted."""
+    plain = TarMember(path="bin/ping", ftype=FileType.REG, mode=0o755,
+                      uid=0, gid=0, data=b"elf ping")
+    assert member_digest(plain) == (
+        "4d92a2924b77ff07666db41124b5cd15c8162b5ec217ee11561132b219b65643")
+    capped = TarMember(path="bin/ping", ftype=FileType.REG, mode=0o755,
+                       uid=0, gid=0, data=b"elf ping",
+                       xattrs=(("security.capability", b"cap_net_raw+ep"),))
+    assert member_digest(capped) != member_digest(plain)

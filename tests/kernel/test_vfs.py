@@ -81,9 +81,20 @@ class TestInodeManagement:
         fs.link_child(fs.root, "d", d)
         _file(fs, "a", 0o644, 0, 0, data=b"12345")
         _file(fs, "b", 0o644, 0, 0, parent=d, data=b"123")
+        _file(fs, "e", 0o644, 0, 0)
         paths = [p for p, _ in fs.iter_tree()]
-        assert paths == ["a", "d", "d/b"]
-        assert fs.total_bytes() == 8
+        # sorted pre-order: a directory's subtree before its next sibling
+        assert paths == ["a", "d", "d/b", "e"]
+        assert [p for p, _ in fs.iter_tree(d.ino)] == ["b"]
+        assert fs.total_bytes() == 9
+
+    def test_live_inodes_and_has_inode(self, fs):
+        node = _file(fs, "f", 0o644, 0, 0)
+        assert fs.has_inode(node.ino)
+        assert fs.live_inodes == 2  # the root and f
+        fs.unlink_child(fs.root, "f")
+        assert not fs.has_inode(node.ino)
+        assert fs.live_inodes == 1
 
     def test_readonly_fs_rejects_alloc(self):
         from repro.kernel import FsFeatures

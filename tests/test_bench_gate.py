@@ -93,3 +93,27 @@ def test_walk_rule_gates_identity_and_the_same_process_ratio():
         f"BENCH_walk.json: speedup regressed: {0.5 * baseline['speedup']} "
         f"< {FLOOR} x baseline {baseline['speedup']}",
     ]
+
+
+def test_coldbuild_rule_gates_the_rebuild_counts_not_its_seconds():
+    """The second cold build on the same base is gated on identity and on
+    work counts that may only shrink; a slower host moves neither."""
+    rule = GATES["coldbuild"]
+    assert "rebuild_digest_identical" in rule.true
+    assert {"rebuild_full_walks", "rebuild_members_hashed"} \
+        <= set(rule.ceiling)
+    baseline = committed("coldbuild")
+    assert baseline["rebuild_full_walks"] == 0
+    slower_host = dict(baseline,
+                       reference_seconds=3 * baseline["reference_seconds"],
+                       walker_seconds=3 * baseline["walker_seconds"])
+    assert check("coldbuild", baseline, slower_host) == []
+    regressed = dict(baseline, rebuild_full_walks=1,
+                     rebuild_members_hashed=10_000,
+                     rebuild_digest_identical=False)
+    assert check("coldbuild", baseline, regressed) == [
+        "BENCH_coldbuild.json: rebuild_digest_identical is False, not true",
+        "BENCH_coldbuild.json: rebuild_full_walks grew: 1 > baseline 0",
+        "BENCH_coldbuild.json: rebuild_members_hashed grew: 10000 > "
+        f"baseline {baseline['rebuild_members_hashed']}",
+    ]
