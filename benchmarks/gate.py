@@ -1,7 +1,7 @@
 """The benchmark gate: every committed ``BENCH_*.json`` artifact against
 its committed baseline, by one declared table.
 
-``pytest benchmarks/ --benchmark-disable`` regenerates the artifacts in
+``pytest benchmarks/`` regenerates the artifacts in
 the working tree; ``python -m benchmarks.gate`` then checks each against
 the version committed at ``HEAD`` and exits 1 if any declared key fails,
 printing one line per failure that names the artifact and the key.

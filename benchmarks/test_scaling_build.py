@@ -87,9 +87,8 @@ def fresh_farm(parallelism: int) -> BuildFarm:
 
 
 @pytest.mark.parametrize("parallelism", list(PARALLELISM_LEVELS))
-def test_scaling_build(benchmark, parallelism):
-    result, _ = benchmark.pedantic(diamond_build, args=(parallelism,),
-                                   rounds=1, iterations=1)
+def test_scaling_build(parallelism):
+    result, _ = diamond_build(parallelism)
     assert result.parallelism == parallelism
     assert result.makespan >= result.critical_path > 0.0
     assert result.schedule.success

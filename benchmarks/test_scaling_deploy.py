@@ -21,8 +21,9 @@ import pytest
 from repro.cas import snapshot_digest, snapshot_tree
 from repro.cluster import astra_build_workflow, make_astra, make_world
 from repro.containers import ImageRef
+from tests.conftest import ATSE_DOCKERFILE
 
-from .conftest import ATSE_DOCKERFILE, report
+from .conftest import report
 
 _tags = (f"atse-{i}" for i in itertools.count())
 
@@ -47,17 +48,12 @@ def _node_tree_digest(node, registry_ref):
 
 @pytest.mark.parametrize("strategy", ["registry", "tree"])
 @pytest.mark.parametrize("n_nodes", list(NODE_COUNTS))
-def test_scaling_deploy(benchmark, n_nodes, strategy):
+def test_scaling_deploy(n_nodes, strategy):
     world = make_world()
     astra = make_astra(world, n_compute=n_nodes)
     registry = world.site_registry
-
-    def run():
-        return astra_build_workflow(astra, "alice", ATSE_DOCKERFILE,
-                                    next(_tags), n_nodes=n_nodes,
-                                    deploy_strategy=strategy)
-
-    rep = benchmark.pedantic(run, rounds=1, iterations=1)
+    rep = astra_build_workflow(astra, "alice", ATSE_DOCKERFILE, next(_tags),
+                               n_nodes=n_nodes, deploy_strategy=strategy)
     assert rep.success
     assert len(rep.deploy.nodes) == n_nodes
     dist = rep.distribution

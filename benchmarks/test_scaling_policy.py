@@ -38,8 +38,9 @@ from repro.supply import (
     build_attestations,
     make_advisory_db,
 )
+from tests.conftest import FIG2_DOCKERFILE
 
-from .conftest import FIG2_DOCKERFILE, report, write_bench
+from .conftest import report, write_bench
 
 CLEAN_DOCKERFILE = """\
 FROM centos:7

@@ -20,8 +20,9 @@ from repro.cluster.astra import astra_build_workflow
 from repro.containers import ImageConfig
 from repro.kernel import FileType
 from repro.sim import WorkloadSpec, run_workload
+from tests.conftest import ATSE_DOCKERFILE
 
-from .conftest import ATSE_DOCKERFILE, report, write_bench
+from .conftest import report, write_bench
 
 SHARD_LEVELS = (1, 2, 4, 8)
 

@@ -28,8 +28,9 @@ from repro.cluster import make_world
 from repro.kernel import Syscalls
 from repro.obs import attach_tracer
 from repro.sim import reference_engine
+from tests.conftest import ATSE_DOCKERFILE
 
-from .conftest import ATSE_DOCKERFILE, report, write_bench
+from .conftest import report, write_bench
 
 ROUNDS = 11
 NODES = 8

@@ -103,18 +103,25 @@ class Snapshot(dict):
         The :meth:`~repro.kernel.Syscalls.digest_view_key` of the
         interface that walked, or ``None`` when the snapshot came from
         the reference path (then it can seed a diff but never a splice).
+    ``mounts``
+        Root-relative mountpoints under the walked root at walk time
+        (``""`` for a mount on the root itself).  The next walk treats
+        them as dirty even if they are gone: an umount changes what the
+        path shows without touching any journal generation.
 
     Instances are treated as immutable once built;
     :func:`apply_diff_to_snapshot` returns a new one.
     """
 
-    __slots__ = ("meta", "base_gen", "view_key", "_digest", "_sorted")
+    __slots__ = ("meta", "base_gen", "view_key", "mounts", "_digest",
+                 "_sorted")
 
     def __init__(self, mapping=(), *, view_key: Optional[tuple] = None):
         super().__init__(mapping)
         self.meta: dict[str, tuple] = {}
         self.base_gen: dict[int, int] = {}
         self.view_key = view_key
+        self.mounts: frozenset[str] = frozenset()
         self._digest: Optional[str] = None
         self._sorted: Optional[list[str]] = None
 
@@ -209,9 +216,15 @@ def _walk_incremental(sys: Syscalls, root: str, jprev: Optional[Snapshot],
     changed: list[TarMember] = []
 
     rootpath = root.rstrip("/") or "/"
-    mounts_under = [mp for mp in sys.mnt_ns.mounts
-                    if mp != "/" and (mp == rootpath
-                                      or mp.startswith(rootpath + "/"))]
+    prefix = "/" if rootpath == "/" else rootpath + "/"
+    cur.mounts = frozenset(
+        "" if mp == rootpath else mp[len(prefix):]
+        for mp in sys.mnt_ns.mounts
+        if mp != "/" and (mp == rootpath or mp.startswith(prefix)))
+    # mounts there now or at the previous walk: a since-removed mount
+    # leaves the journal untouched but changes what the path shows
+    dirty_mounts = cur.mounts | (jprev.mounts if jprev is not None
+                                 else frozenset())
     fs_by_dev = {m.fs.device_id: m.fs for m in sys.mnt_ns.mounts.values()}
 
     floors = jprev.base_gen if jprev is not None else None
@@ -224,8 +237,9 @@ def _walk_incremental(sys: Syscalls, root: str, jprev: Optional[Snapshot],
         res0 = None  # let the traced readdir below raise the real error
 
     # Whole-tree early exit: the root's subtree generation is at or below
-    # every floor and no mount shadows part of the tree — nothing moved.
-    if jprev is not None and not mounts_under and res0 is not None \
+    # every floor and no mount shadows (or shadowed) part of the tree —
+    # nothing moved.
+    if jprev is not None and not dirty_mounts and res0 is not None \
             and res0.inode.tree_gen <= floors.get(res0.fs.device_id, -1):
         return jprev, [], 0
 
@@ -253,7 +267,7 @@ def _walk_incremental(sys: Syscalls, root: str, jprev: Optional[Snapshot],
             meta[p] = pmeta[p]
         spliced += 1 + (hi - lo)
 
-    def clean_dir(full: str, rel: str, st) -> bool:
+    def clean_dir(rel: str, st) -> bool:
         if floors is None:
             return False
         if st.st_tree_gen > floors.get(st.st_dev, -1):
@@ -261,9 +275,9 @@ def _walk_incremental(sys: Syscalls, root: str, jprev: Optional[Snapshot],
         pm = pmeta.get(rel)
         if pm is None or pm[0] != st.st_dev or pm[1] != st.st_ino:
             return False  # new or renamed-into-place directory
-        if mounts_under and any(mp == full or mp.startswith(full + "/")
-                                for mp in mounts_under):
-            return False  # a mount shadows part of this subtree
+        if dirty_mounts and any(mp == rel or mp.startswith(rel + "/")
+                                for mp in dirty_mounts):
+            return False  # a mount shadows (or shadowed) this subtree
         return True
 
     def clean_file(rel: str, st) -> bool:
@@ -304,7 +318,7 @@ def _walk_incremental(sys: Syscalls, root: str, jprev: Optional[Snapshot],
             st = sys.lstat(full)
             note_dev(st.st_dev)
             if st.ftype is FileType.DIR:
-                if clean_dir(full, relpath, st):
+                if clean_dir(relpath, st):
                     splice_subtree(relpath)
                     continue
                 record(full, relpath, st)
@@ -369,7 +383,9 @@ def rebase_snapshot(src: Snapshot, dev: int, inos: dict[str, int],
     *src* describes the source as it was at copy time: any copy inode
     changed since has ``gen > floor`` (a changed directory
     ``tree_gen > floor``), so the next walk re-reads exactly those, and a
-    path whose inode moved fails the ``(dev, ino)`` anchor check."""
+    path whose inode moved fails the ``(dev, ino)`` anchor check.  The
+    caller must refuse a *src* with a mount under its root (the copy
+    holds none), so the result records no mounts."""
     out = Snapshot(src, view_key=src.view_key)
     meta = src.meta
     out.meta = {p: (dev, inos[p], meta[p][2]) for p in src}
@@ -460,6 +476,7 @@ def apply_diff_to_snapshot(prev, diff: TarArchive):
         out = Snapshot(prev, view_key=prev.view_key)
         out.meta = dict(prev.meta)
         out.base_gen = dict(prev.base_gen)
+        out.mounts = prev.mounts
         meta = out.meta
     else:
         out = dict(prev)

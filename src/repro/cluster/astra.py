@@ -360,7 +360,7 @@ def run_pipeline(
         label = "deploy"
     _fold_distribution_faults(report)
     report.deploy = cluster.scheduler.srun(
-        user, n_nodes, run_rank, mode="simulated", sim=engine,
+        user, n_nodes, run_rank, sim=engine,
         rank_ready=report.distribution.node_ready, fault_plan=fault_plan)
     report.link_utilization = topo.utilization()
     faults = ""

@@ -8,16 +8,14 @@ management tool and an HPC container runtime" (§4.2), and jobs must be
 **enforces** (raises, never a bare ``assert`` — the invariant must
 survive ``python -O``).
 
-Two execution modes:
-
-* ``sequential`` (default) — ranks run one after another, exactly the
-  original semantics.  Build paths and all golden transcripts use this.
-* ``simulated`` — ranks still execute deterministically one at a time in
-  Python, but their *events* are interleaved on a shared
-  :class:`~repro.sim.SimEngine`: each rank starts at its readiness time
-  (e.g. when the broadcast distributor delivered its blobs), its compute
-  cost is its node-kernel tick delta scaled by ``tick_seconds``, and the
-  job reports a **makespan** — the §6.3 quantity a for-loop cannot show.
+Every job runs on simulated time.  Ranks execute deterministically one
+at a time in Python, but their *events* are interleaved on a
+:class:`~repro.sim.SimEngine`: each rank starts at its readiness time
+(e.g. when the broadcast distributor delivered its blobs; 0.0 by
+default), its compute cost is its node-kernel tick delta scaled by
+``tick_seconds``, and the job reports a **makespan** — the §6.3 quantity
+a for-loop cannot show.  Ranks that are ready together run in rank
+order.
 """
 
 from __future__ import annotations
@@ -48,9 +46,9 @@ class SchedulerError(ReproError):
 class JobResult:
     """Per-job outcome and accounting.
 
-    ``rank_starts`` / ``rank_finishes`` are virtual times (simulated mode
-    only); ``error`` is set when the job aborted mid-run — the partial
-    result is still recorded so the allocation is accounted for.
+    ``rank_starts`` / ``rank_finishes`` are virtual times; ``error`` is
+    set when the job aborted mid-run — the partial result is still
+    recorded so the allocation is accounted for.
     ``skipped`` lists allocated nodes whose rank never launched (crashed
     or dropped by a degraded distribution): the job is *degraded* but can
     still succeed on the survivors.
@@ -60,7 +58,6 @@ class JobResult:
     nodes: list[str]
     rank_outputs: list[str]
     rank_statuses: list[int]
-    mode: str = "sequential"
     rank_starts: list[float] = field(default_factory=list)
     rank_finishes: list[float] = field(default_factory=list)
     error: str = ""
@@ -84,7 +81,8 @@ class JobResult:
 
     @property
     def makespan(self) -> Optional[float]:
-        """Last rank finish minus first rank start (simulated mode)."""
+        """Last rank finish minus first rank start (None when no rank
+        ran)."""
         if not self.rank_finishes:
             return None
         return max(self.rank_finishes) - min(self.rank_starts)
@@ -138,7 +136,6 @@ class Scheduler:
         nodes: int,
         fn: Callable[[Machine, int, Process], tuple[int, str]],
         *,
-        mode: str = "sequential",
         sim: Optional[SimEngine] = None,
         rank_ready: Union[Sequence[float], Mapping[str, float], None] = None,
         tick_seconds: float = DEFAULT_TICK_SECONDS,
@@ -148,11 +145,10 @@ class Scheduler:
         node).  The job processes are children of the user's login process
         on each node — no daemon in the chain.
 
-        ``mode="simulated"`` interleaves rank events on *sim* (a
-        :class:`~repro.sim.SimEngine`, created if absent): rank *k* starts
-        at ``rank_ready[k]`` (or its hostname's entry; 0.0 by default) and
-        finishes after its kernel-tick compute cost.  Outputs, statuses,
-        and the §3.1 check are identical in both modes.
+        Rank events run on *sim* (a :class:`~repro.sim.SimEngine`,
+        created if absent): rank *k* starts at ``rank_ready[k]`` (or its
+        hostname's entry; 0.0 by default) and finishes after its
+        kernel-tick compute cost.
 
         With a *fault_plan*, a node the plan has crashed before its start
         time is **skipped** (listed in ``JobResult.skipped``) rather than
@@ -161,8 +157,6 @@ class Scheduler:
         launching them at t=0 would run ranks on data that never arrived.
         A node crashing *mid-rank* reports status 137 (killed).
         """
-        if mode not in ("sequential", "simulated"):
-            raise SchedulerError(f"unknown scheduling mode {mode!r}")
         if not 1 <= nodes <= len(self.nodes):
             raise SchedulerError(
                 f"requested {nodes} nodes; the partition has "
@@ -188,44 +182,37 @@ class Scheduler:
             ticks_before = node.kernel.ticks
             status, out = fn(node, rank, login)
             self._check_descends_from_shell(node, login)
-            if mode == "simulated":
-                cost = (node.kernel.ticks - ticks_before) * tick_seconds
-                crash_t = (fault_plan.crash_time(node.hostname)
-                           if fault_plan is not None else None)
-                if crash_t is not None and start < crash_t < start + cost:
-                    # the node died under the rank: killed, partial time
-                    status = 137
-                    out += f"[rank {rank} killed at t={crash_t:.6f}]\n"
-                    starts.append(start)
-                    finishes.append(crash_t)
-                else:
-                    starts.append(start)
-                    finishes.append(start + cost)
+            cost = (node.kernel.ticks - ticks_before) * tick_seconds
+            crash_t = (fault_plan.crash_time(node.hostname)
+                       if fault_plan is not None else None)
+            starts.append(start)
+            if crash_t is not None and start < crash_t < start + cost:
+                # the node died under the rank: killed, partial time
+                status = 137
+                out += f"[rank {rank} killed at t={crash_t:.6f}]\n"
+                finishes.append(crash_t)
+            else:
+                finishes.append(start + cost)
             outputs[rank] = out
             statuses[rank] = status
 
         try:
-            if mode == "sequential":
-                for rank, node in enumerate(allocated):
-                    run_rank(rank, node, 0.0)
-            else:
-                engine = sim if sim is not None else SimEngine()
-                for rank, node in enumerate(allocated):
-                    if isinstance(rank_ready, Mapping):
-                        if node.hostname not in rank_ready \
-                                and fault_plan is not None:
-                            # a degraded distribution dropped this node:
-                            # its data never arrived, so its rank cannot
-                            # launch
-                            skipped.append(node.hostname)
-                            continue
-                        start = rank_ready.get(node.hostname, 0.0)
-                    elif rank_ready is not None:
-                        start = rank_ready[rank]
-                    else:
-                        start = 0.0
-                    engine.at(start, run_rank, rank, node, start)
-                engine.run()
+            engine = sim if sim is not None else SimEngine()
+            for rank, node in enumerate(allocated):
+                if isinstance(rank_ready, Mapping):
+                    if node.hostname not in rank_ready \
+                            and fault_plan is not None:
+                        # a degraded distribution dropped this node: its
+                        # data never arrived, so its rank cannot launch
+                        skipped.append(node.hostname)
+                        continue
+                    start = rank_ready.get(node.hostname, 0.0)
+                elif rank_ready is not None:
+                    start = rank_ready[rank]
+                else:
+                    start = 0.0
+                engine.at(start, run_rank, rank, node, start)
+            engine.run()
         except Exception as err:
             # the partial result is still accounting: which ranks ran,
             # what they printed, and that the allocation existed at all
@@ -233,7 +220,7 @@ class Scheduler:
                 job.job_id, [n.hostname for n in allocated],
                 [o for o in outputs if o is not None],
                 [s for s in statuses if s is not None],
-                mode=mode, rank_starts=starts, rank_finishes=finishes,
+                rank_starts=starts, rank_finishes=finishes,
                 error=str(err), skipped=sorted(skipped))
             self.completed.append(partial)
             raise
@@ -243,7 +230,7 @@ class Scheduler:
         result = JobResult(job.job_id, [n.hostname for n in allocated],
                            [o for o in outputs if o is not None],
                            [s for s in statuses if s is not None],
-                           mode=mode, rank_starts=starts,
-                           rank_finishes=finishes, skipped=sorted(skipped))
+                           rank_starts=starts, rank_finishes=finishes,
+                           skipped=sorted(skipped))
         self.completed.append(result)
         return result

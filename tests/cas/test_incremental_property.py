@@ -7,10 +7,10 @@ diffing it from scratch — the same snapshot mapping, the same
 :func:`snapshot_digest`, the same *serialized* diff archive.  Not
 approximately: ``==`` on every byte, across random mutation sequences
 covering writes, renames, deletions (whiteouts), hardlinks, mode/owner
-changes, xattrs, fakeroot ownership lies, and batches that change
-nothing at all.  If the journal ever misses a mutation or a splice goes
-stale, these tests — not a golden transcript three layers up — are what
-fails.
+changes, xattrs, mounts and umounts, fakeroot ownership lies, and
+batches that change nothing at all.  If the journal ever misses a
+mutation or a splice goes stale, these tests — not a golden transcript
+three layers up — are what fails.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -26,7 +26,7 @@ from repro.cas.diff import (
 )
 from repro.errors import KernelError
 from repro.fakeroot import PSEUDO, FakerootSyscalls
-from repro.kernel import FileType, Kernel, Syscalls, make_ext4
+from repro.kernel import FileType, Kernel, Syscalls, make_ext4, make_tmpfs
 from repro.sim.opts import reference_engine, set_optimizations
 from repro.sim.profile import COUNTERS
 
@@ -59,6 +59,9 @@ ops = st.one_of(
     st.tuples(st.just("mknod"), st.sampled_from(RELS)),
     st.tuples(st.just("xattr"), st.sampled_from(RELS),
               st.sampled_from(["user.k", "security.capability"])),
+    # a mount hides what is under it without touching the journal
+    st.tuples(st.just("mount"), st.sampled_from(RELS)),
+    st.tuples(st.just("umount"), st.sampled_from(RELS)),
     st.tuples(st.just("noop")),
 )
 
@@ -94,6 +97,10 @@ def _apply(sys, root, op):
             sys.mknod(path, FileType.CHR, 0o600, rdev=(1, 3))
         elif kind == "xattr":
             sys.setxattr(path, op[2], b"v")
+        elif kind == "mount" and sys.lstat(path).ftype is FileType.DIR:
+            sys.mount_fs(make_tmpfs(), path)
+        elif kind == "umount":
+            sys.umount(path)
     except KernelError:
         pass
 
@@ -200,6 +207,34 @@ class TestJournalWalkerEdges:
             diff_ref, cur_ref = snapshot_and_diff(other, ROOT, dict(snap))
         assert dict(cur) == dict(cur_ref)
         assert diff.serialize() == diff_ref.serialize()
+
+    def test_umount_under_root_is_seen(self):
+        """A file inside a mount under the root must leave the snapshot
+        once the mount is gone, though the umount touches no inode."""
+        sys = self._fresh()
+        sys.mkdir(f"{ROOT}/m", 0o755)
+        sys.mount_fs(make_tmpfs(), f"{ROOT}/m")
+        sys.write_file(f"{ROOT}/m/inner", b"x")
+        sys.mkdir(f"{ROOT}/a/m", 0o755)  # and one a level down
+        sys.mount_fs(make_tmpfs(), f"{ROOT}/a/m")
+        sys.write_file(f"{ROOT}/a/m/inner", b"y")
+        previous = set_optimizations(True)  # the early exit is a fast path
+        try:
+            prev = snapshot_tree(sys, ROOT)
+            assert prev.mounts == {"m", "a/m"}
+            sys.umount(f"{ROOT}/m")
+            sys.umount(f"{ROOT}/a/m")
+            cur = snapshot_tree(sys, ROOT, prev)
+            diff, _ = snapshot_and_diff(sys, ROOT, prev)
+        finally:
+            set_optimizations(previous)
+        with reference_engine():
+            ref = snapshot_tree(sys, ROOT)
+        assert sorted(cur) == sorted(ref)
+        assert "m/inner" not in cur and "a/m/inner" not in cur
+        assert sorted(m.path for m in diff) == ["a/m", "a/m/inner", "m",
+                                                "m/inner"]
+        assert cur.mounts == frozenset()
 
     def test_reference_snapshot_never_splices(self):
         """A reference-produced Snapshot has no view key and seeds a diff

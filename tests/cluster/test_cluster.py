@@ -18,13 +18,7 @@ from repro.cluster import (
 from repro.cluster.astra import WorkflowError
 from repro.core import ChImage
 from repro.kernel import Syscalls
-
-ATSE_DOCKERFILE = """\
-FROM centos:7
-RUN yum install -y gcc
-RUN yum install -y openmpi hdf5
-RUN yum install -y atse
-"""
+from tests.conftest import ATSE_DOCKERFILE
 
 
 class TestMachine:
@@ -134,13 +128,14 @@ class TestAstraWorkflow:
     def astra(self, world_multiarch):
         return make_astra(world_multiarch, n_compute=3)
 
-    def test_full_figure6_workflow(self, astra, world_multiarch):
+    def test_full_figure6_workflow(self, world_multiarch):
+        astra = make_astra(world_multiarch, n_compute=4)
         report = astra_build_workflow(astra, "alice", ATSE_DOCKERFILE,
-                                      "atse", n_nodes=3)
+                                      "atse", n_nodes=4)
         assert report.success, report.phases
         assert report.layer_count == 4  # base + 3 RUN layers
         assert world_multiarch.site_registry.has("alice/atse:latest")
-        for rank in range(3):
+        for rank in range(4):
             assert f"[rank {rank}] ATSE on astra-cn{rank + 1:03d} (aarch64)" \
                 in report.deploy.output
 
@@ -158,7 +153,7 @@ class TestAstraWorkflow:
         assert report.phases[0] == "build on laptop (x86_64): ok"
         # ...is distributed on the timed path like any other image...
         assert report.distribution.strategy == "tree"
-        assert report.deploy.mode == "simulated"
+        assert report.deploy.makespan is not None
         assert not report.deploy.success  # ...but cannot run on Astra
         assert "Exec format error" in report.deploy.output
 

@@ -1,5 +1,5 @@
-"""Scheduler accounting, failure paths, and the §3.1 shell-descent
-invariant — in both sequential and simulated-parallel modes."""
+"""Scheduler accounting, failure paths, the §3.1 shell-descent
+invariant, and the simulated time every job runs on."""
 
 import pytest
 
@@ -89,11 +89,6 @@ class TestFailurePropagation:
             sched.srun("alice", count, lambda n, r, l: (0, ""))
         assert sched.completed == []
 
-    def test_unknown_mode_rejected(self, nodes):
-        with pytest.raises(SchedulerError):
-            Scheduler(nodes).srun("alice", 1, lambda n, r, l: (0, ""),
-                                  mode="threads")
-
 
 class TestShellDescentInvariant:
     """§3.1: job processes must descend from the user's login shell.
@@ -107,39 +102,31 @@ class TestShellDescentInvariant:
             return 0, ""
 
         sched = Scheduler(nodes)
-        with pytest.raises(SchedulerError, match="3.1") as excinfo:
-            sched.srun("alice", 1, daemonize)
+        with pytest.raises(SchedulerError, match="3.1 violation") as excinfo:
+            sched.srun("alice", 2, daemonize)
         # an AssertionError would vanish under `python -O`; this survives
         assert not isinstance(excinfo.value, AssertionError)
-
-    def test_violation_raises_in_simulated_mode(self, nodes):
-        def daemonize(node, rank, login):
-            del node.kernel.processes[login.pid]
-            return 0, ""
-
-        sched = Scheduler(nodes)
-        with pytest.raises(SchedulerError, match="descend"):
-            sched.srun("alice", 2, daemonize, mode="simulated")
         assert sched.completed[0].error  # partial result still recorded
 
-    def test_compliant_job_passes_both_modes(self, nodes):
-        sched = Scheduler(nodes)
+    def test_compliant_job_passes(self, nodes):
         fn = lambda n, r, l: (0, "ok")
-        assert sched.srun("alice", 2, fn).success
-        assert sched.srun("alice", 2, fn, mode="simulated").success
+        assert Scheduler(nodes).srun("alice", 2, fn).success
 
 
 class TestSimulatedMode:
-    def test_sequential_mode_has_no_makespan(self, nodes):
-        result = Scheduler(nodes).srun("alice", 2, lambda n, r, l: (0, ""))
-        assert result.mode == "sequential"
-        assert result.makespan is None
+    """Every job runs on the sim clock."""
+
+    def test_default_job_starts_every_rank_at_zero(self, nodes):
+        result = Scheduler(nodes).srun(
+            "alice", 2, lambda n, r, l: (0, f"rank {r}\n"))
+        assert result.output == "rank 0\nrank 1\n"  # rank order
+        assert result.rank_starts == [0.0, 0.0]
+        assert result.makespan == max(result.rank_finishes)
 
     def test_rank_ready_sequence_sets_starts(self, nodes):
         sched = Scheduler(nodes)
         result = sched.srun("alice", 2, lambda n, r, l: (0, ""),
-                            mode="simulated", rank_ready=[0.0, 1.5])
-        assert result.mode == "simulated"
+                            rank_ready=[0.0, 1.5])
         assert result.rank_starts == [0.0, 1.5]
         assert result.makespan == pytest.approx(1.5, abs=1e-6)
         assert all(f >= s for s, f in
@@ -148,7 +135,6 @@ class TestSimulatedMode:
     def test_rank_ready_mapping_by_hostname(self, nodes):
         sched = Scheduler(nodes)
         result = sched.srun("alice", 3, lambda n, r, l: (0, ""),
-                            mode="simulated",
                             rank_ready={"cn1": 2.0})
         # starts record event order: the two t=0 ranks fire before cn1
         assert result.rank_starts == [0.0, 0.0, 2.0]
@@ -164,8 +150,7 @@ class TestSimulatedMode:
                 sys.write_file(f"/tmp/f{i}", b"x")
             return 0, ""
 
-        result = sched.srun("alice", 1, busy, mode="simulated",
-                            tick_seconds=1.0)
+        result = sched.srun("alice", 1, busy, tick_seconds=1.0)
         assert result.rank_finishes[0] - result.rank_starts[0] >= 10.0
 
     def test_shared_engine_interleaves_with_other_events(self, nodes):
@@ -175,6 +160,6 @@ class TestSimulatedMode:
         sched = Scheduler(nodes)
         result = sched.srun(
             "alice", 2, lambda n, r, l: (order.append(f"rank{r}"), (0, ""))[1],
-            mode="simulated", sim=engine, rank_ready=[0.0, 1.0])
+            sim=engine, rank_ready=[0.0, 1.0])
         assert order == ["rank0", "external", "rank1"]
         assert result.success

@@ -1,4 +1,5 @@
-"""Shared fixtures for integration-level tests."""
+"""Shared fixtures for integration-level tests, and the one definition
+of each paper figure's Dockerfile (``benchmarks/`` imports them too)."""
 
 import pathlib
 
@@ -32,6 +33,12 @@ RUN apt-get update
 RUN apt-get install -y openssh-client
 """
 
+#: the paper's Figure 5 Dockerfile (Podman unprivileged mode)
+FIG5_DOCKERFILE = """\
+FROM centos:7
+RUN yum install -y openssh-server
+"""
+
 #: the paper's Figure 8 Dockerfile (manual fakeroot, CentOS)
 FIG8_DOCKERFILE = """\
 FROM centos:7
@@ -49,6 +56,14 @@ RUN echo hello
 RUN apt-get update
 RUN apt-get install -y pseudo
 RUN fakeroot apt-get install -y openssh-client
+"""
+
+#: the Figure 6 ATSE image built on Astra (one layer per RUN)
+ATSE_DOCKERFILE = """\
+FROM centos:7
+RUN yum install -y gcc
+RUN yum install -y openmpi hdf5
+RUN yum install -y atse
 """
 
 

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.cluster import make_machine
-from repro.containers import Podman, PodmanError
+from repro.containers import Podman, PodmanError, enter_container
 from repro.errors import RegistryError
-from tests.conftest import FIG2_DOCKERFILE, FIG3_DOCKERFILE
+from repro.kernel import OVERFLOW_UID
+from tests.conftest import FIG2_DOCKERFILE, FIG3_DOCKERFILE, FIG5_DOCKERFILE
 
 
 @pytest.fixture
@@ -14,7 +15,7 @@ def podman(login, alice):
 
 
 class TestRootlessSetup:
-    def test_uid_map_matches_figure4_shape(self, podman):
+    def test_uid_map_matches_figure4_shape(self, podman, login):
         """Figure 4: 0 -> user, 1..65536 -> subordinate range."""
         entries = podman.uid_map()
         assert entries[0].inside_start == 0
@@ -22,6 +23,11 @@ class TestRootlessSetup:
         assert entries[0].count == 1
         assert entries[1].inside_start == 1
         assert entries[1].count == 65536
+        subuid = login.root_sys().read_file("/etc/subuid").decode()
+        assert any(line.startswith("alice:") and line.endswith(":65536")
+                   for line in subuid.splitlines())
+        # the map needs user namespaces enabled at all (§4.1)
+        assert login.kernel.sysctl["user.max_user_namespaces"] > 0
 
     def test_refuses_without_subids(self, world):
         """§4.1: mappings must be configured by the administrator."""
@@ -38,6 +44,7 @@ class TestRootlessSetup:
         entries = p.uid_map()
         assert len(entries) == 1
         assert entries[0].count == 1
+        assert entries[0].outside_start == 1001  # bob himself
 
 
 class TestBuild:
@@ -128,12 +135,17 @@ class TestUnprivilegedMode:
     def test_openssh_server_fails_proc_nobody(self, login):
         """Figure 5: openssh-server fails because /proc is owned by
         nobody in the single-ID namespace."""
-        p = Podman(login, login.login("bob"), unprivileged=True,
-                   ignore_chown_errors=True)
-        res = p.build("FROM centos:7\nRUN yum install -y openssh-server\n",
-                      "srv")
+        bob = login.login("bob")
+        p = Podman(login, bob, unprivileged=True, ignore_chown_errors=True)
+        res = p.build(FIG5_DOCKERFILE, "srv")
         assert not res.success
         assert "Permission denied" in res.text
+        # the mechanism: inside the build's namespace /proc is nobody's
+        tree = p.buildah.driver.image_path("centos:7")
+        ctx = enter_container(bob, tree, "type3", dev_fs=login.dev_fs,
+                              join_userns=p.buildah._storage_proc.cred.userns)
+        st = ctx.sys.stat("/proc/sys/net/ipv4/ip_forward")
+        assert st.st_uid == OVERFLOW_UID
 
     def test_without_ignore_chown_fails(self, login):
         p = Podman(login, login.login("bob"), unprivileged=True,

@@ -68,6 +68,10 @@ class TestFigure8:
     def test_succeeds(self, ch):
         r = ch.build(tag="foo", dockerfile=FIG8_DOCKERFILE)
         assert r.success, r.text
+        # the three manual changes from §5.2 all took effect
+        assert "yum install -y epel-release" in r.text
+        assert "yum install -y fakeroot" in r.text
+        assert "'fakeroot yum install -y openssh'" in r.text
         assert r.text.count("Complete!") >= 3
         assert "grown in 5 instructions: foo" in r.text
 
@@ -100,6 +104,9 @@ class TestFigure9:
         assert "W: chown to root:adm of file /var/log/apt/term.log failed" \
             in text
         assert "Setting up openssh-client (1:7.9p1-10+deb10u2) ..." in text
+        assert "Setting up libxext6 (2:1.3.3-1+b2) ..." in text
+        assert "Setting up xauth (1:1.0.10-1) ..." in text
+        assert "Processing triggers for libc-bin (2.28-10) ..." in text
         assert "grown in 6 instructions: foo" in text
 
     def test_warning_does_not_fail_build(self, ch):
@@ -121,11 +128,15 @@ class TestFigure10:
         assert "will use --force: rhel7: CentOS/RHEL 7" in text
         assert ("workarounds: init step 1: checking: $ command -v fakeroot "
                 "> /dev/null") in text
-        assert "yum --enablerepo=epel install -y fakeroot" in text
+        assert "+ grep -Eq" in text  # the set -ex echo of the init pipeline
+        assert "+ yum install -y epel-release" in text
+        assert "+ yum-config-manager --disable epel" in text
+        assert "+ yum --enablerepo=epel install -y fakeroot" in text
         assert ("workarounds: RUN: new command: ['fakeroot', '/bin/sh', "
                 "'-c', 'yum install -y openssh']") in text
         assert "--force: init OK & modified 1 RUN instructions" in text
         assert "grown in 3 instructions: foo" in text
+        assert r.modified_runs == 1
 
     def test_echo_run_not_modified(self, ch):
         """'ch-image executes the first RUN instruction normally, because it
@@ -164,8 +175,13 @@ class TestFigure11:
         text = r.text
         assert ("will use --force: debderiv: Debian (9, 10) or "
                 "Ubuntu (16, 18, 20)") in text
+        assert ("workarounds: init step 1: checking: $ apt-config dump | "
+                "fgrep -q 'APT::Sandbox::User \"root\"' || ! fgrep -q _apt "
+                "/etc/passwd") in text
         assert ("workarounds: init step 1: $ echo 'APT::Sandbox::User "
                 "\"root\";' > /etc/apt/apt.conf.d/no-sandbox") in text
+        assert ("workarounds: init step 2: checking: $ command -v fakeroot "
+                "> /dev/null") in text
         assert ("workarounds: init step 2: $ apt-get update && apt-get "
                 "install -y pseudo") in text
         assert "Setting up pseudo (1.9.0+git20180920-1) ..." in text
@@ -175,6 +191,7 @@ class TestFigure11:
                 "'-c', 'apt-get install -y openssh-client']") in text
         assert "--force: init OK & modified 2 RUN instructions" in text
         assert "grown in 4 instructions: foo" in text
+        assert r.modified_runs == 2
 
     def test_redundant_update_still_executed(self, ch):
         """'ch-image is not smart enough to notice that it's now redundant

@@ -49,6 +49,7 @@ class TestChImageBuildCache:
         ch = ChImage(login, alice)
         ch.build(tag="a", dockerfile=FIG2_DOCKERFILE, force=True)
         r = ch.build(tag="b", dockerfile=FIG2_DOCKERFILE, force=True)
+        assert r.success  # correct, just re-executed
         assert "using build cache" not in r.text
         assert ch.cache is None
 

@@ -1,9 +1,12 @@
-"""Tests for the fakeroot engines: the Figure 7 behaviours, consistency of
-lies, engine quirks, and persistence."""
+"""Tests for the fakeroot engines: the Figure 7 behaviours and demo
+transcript, Table 1, consistency of lies, engine quirks, and
+persistence."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cluster import make_machine
+from repro.distro import populate_userland
 from repro.errors import Errno, KernelError
 from repro.fakeroot import (
     ENGINES,
@@ -18,6 +21,25 @@ from repro.fakeroot import (
     engine_by_name,
 )
 from repro.kernel import FileType, Kernel, Syscalls, make_ext4
+from repro.shell import ExecContext, OutputSink, run_shell
+from repro.shell.install import install_binary, install_script
+
+#: the paper's Figure 7 demo script
+FIG7_SCRIPT = """\
+set -x
+touch test.file
+chown nobody test.file
+mknod test.dev c 1 1
+ls -lh test.dev test.file
+"""
+
+#: Table 1: approach, architectures, daemon?, persistency per engine
+TABLE1 = {
+    "fakeroot": ("LD_PRELOAD", "any", "yes", "save/restore from file"),
+    "fakeroot-ng": ("ptrace", "ppc, x86, x86_64", "yes",
+                    "save/restore from file"),
+    "pseudo": ("LD_PRELOAD", "any", "yes", "database"),
+}
 
 
 @pytest.fixture
@@ -73,6 +95,30 @@ class TestFigure7:
         assert fr.getuid() == 0
         assert fr.getegid() == 0
 
+    def test_demo_transcript(self, world):
+        """The demo as the paper runs it: ``ls`` inside the wrapper shows
+        the lies, ``ls`` outside exposes them."""
+        ws = make_machine("workstation", network=world.network)
+        root = ws.root_sys()
+        populate_userland(root, "x86_64")
+        install_binary(root, "/usr/bin/fakeroot", "fakeroot.classic")
+        install_script(root, "/home/alice/fakeroot.sh", FIG7_SCRIPT)
+        alice = ws.login("alice")
+        ctx = ExecContext(alice, Syscalls(alice),
+                          env={"PATH": "/usr/bin:/bin"})
+        ctx.sys.chdir("/home/alice")
+        wrapped = ctx.child(stdout=OutputSink(), stderr=OutputSink())
+        run_shell(wrapped, "fakeroot /home/alice/fakeroot.sh")
+        naked = ctx.child(stdout=OutputSink(), stderr=OutputSink())
+        run_shell(naked, "ls -lh test.dev test.file")
+        inside, outside = wrapped.stdout.text(), naked.stdout.text()
+        # inside: a device node owned root:root, a file owned by nobody
+        assert "crw-r--r-- 1 root root   1, 1" in inside
+        assert "nobody root" in inside
+        # outside: two plain files owned by alice
+        assert "alice alice" in outside
+        assert "crw" not in outside
+
 
 class TestLieConsistency:
     def test_later_stat_sees_earlier_chown(self, fr):
@@ -125,10 +171,12 @@ class TestLieConsistency:
 
 class TestEngineQuirks:
     def test_ptrace_engine_rejects_unsupported_arch(self, kernel):
+        """On Astra (aarch64) only the LD_PRELOAD engines run."""
         kernel.arch = "aarch64"
         alice = kernel.login(1000, 1000, user="alice")
-        with pytest.raises(FakerootError):
+        with pytest.raises(FakerootError) as exc:
             FakerootSyscalls(Syscalls(alice), FAKEROOT_NG)
+        assert "aarch64" in str(exc.value)
 
     def test_ptrace_engine_runs_on_x86_64(self, alice_sys):
         FakerootSyscalls(alice_sys, FAKEROOT_NG)
@@ -154,12 +202,31 @@ class TestEngineQuirks:
         assert FAKEROOT_NG.wraps_static_binaries
 
     def test_table1_rows(self):
-        rows = [e.table_row() for e in ENGINES.values()]
-        by_name = {r["implementation"]: r for r in rows}
-        assert by_name["fakeroot"]["approach"] == "LD_PRELOAD"
-        assert by_name["fakeroot-ng"]["architectures"] == "ppc, x86, x86_64"
-        assert by_name["pseudo"]["persistency"] == "database"
-        assert all(r["daemon?"] == "yes" for r in rows)
+        rows = {e.name: e.table_row() for e in ENGINES.values()}
+        assert {name: (r["approach"], r["architectures"], r["daemon?"],
+                       r["persistency"]) for name, r in rows.items()} \
+            == TABLE1
+        assert all(r["implementation"] == name for name, r in rows.items())
+
+    @pytest.mark.parametrize("arch", ["x86_64", "aarch64"])
+    @pytest.mark.parametrize("engine", list(ENGINES.values()),
+                             ids=list(ENGINES))
+    def test_table1_live_probe(self, kernel, engine, arch):
+        """Each engine lies about chown and mknod wherever its
+        architectures column says it runs, and refuses to start
+        elsewhere."""
+        kernel.arch = arch
+        sys = Syscalls(kernel.login(1000, 1000, user="alice"))
+        if not engine.supports_arch(arch):
+            with pytest.raises(FakerootError):
+                FakerootSyscalls(sys, engine)
+            return
+        fr = FakerootSyscalls(sys, engine)
+        fr.write_file("/home/alice/f", b"")
+        fr.chown("/home/alice/f", 0, 0)
+        fr.mknod("/home/alice/dev", FileType.CHR, rdev=(1, 1))
+        assert fr.stat("/home/alice/f").st_uid == 0
+        assert fr.stat("/home/alice/dev").ftype is FileType.CHR
 
     def test_engine_by_name(self):
         assert engine_by_name("pseudo") is PSEUDO

@@ -39,8 +39,10 @@ def alice(kernel):
 
 
 class TestAuthorization:
-    def test_figure1_map_installs(self, shadow, alice):
+    def test_figure1_map_installs(self, kernel, shadow, alice):
         """Figure 1: alice -> container 0, 200000..200064 -> 1..65."""
+        subuid = Syscalls(kernel.init_process).read_file("/etc/subuid")
+        assert "alice:200000:65536" in subuid.decode()  # the admin's grant
         sys = Syscalls(alice)
         sys.unshare_user()
         shadow.newuidmap(alice, alice, [
@@ -48,8 +50,11 @@ class TestAuthorization:
             IdMapEntry(1, 200000, 65536),
         ])
         ns = alice.cred.userns
+        assert [line.split() for line in ns.uid_map.format().splitlines()] \
+            == [["0", "1000", "1"], ["1", "200000", "65536"]]
         assert ns.uid_to_host(0) == 1000
         assert ns.uid_to_host(65) == 200064
+        assert ns.uid_from_host(200064) == 65  # one-to-one, no squashing
 
     def test_foreign_range_rejected(self, shadow, alice):
         """§2.1.2's warning: if alice could map bob's subordinate range she

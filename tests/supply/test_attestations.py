@@ -19,12 +19,7 @@ from repro.supply import (
     provenance_statement,
     sbom_statement,
 )
-
-FIG2_DOCKERFILE = """\
-FROM centos:7
-RUN echo hello
-RUN yum install -y openssh
-"""
+from tests.conftest import FIG2_DOCKERFILE
 
 DIAMOND = """\
 FROM centos:7 AS base

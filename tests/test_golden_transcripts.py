@@ -20,7 +20,12 @@ from repro.containers import Podman
 from repro.core import ChImage
 from repro.obs import attach_tracer, golden_summary
 
-from .conftest import FIG2_DOCKERFILE, FIG3_DOCKERFILE, FIG8_DOCKERFILE
+from .conftest import (
+    FIG2_DOCKERFILE,
+    FIG3_DOCKERFILE,
+    FIG5_DOCKERFILE,
+    FIG8_DOCKERFILE,
+)
 
 
 def traced_build(login, alice, dockerfile, *, force=False):
@@ -62,8 +67,7 @@ class TestFailureFigures:
         tracer = attach_tracer(login.kernel)
         podman = Podman(login, bob, unprivileged=True,
                         ignore_chown_errors=True)
-        result = podman.build(
-            "FROM centos:7\nRUN yum install -y openssh-server\n", "srv")
+        result = podman.build(FIG5_DOCKERFILE, "srv")
         assert not result.success
         digest = golden_summary(tracer)
         failing = digest["failing_instruction"]
