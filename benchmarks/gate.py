@@ -63,7 +63,8 @@ GATES: dict[str, Rule] = {
         exact=("attestation_digests", "clean_packages", "clean_findings",
                "cve_violations", "tampered_rejected", "unsigned_rejected",
                "audit_front_door_bytes")),
-    "walk": Rule(true=("identical",), floor=("speedup",)),
+    "walk": Rule(true=("identical",), floor=("speedup",),
+                 ceiling=("syscalls", "path_resolves")),
 }
 
 MISSING = object()

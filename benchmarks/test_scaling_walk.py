@@ -2,9 +2,11 @@
 Figure 6 node-side unpack.
 
 Every compute node of the Figure 6 workflow unpacks the ATSE image's
-layers with ``TarArchive.extract`` (unprivileged tar: an ``exists``,
-``mkdir``/``write_file``, ``resolve`` and ``chmod`` per member), and each
-of those syscalls walks its path from ``/``.  This benchmark builds the
+layers with ``TarArchive.extract`` (unprivileged tar: an ``exists``
+and a ``mkdir`` per directory, an ``exists`` and a ``symlink`` per
+symlink, one ``write_file`` per regular file that also stamps its
+executable metadata, and a ``chmod`` per member but symlinks), and each
+of those walks its path from ``/``.  This benchmark builds the
 image once, then extracts its layers into ``NODES`` fresh aarch64 nodes,
 ``ROUNDS`` times each way in one process, alternating the reference
 engine (uncached walks) with the cache.  The speedup is the median of
@@ -14,8 +16,9 @@ changes nothing: the extracted trees, the traced syscall counts and the
 ``MountNamespace.resolve``/``resolve_parent`` counts must match.
 
 Emits ``BENCH_walk.json``; ``benchmarks/gate.py`` gates it on
-``identical`` and on the speedup staying at least 0.9x the committed
-baseline.  The check is a same-process ratio, not a wall-clock floor.
+``identical``, on the speedup staying at least 0.9x the committed
+baseline (a same-process ratio, not a wall-clock floor) and on the
+syscall and path-walk counts per unpack never growing.
 """
 
 import gc

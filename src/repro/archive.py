@@ -18,7 +18,7 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .errors import KernelError, ReproError
+from .errors import Errno, KernelError, ReproError
 from .kernel import FileType, Syscalls
 
 __all__ = ["TarMember", "TarArchive", "ArchiveError", "member_of"]
@@ -52,6 +52,12 @@ class TarMember:
     exe_arch: str = "noarch"
     exe_static: bool = False
     xattrs: tuple[tuple[str, bytes], ...] = ()
+
+    @property
+    def is_whiteout(self) -> bool:
+        """A layer diff's deletion marker: a character device with mode 0
+        (the overlayfs whiteout)."""
+        return self.ftype is FileType.CHR and self.mode == 0
 
     def flattened(self) -> "TarMember":
         """Ownership flattened to root:root, setuid/setgid cleared — what
@@ -154,10 +160,24 @@ class TarArchive:
         each member is chowned — which in a Type III container fails for
         unmapped IDs; ``on_chown_error`` may be "raise", "warn" (collect) or
         "ignore".  Returns the list of chown warnings.
+
+        Layers unpack in order onto one tree, so a member may land on
+        what an earlier layer left.  A whiteout member
+        (:attr:`TarMember.is_whiteout`) deletes its path, a directory
+        with everything below it, instead of being created: the mode-0
+        character device it is could not be made without CAP_MKNOD
+        anyway.  It deletes only inside *dest*'s tree (:meth:`_whiteout`).
+        A regular member replaces a symlink at its own path rather than
+        writing through it.  A symlinked directory above a member is
+        still followed, as tar(1) follows it, so other members can land
+        outside *dest*.
         """
         warnings: list[str] = []
         for m in self.members:
             path = f"{dest.rstrip('/')}/{m.path}"
+            if m.is_whiteout:
+                self._whiteout(sys, dest, path)
+                continue
             if m.ftype is FileType.DIR:
                 if not sys.exists(path):
                     sys.mkdir(path, 0o755)
@@ -166,13 +186,7 @@ class TarArchive:
                     sys.unlink(path)
                 sys.symlink(m.target, path)
             elif m.ftype is FileType.REG:
-                sys.write_file(path, m.data)
-                res = sys.mnt_ns.resolve(path, sys.cred, follow=False,
-                                         cwd=sys.getcwd())
-                res.inode.exe_impl = m.exe_impl
-                res.inode.exe_arch = m.exe_arch
-                res.inode.exe_static = m.exe_static
-                res.fs.touch(res.inode)
+                self._write_member(sys, path, m)
             elif m.ftype in (FileType.CHR, FileType.BLK):
                 sys.mknod(path, m.ftype, m.mode & 0o777, rdev=m.rdev)
             else:
@@ -196,20 +210,64 @@ class TarArchive:
                     warnings.append(f"tar: {m.path}: setxattr {name} failed")
         return warnings
 
+    @staticmethod
+    def _write_member(sys: Syscalls, path: str, m: TarMember) -> None:
+        """Write a regular member in one syscall, executable metadata
+        included.  A symlink in the way is replaced, not written through:
+        the O_NOFOLLOW open fails with ELOOP, the link is unlinked and the
+        write retried, as tar(1) unlinks and retries a refused open."""
+        exe = (m.exe_impl, m.exe_arch, m.exe_static)
+        try:
+            sys.write_file(path, m.data, follow=False, exe=exe)
+        except KernelError as err:
+            if err.errno is not Errno.ELOOP:
+                raise
+            sys.unlink(path)
+            sys.write_file(path, m.data, follow=False, exe=exe)
+
+    @classmethod
+    def _whiteout(cls, sys: Syscalls, dest: str, path: str) -> None:
+        """Delete what whiteout *path* names if the directory holding it
+        lies in *dest*'s tree.  A symlink above it may lead elsewhere (an
+        earlier layer's ``x -> /home/alice``); then, and when the path is
+        already gone, the whiteout does nothing."""
+        ns, cwd = sys.mnt_ns, sys.getcwd()
+        try:
+            top = ns.resolve(dest, sys.cred, cwd=cwd).path.rstrip("/")
+            rp = ns.resolve_parent(path, sys.cred, cwd=cwd)
+        except KernelError:
+            return
+        if rp.dir_path == (top or "/") or rp.dir_path.startswith(top + "/"):
+            cls._remove(sys, f"{rp.dir_path.rstrip('/')}/{rp.name}")
+
+    @classmethod
+    def _remove(cls, sys: Syscalls, path: str, st=None) -> None:
+        """Delete what is at *path*, a directory with everything below it.
+        *st* is anything with the path's ``ftype`` (an lstat result, a
+        directory entry); without it the path is lstat'ed, and a missing
+        path is no error (a whiteout of what is already gone)."""
+        if st is None:
+            try:
+                st = sys.lstat(path)
+            except KernelError:
+                return
+        if st.ftype is FileType.DIR:
+            for entry in sys.readdir(path):
+                cls._remove(sys, f"{path}/{entry.name}", entry)
+            sys.rmdir(path)
+        else:
+            sys.unlink(path)
+
     def apply_diff(self, sys: Syscalls, dest: str) -> None:
         """Apply this archive as an overlay *diff*: whiteout members
-        (character devices with mode 0) delete the corresponding path;
-        everything else is written in place."""
+        delete the corresponding path (a directory with everything below
+        it) inside *dest*'s tree (:meth:`_whiteout`); everything else is
+        written in place, replacing whatever of another type is in the
+        way."""
         for m in self.members:
             path = f"{dest.rstrip('/')}/{m.path}"
-            if m.ftype is FileType.CHR and m.mode == 0:  # whiteout
-                try:
-                    st = sys.lstat(path)
-                except KernelError:
-                    continue
-                if st.ftype is FileType.DIR:
-                    continue  # directory whiteouts not modelled
-                sys.unlink(path)
+            if m.is_whiteout:
+                self._whiteout(sys, dest, path)
                 continue
             # handle type changes: replace whatever is in the way
             try:
@@ -217,11 +275,7 @@ class TarArchive:
             except KernelError:
                 existing = None
             if existing is not None and existing.ftype is not m.ftype:
-                if existing.ftype is FileType.DIR:
-                    self._rm_dir_contents(sys, path)
-                    sys.rmdir(path)
-                else:
-                    sys.unlink(path)
+                self._remove(sys, path, existing)
                 existing = None
             if m.ftype is FileType.DIR:
                 if existing is None:
@@ -233,28 +287,13 @@ class TarArchive:
                     sys.unlink(path)
                 sys.symlink(m.target, path)
                 continue
-            sys.write_file(path, m.data)
-            res = sys.mnt_ns.resolve(path, sys.cred, follow=False,
-                                     cwd=sys.getcwd())
-            res.inode.exe_impl = m.exe_impl
-            res.inode.exe_arch = m.exe_arch
-            res.inode.exe_static = m.exe_static
-            res.fs.touch(res.inode)
+            sys.write_file(path, m.data,
+                           exe=(m.exe_impl, m.exe_arch, m.exe_static))
             sys.chmod(path, m.mode)
             try:
                 sys.chown(path, m.uid, m.gid, follow=False)
             except KernelError:
                 pass
-
-    @staticmethod
-    def _rm_dir_contents(sys: Syscalls, path: str) -> None:
-        for entry in sys.readdir(path):
-            child = f"{path}/{entry.name}"
-            if entry.ftype is FileType.DIR:
-                TarArchive._rm_dir_contents(sys, child)
-                sys.rmdir(child)
-            else:
-                sys.unlink(child)
 
     # -- serialization ---------------------------------------------------------------
 

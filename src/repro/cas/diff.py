@@ -482,7 +482,7 @@ def apply_diff_to_snapshot(prev, diff: TarArchive):
         out = dict(prev)
         meta = None
     for m in diff:
-        if m.ftype is FileType.CHR and m.mode == 0:  # whiteout
+        if m.is_whiteout:
             out.pop(m.path, None)
         else:
             out[m.path] = member_digest(m)

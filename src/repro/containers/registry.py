@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from ..archive import TarArchive
+from ..archive import TarArchive, TarMember
 from ..cas.store import CasError, ContentStore, blob_digest
 from ..errors import RegistryError
 from ..obs.trace import maybe_span
@@ -105,6 +105,9 @@ class Registry:
         #: ``fetch_blob``/``push`` raise ``TransientRegistryError`` inside
         #: the plan's flake windows and callers retry per their policy.
         self.fault_injector = None
+        #: layer digest -> (blob bytes, decoded members): each layer blob
+        #: is decoded once, however many nodes pull it (:meth:`_decode`)
+        self._decoded: dict[str, tuple[bytes, tuple[TarMember, ...]]] = {}
 
     # -- blob plumbing --------------------------------------------------------------
 
@@ -349,10 +352,26 @@ class Registry:
                         registry=self.name):
             manifest = self.manifest(ref, arch=arch)
             self._verify_served(ref, manifest)
-            layers = [TarArchive.deserialize(
-                          self.fetch_blob(d, local_store=local_store))
-                      for d in manifest.layers]
+            layers = [
+                self._decode(d, self.fetch_blob(d, local_store=local_store))
+                for d in manifest.layers]
         return manifest.config, layers
+
+    def _decode(self, digest: str, blob: bytes) -> TarArchive:
+        """The layer archive in *blob*, fetched as *digest*.  Members are
+        decoded once and reused only for bytes equal to those decoded, so
+        other bytes under the same digest (a corrupt node-local copy) are
+        decoded, and fail, as without the memo.  Each call returns a
+        fresh archive.  A miss first drops the entries of blobs this
+        registry no longer holds."""
+        hit = self._decoded.get(digest)
+        if hit is not None and hit[0] == blob:
+            return TarArchive(hit[1])
+        for gone in [d for d in self._decoded if not self.has_blob(d)]:
+            del self._decoded[gone]
+        archive = TarArchive.deserialize(blob)
+        self._decoded[digest] = (blob, tuple(archive.members))
+        return archive
 
     def image_blob_digests(self, ref: ImageRef | str, *,
                            arch: Optional[str] = None) -> list[str]:

@@ -66,12 +66,8 @@ def _install_one_file(ctx: ExecContext, f: PackageFile, db: UserDb) -> None:
             sys.symlink(f.target, f.path)
         return  # symlinks: no chown/chmod in this model
     else:
-        sys.write_file(f.path, f.content)
-        res = sys.mnt_ns.resolve(f.path, sys.cred, cwd=sys.getcwd())
-        res.inode.exe_impl = f.exe_impl
-        res.inode.exe_arch = f.exe_arch
-        res.inode.exe_static = f.exe_static
-        res.fs.touch(res.inode)
+        sys.write_file(f.path, f.content,
+                       exe=(f.exe_impl, f.exe_arch, f.exe_static))
 
     user = db.user_by_name(f.owner)
     group = db.group_by_name(f.group)

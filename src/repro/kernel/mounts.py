@@ -94,6 +94,7 @@ class ResolvedParent:
     dir_inode: Inode
     name: str
     dir_path: str
+    links: int = 0  # symlinks followed on the way (the ELOOP budget)
 
     @property
     def fs(self) -> Filesystem:
@@ -215,10 +216,28 @@ class MountNamespace:
             comps = canon.split("/")[1:] if canon != "/" else []
         if not comps:
             raise KernelError(Errno.EBUSY, "cannot operate on /")
-        mount, dir_inode, canon, _links = self._walk_prefix(comps, cred)
+        mount, dir_inode, canon, links = self._walk_prefix(comps, cred)
         if not dir_inode.is_dir:
-            raise KernelError(Errno.ENOTDIR, "/" + "/".join(comps[:-1]))
-        return ResolvedParent(mount, dir_inode, comps[-1], canon or "/")
+            # the canonical name, as :meth:`resolve` reports it
+            raise KernelError(Errno.ENOTDIR, canon or "/")
+        return ResolvedParent(mount, dir_inode, comps[-1], canon or "/",
+                              links)
+
+    def resolve_final(
+        self, rp: ResolvedParent, cred: Credentials, *, follow: bool = True
+    ) -> Optional[Resolved]:
+        """Finish the walk :meth:`resolve_parent` began: step to *rp*'s
+        final name as :meth:`resolve` would, without walking the parent
+        again.  None when the name is not in its directory; a final
+        symlink whose target is missing still raises ENOENT."""
+        walked = self._follow(
+            [rp.name], cred, follow, rp.mount, rp.dir_inode,
+            "" if rp.dir_path == "/" else rp.dir_path, rp.links,
+            missing_ok=True)
+        if walked is None:
+            return None
+        mount, inode, canon, _links = walked
+        return Resolved(mount, inode, canon or "/")
 
     def _walk(
         self, path: str, cred: Credentials, *, follow_final: bool, cwd: str
@@ -295,11 +314,14 @@ class MountNamespace:
     def _follow(
         self, pending: list[str], cred: Credentials, follow_final: bool,
         mount: Mount, inode: Inode, canon: str, links: int,
-        crossed: Optional[set[Filesystem]] = None,
-    ) -> tuple[Mount, Inode, str, int]:
+        crossed: Optional[set[Filesystem]] = None, *,
+        missing_ok: bool = False,
+    ) -> Optional[tuple[Mount, Inode, str, int]]:
         """The per-component walk: pop names off the *pending* stack from
         the given state, checking search permission, mounts and symlinks.
-        Filesystems the walk enters are added to *crossed*."""
+        Filesystems the walk enters are added to *crossed*.  With
+        *missing_ok*, a last pending name absent from its directory gives
+        None, unless the walk reached it through a symlink."""
         while pending:
             name = pending.pop()
             if name == "..":
@@ -323,8 +345,11 @@ class MountNamespace:
                 continue
             child = mount.fs.lookup(inode, name)
             if child is None:
+                if missing_ok and not pending:
+                    return None
                 raise KernelError(Errno.ENOENT, candidate)
             if child.ftype is FileType.SYMLINK and (pending or follow_final):
+                missing_ok = False
                 links += 1
                 if links > _MAX_SYMLINKS:
                     raise KernelError(Errno.ELOOP, candidate)

@@ -573,12 +573,17 @@ class Syscalls:
 
     def _prep_create(self, path: str, call: str):
         rp = self._resolve_parent(path)
+        self._may_create(rp, path, call)
+        return rp
+
+    def _may_create(self, rp, path: str, call: str) -> None:
+        """The checks for creating *rp*'s final name: a writable mount,
+        write and search permission on the directory, no entry yet."""
         self._check_writable_mount(rp.mount, call)
         if not may_access(self.cred, rp.dir_inode, write=True, execute=True):
             raise KernelError(Errno.EACCES, path, syscall=call)
         if rp.fs.lookup(rp.dir_inode, rp.name) is not None:
             raise KernelError(Errno.EEXIST, path, syscall=call)
-        return rp
 
     def _new_ids(self, parent_dir: Inode) -> tuple[int, int, bool]:
         """(uid, gid, inherit_sgid) for a new inode, honouring setgid dirs."""
@@ -653,23 +658,47 @@ class Syscalls:
         return bytes(node.data)
 
     def write_file(self, path: str, data: bytes, *, append: bool = False,
-                   mode: int = 0o666) -> None:
-        """open(O_WRONLY|O_CREAT[|O_APPEND|O_TRUNC]) + write + close."""
+                   mode: int = 0o666, follow: bool = True,
+                   exe: Optional[tuple[Optional[str], str, bool]] = None
+                   ) -> None:
+        """open(O_WRONLY|O_CREAT[|O_APPEND|O_TRUNC][|O_NOFOLLOW]) + write
+        + close.
+
+        The path is walked once: its parent directory (through the
+        dentry cache), then the final name from there.  ``follow=False``
+        is O_NOFOLLOW: a final symlink fails with ELOOP.  *exe*, an
+        ``(impl, arch, static)`` triple, stamps the written file's
+        executable metadata (see :class:`~repro.kernel.vfs.Inode`)."""
         if isinstance(data, str):  # tolerate text for userland convenience
             data = data.encode()
         try:
-            res = self._resolve(path)
+            rp = self._resolve_parent(path)
         except KernelError as err:
-            if err.errno != Errno.ENOENT:
+            if err.errno is not Errno.EBUSY:
                 raise
-            rp = self._prep_create(path, "open")
+            raise KernelError(Errno.EISDIR, path, syscall="open") from None
+        try:
+            res = self.mnt_ns.resolve_final(rp, self.cred, follow=follow)
+        except KernelError as err:
+            if err.errno is not Errno.ENOENT:
+                raise
+            # a dangling final symlink: O_CREAT fails on the link
+            # itself (EROFS, EACCES, else EEXIST)
+            self._may_create(rp, path, "open")
+            raise
+        if res is None:
+            self._may_create(rp, path, "open")
             uid, gid, _ = self._new_ids(rp.dir_inode)
             eff = mode & ~self.proc.umask & 0o777
-            node = rp.fs.alloc(FileType.REG, eff, uid, gid, now=self.kernel.now(),
-                               data=bytes(data))
+            node = rp.fs.alloc(FileType.REG, eff, uid, gid,
+                               now=self.kernel.now(), data=bytes(data))
+            if exe is not None:
+                node.exe_impl, node.exe_arch, node.exe_static = exe
             rp.fs.link_child(rp.dir_inode, rp.name, node)
             return
         node = res.inode
+        if node.ftype is FileType.SYMLINK:  # only reached with follow=False
+            raise KernelError(Errno.ELOOP, path, syscall="open")
         if node.is_dir:
             raise KernelError(Errno.EISDIR, path, syscall="open")
         self._check_writable_mount(res.mount, "open")
@@ -678,6 +707,8 @@ class Syscalls:
         if node.ftype is FileType.CHR:
             return  # writes to devices vanish
         node.data = bytes(node.data) + bytes(data) if append else bytes(data)
+        if exe is not None:
+            node.exe_impl, node.exe_arch, node.exe_static = exe
         node.mtime = self.kernel.now()
         res.fs.touch(node)
 

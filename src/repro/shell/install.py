@@ -20,13 +20,8 @@ def install_binary(
     """Create an executable at *path* dispatching to registered impl *impl*."""
     parent = path.rsplit("/", 1)[0] or "/"
     sys.mkdir_p(parent)
-    sys.write_file(path, content)
+    sys.write_file(path, content, exe=(impl, arch, static))
     sys.chmod(path, mode)
-    res = sys.mnt_ns.resolve(path, sys.cred, cwd=sys.getcwd())
-    res.inode.exe_impl = impl
-    res.inode.exe_arch = arch
-    res.inode.exe_static = static
-    res.fs.touch(res.inode)
 
 
 def install_script(sys: Syscalls, path: str, body: str, *,

@@ -163,6 +163,74 @@ class TestRegistry:
         assert r.stats.blobs_pulled == 2
 
 
+class TestLayerDecodeMemo:
+    """A registry decodes each layer blob once, however many nodes pull
+    it; only bytes equal to the decoded ones reuse the members."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        calls = []
+        real = TarArchive.deserialize.__func__
+
+        def counting(cls, blob):
+            calls.append(blob)
+            return real(cls, blob)
+        monkeypatch.setattr(TarArchive, "deserialize", classmethod(counting))
+        return calls
+
+    @staticmethod
+    def pushed(r, *layers_):
+        r.push("a:1", ImageConfig(), list(layers_))
+        return r.manifest("a:1").layers
+
+    def test_equal_bytes_decode_once(self, decodes):
+        from repro.cas import ContentStore
+        r = Registry("hub")
+        self.pushed(r, layer("base"), layer("app", b"other"))
+        first = r.pull("a:1")[1]
+        for store in (None, ContentStore(), ContentStore()):
+            again = r.pull("a:1", local_store=store)[1]
+            assert [l.members for l in again] == [l.members for l in first]
+        assert len(decodes) == 2
+
+    def test_corrupt_bytes_under_the_digest_are_decoded(self, decodes):
+        from repro.archive import ArchiveError
+        from repro.cas import ContentStore
+        r = Registry("hub")
+        (digest,) = self.pushed(r, layer("base"))
+        r.pull("a:1")
+        node = ContentStore()
+        node.put(r.blob_at_rest(digest))
+        node._blobs[digest] = b"not|an|archive\n"      # a corrupt node copy
+        with pytest.raises(ArchiveError):
+            r.pull("a:1", local_store=node)
+        node._blobs[digest] = layer("evil", b"rogue").serialize()
+        _, (got,) = r.pull("a:1", local_store=node)
+        assert [m.path for m in got] == ["evil"]
+        _, (clean,) = r.pull("a:1")                      # the memo is intact
+        assert [m.path for m in clean] == ["base"]
+        assert len(decodes) == 4
+
+    def test_returned_layers_are_fresh(self):
+        r = Registry("hub")
+        self.pushed(r, layer("base"), layer("app", b"other"))
+        _, layers = r.pull("a:1")
+        layers[0].members.append(TarMember("extra", FileType.REG, 0o644,
+                                           0, 0))
+        layers.pop()
+        _, again = r.pull("a:1")
+        assert [[m.path for m in l] for l in again] == [["base"], ["app"]]
+
+    def test_entries_of_dropped_blobs_go(self):
+        r = Registry("hub")
+        (old,) = self.pushed(r, layer("base"))
+        r.pull("a:1")
+        r.drop_blob(old)
+        r.push("b:1", ImageConfig(), [layer("new", b"new")])
+        r.pull("b:1")
+        assert tuple(r._decoded) == r.manifest("b:1").layers
+
+
 class TestSharedContentStore:
     """Registries backed by one CAS dedup blobs across services."""
 

@@ -96,6 +96,126 @@ class TestPackExtract:
         assert m.exe_static
 
 
+def _alice_tree(kernel, root_sys):
+    """alice's image directory, her ``.bashrc`` beside it, and her
+    syscalls: the unprivileged puller of §5.2."""
+    root_sys.mkdir_p("/home/alice/img")
+    root_sys.chown("/home/alice", 1000, 1000)
+    root_sys.chown("/home/alice/img", 1000, 1000)
+    alice = Syscalls(kernel.login(1000, 1000))
+    alice.write_file("/home/alice/.bashrc", b"alias ll='ls -l'\n")
+    return alice
+
+
+class TestLayerOverlay:
+    """Layers unpack in order onto one tree: a later member meets what an
+    earlier layer left at its path."""
+
+    def test_whiteout_member(self):
+        assert TarMember("gone", FileType.CHR, 0, 0, 0).is_whiteout
+        assert not TarMember("null", FileType.CHR, 0o666, 0, 0,
+                             rdev=(1, 3)).is_whiteout
+        assert not TarMember("f", FileType.REG, 0, 0, 0).is_whiteout
+
+    def test_whiteout_removes_its_path_unprivileged(self, kernel, root_sys):
+        """A whiteout deletes; it is not a device to mknod (EPERM in a
+        user namespace and for any unprivileged user)."""
+        alice = _alice_tree(kernel, root_sys)
+        TarArchive([
+            TarMember("etc", FileType.DIR, 0o755, 0, 0),
+            TarMember("etc/gone", FileType.REG, 0o644, 0, 0, data=b"hi"),
+            TarMember("etc/d", FileType.DIR, 0o755, 0, 0),
+            TarMember("etc/d/f", FileType.REG, 0o644, 0, 0, data=b"f"),
+        ]).extract(alice, "/home/alice/img")
+        TarArchive([
+            TarMember("etc/gone", FileType.CHR, 0, 0, 0),
+            TarMember("etc/d", FileType.CHR, 0, 0, 0),
+            TarMember("etc/d/f", FileType.CHR, 0, 0, 0),
+            TarMember("etc/never", FileType.CHR, 0, 0, 0),
+        ]).extract(alice, "/home/alice/img")
+        assert [e.name for e in alice.readdir("/home/alice/img/etc")] == []
+
+    def test_whiteout_stays_inside_the_tree(self, kernel, root_sys):
+        """A whiteout below an earlier layer's symlink out of the image
+        deletes nothing: alice's own directory is not the image's."""
+        alice = _alice_tree(kernel, root_sys)
+        alice.mkdir("/home/alice/private", 0o700)
+        alice.write_file("/home/alice/private/key", b"secret")
+        TarArchive([
+            TarMember("x", FileType.SYMLINK, 0o777, 0, 0,
+                      target="/home/alice"),
+        ]).extract(alice, "/home/alice/img")
+        TarArchive([
+            TarMember("x/private", FileType.CHR, 0, 0, 0),
+            TarMember("x/.bashrc", FileType.CHR, 0, 0, 0),
+        ]).extract(alice, "/home/alice/img")
+        assert alice.read_file("/home/alice/private/key") == b"secret"
+        assert alice.exists("/home/alice/.bashrc")
+        assert alice.lstat("/home/alice/img/x").ftype is FileType.SYMLINK
+
+    def test_whiteout_through_a_symlink_inside_the_tree(self, kernel,
+                                                        root_sys):
+        alice = _alice_tree(kernel, root_sys)
+        TarArchive([
+            TarMember("etc", FileType.DIR, 0o755, 0, 0),
+            TarMember("etc/gone", FileType.REG, 0o644, 0, 0, data=b"hi"),
+            TarMember("e", FileType.SYMLINK, 0o777, 0, 0, target="etc"),
+        ]).extract(alice, "/home/alice/img")
+        TarArchive([TarMember("e/gone", FileType.CHR, 0, 0, 0)]
+                   ).apply_diff(alice, "/home/alice/img")
+        assert not alice.exists("/home/alice/img/etc/gone")
+        assert alice.lstat("/home/alice/img/e").ftype is FileType.SYMLINK
+
+    def test_regular_member_replaces_a_symlink(self, kernel, root_sys):
+        """A later layer's file lands on an earlier layer's symlink to
+        the puller's own dotfile: tar replaces the link, it does not write
+        (or chmod) through it."""
+        alice = _alice_tree(kernel, root_sys)
+        TarArchive([
+            TarMember("etc", FileType.DIR, 0o755, 0, 0),
+            TarMember("etc/x", FileType.SYMLINK, 0o777, 0, 0,
+                      target="/home/alice/.bashrc"),
+        ]).extract(alice, "/home/alice/img")
+        TarArchive([
+            TarMember("etc/x", FileType.REG, 0o600, 0, 0, data=b"owned",
+                      exe_impl="coreutils.true"),
+        ]).extract(alice, "/home/alice/img")
+        assert alice.read_file("/home/alice/.bashrc") == b"alias ll='ls -l'\n"
+        assert alice.stat("/home/alice/.bashrc").st_mode & 0o777 == 0o644
+        st = alice.lstat("/home/alice/img/etc/x")
+        assert (st.ftype, st.st_mode & 0o777, st.exe_impl) == \
+            (FileType.REG, 0o600, "coreutils.true")
+        assert alice.read_file("/home/alice/img/etc/x") == b"owned"
+
+    def test_symlink_replacement_is_unlink_and_retry(self, kernel, root_sys):
+        from repro.obs import attach_tracer
+        alice = _alice_tree(kernel, root_sys)
+        alice.symlink("/home/alice/.bashrc", "/home/alice/img/x")
+        tracer = attach_tracer(kernel)
+        tracer.clear()
+        TarArchive([TarMember("x", FileType.REG, 0o644, 0, 0, data=b"y")]
+                    ).extract(alice, "/home/alice/img")
+        calls = [(e.name, e.errno) for e in tracer.events]
+        assert calls == [("write_file", "ELOOP"), ("unlink", ""),
+                         ("write_file", ""), ("chmod", "")]
+
+    def test_pulled_image_with_a_deleted_file(self, world, login, alice):
+        """Push an image whose last layer deletes a file, then pull it as
+        ch-image does (unprivileged, flattening every layer)."""
+        from repro.containers import Podman
+        from repro.core import ChImage
+        podman = Podman(login, alice)
+        res = podman.build("FROM centos:7\nRUN echo hi > /etc/gone\n"
+                           "RUN rm /etc/gone\n", "gone")
+        assert res.success, res.text
+        manifest = podman.push("gone", "gitlab.example.gov/alice/gone:1")
+        assert manifest.layer_count == 3
+        ch = ChImage(login, alice)
+        path = ch.pull("gitlab.example.gov/alice/gone:1")
+        assert not ch.sys.exists(f"{path}/etc/gone")
+        assert ch.sys.exists(f"{path}/etc/passwd")
+
+
 class TestFlattening:
     def test_flatten_member(self):
         m = TarMember("x", FileType.REG, 0o6755, 1000, 998)

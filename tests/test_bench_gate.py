@@ -78,9 +78,11 @@ def test_missing_key_fails():
 
 
 def test_walk_rule_gates_identity_and_the_same_process_ratio():
-    """The walk cache's artifact is gated on its identity bit and its
-    reference/cached ratio only: its wall-clock seconds may move freely."""
-    assert GATES["walk"] == Rule(true=("identical",), floor=("speedup",))
+    """The walk cache's artifact is gated on its identity bit, its
+    reference/cached ratio and its work counts: its wall-clock seconds
+    may move freely."""
+    assert GATES["walk"] == Rule(true=("identical",), floor=("speedup",),
+                                 ceiling=("syscalls", "path_resolves"))
     baseline = committed("walk")
     slower_host = dict(baseline,
                        reference_seconds=3 * baseline["reference_seconds"],
@@ -116,4 +118,22 @@ def test_coldbuild_rule_gates_the_rebuild_counts_not_its_seconds():
         "BENCH_coldbuild.json: rebuild_full_walks grew: 1 > baseline 0",
         "BENCH_coldbuild.json: rebuild_members_hashed grew: 10000 > "
         f"baseline {baseline['rebuild_members_hashed']}",
+    ]
+
+
+def test_walk_rule_lets_the_unpack_counts_only_shrink():
+    """One extra path walk or syscall per unpack fails the gate; fewer
+    pass, and become the next baseline."""
+    baseline = committed("walk")
+    fewer = dict(baseline, path_resolves=baseline["path_resolves"] - 1,
+                 syscalls=baseline["syscalls"] - 1)
+    assert check("walk", baseline, fewer) == []
+    more = dict(baseline, path_resolves=baseline["path_resolves"] + 1,
+                syscalls=baseline["syscalls"] + 1)
+    assert check("walk", baseline, more) == [
+        f"BENCH_walk.json: syscalls grew: {baseline['syscalls'] + 1} > "
+        f"baseline {baseline['syscalls']}",
+        f"BENCH_walk.json: path_resolves grew: "
+        f"{baseline['path_resolves'] + 1} > baseline "
+        f"{baseline['path_resolves']}",
     ]
