@@ -46,7 +46,7 @@ GATES: dict[str, Rule] = {
         true=("digest_identical", "rebuild_digest_identical"),
         floor=("speedup",),
         ceiling=("walker_full_walks", "rebuild_full_walks",
-                 "rebuild_members_hashed")),
+                 "rebuild_members_hashed", "clone_gens")),
     "registry": Rule(
         true=("replay_identical", "deploys_digest_identical"),
         floor=tuple(f"pulls_per_sec.{n}" for n in (1, 2, 4, 8))),

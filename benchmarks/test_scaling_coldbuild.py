@@ -14,11 +14,13 @@ A second cold build follows in the same world (a new nonce in the first
 RUN, so every instruction misses again, on the same base): the steady
 state of a long-lived builder.  Its FROM clone inherits the base's
 snapshot, so it walks nothing in full and hashes about one member per
-RUN.
+RUN.  The clone itself is one journal generation plus the touch linking
+it in: ``clone_gens`` counts the filesystem generations one FROM clone
+of the base takes (two, not two per inode).
 
 Emits ``BENCH_coldbuild.json``; ``benchmarks/gate.py`` gates it on speedup
 no worse than 0.9x the committed baseline, digest identity, and full
-walks and hashed members that may not grow.
+walks, hashed members and clone generations that may not grow.
 """
 
 import time
@@ -62,6 +64,19 @@ def _make_base(storage) -> None:
             sys.write_file(f"{dirpath}/lib{f:03d}.so",
                            f"elf {d}/{f} ".encode() * 8)
     storage.set_digest(BASE, "sha256:" + "ab" * 32)
+
+
+def _clone_gens(storage) -> int:
+    """The storage filesystem's ``gen`` delta over one FROM clone of the
+    base (``copy(..., clone=True)``, as a cache-enabled FROM makes it)."""
+    sys = storage.sys
+    fs = sys.mnt_ns.resolve(storage.path_of(BASE), sys.cred,
+                            cwd=sys.getcwd()).fs
+    before = fs.gen
+    storage.copy(BASE, "clone-probe", clone=True)
+    gens = fs.gen - before
+    storage.delete("clone-probe")
+    return gens
 
 
 def _build(ch, nonce: str = ""):
@@ -114,6 +129,7 @@ class TestColdBuildScaling:
         rebuild_identical = opt_re[0] == ref_re[0] and opt_re[2] == ref_re[2]
         rebuild_full = opt_re[1].get("snapshot.walk_full", 0)
         rebuild_hashed = opt_re[1].get("digest.memo_miss", 0)
+        clone_gens = _clone_gens(ch_opt.storage)
 
         hashed_opt = opt_counts.get("digest.memo_miss", 0)
         speedup = ref_seconds / opt_seconds
@@ -136,6 +152,7 @@ class TestColdBuildScaling:
             ("speedup", f"{speedup:.1f}x"),
             ("rebuild full walks", str(rebuild_full)),
             ("rebuild members hashed", str(rebuild_hashed)),
+            ("FROM clone generations", str(clone_gens)),
         ])
         write_bench("coldbuild", {
             "files": N_FILES,
@@ -152,12 +169,15 @@ class TestColdBuildScaling:
             "rebuild_full_walks": rebuild_full,
             "rebuild_members_hashed": rebuild_hashed,
             "rebuild_digest_identical": rebuild_identical,
+            "clone_gens": clone_gens,
         })
         assert rebuild_identical
         # the rebuild's FROM clone inherits the base's snapshot: no full
         # walk, and one hashed member (the RUN's output file) per RUN
         assert rebuild_full == 0
         assert rebuild_hashed == N_INSTRUCTIONS
+        # one stamp for the whole clone, one touch linking it in
+        assert clone_gens <= 2
         # the tentpole gate: an order-of-magnitude class win, asserted
         # conservatively so slow CI machines don't flake
         assert speedup >= 5.0, (

@@ -167,10 +167,13 @@ class TarArchive:
         with everything below it, instead of being created: the mode-0
         character device it is could not be made without CAP_MKNOD
         anyway.  It deletes only inside *dest*'s tree (:meth:`_whiteout`).
-        A regular member replaces a symlink at its own path rather than
-        writing through it.  A symlinked directory above a member is
-        still followed, as tar(1) follows it, so other members can land
-        outside *dest*.
+        A member replaces what is in the way at its own path instead of
+        going through it: a regular member a symlink, a directory member
+        any non-directory, a symlink member anything (a directory with
+        everything below it).  A directory or symlink member deletes only
+        inside *dest*'s tree (:meth:`_replace`).  A symlinked directory
+        above a member is still followed, as tar(1) follows it, so
+        members can land outside *dest*.
         """
         warnings: list[str] = []
         for m in self.members:
@@ -179,11 +182,15 @@ class TarArchive:
                 self._whiteout(sys, dest, path)
                 continue
             if m.ftype is FileType.DIR:
-                if not sys.exists(path):
+                ftype = sys.ftype_at(path)
+                if ftype is not FileType.DIR:
+                    if ftype is not None:
+                        self._replace(sys, dest, path, m, ftype)
                     sys.mkdir(path, 0o755)
             elif m.ftype is FileType.SYMLINK:
-                if sys.exists(path):
-                    sys.unlink(path)
+                ftype = sys.ftype_at(path)
+                if ftype is not None:
+                    self._replace(sys, dest, path, m, ftype)
                 sys.symlink(m.target, path)
             elif m.ftype is FileType.REG:
                 self._write_member(sys, path, m)
@@ -225,35 +232,61 @@ class TarArchive:
             sys.unlink(path)
             sys.write_file(path, m.data, follow=False, exe=exe)
 
-    @classmethod
-    def _whiteout(cls, sys: Syscalls, dest: str, path: str) -> None:
-        """Delete what whiteout *path* names if the directory holding it
-        lies in *dest*'s tree.  A symlink above it may lead elsewhere (an
-        earlier layer's ``x -> /home/alice``); then, and when the path is
-        already gone, the whiteout does nothing."""
+    @staticmethod
+    def _in_dest(sys: Syscalls, dest: str, path: str) -> Optional[str]:
+        """*path*'s canonical name if the directory holding it lies in
+        *dest*'s tree, else None (also when either does not resolve).  A
+        symlink above *path* may lead elsewhere: an earlier layer's
+        ``x -> /home/alice`` puts ``x/private`` in alice's home.  One
+        ``resolve`` of *dest* and one ``resolve_parent`` of *path*."""
         ns, cwd = sys.mnt_ns, sys.getcwd()
         try:
             top = ns.resolve(dest, sys.cred, cwd=cwd).path.rstrip("/")
             rp = ns.resolve_parent(path, sys.cred, cwd=cwd)
         except KernelError:
-            return
+            return None
         if rp.dir_path == (top or "/") or rp.dir_path.startswith(top + "/"):
-            cls._remove(sys, f"{rp.dir_path.rstrip('/')}/{rp.name}")
+            return f"{rp.dir_path.rstrip('/')}/{rp.name}"
+        return None
 
     @classmethod
-    def _remove(cls, sys: Syscalls, path: str, st=None) -> None:
+    def _whiteout(cls, sys: Syscalls, dest: str, path: str) -> None:
+        """Delete what whiteout *path* names if it lies in *dest*'s tree
+        (:meth:`_in_dest`); outside it, and when the path is already
+        gone, the whiteout does nothing."""
+        canonical = cls._in_dest(sys, dest, path)
+        if canonical is not None:
+            cls._remove(sys, canonical)
+
+    @classmethod
+    def _replace(cls, sys: Syscalls, dest: str, path: str, m: TarMember,
+                 ftype: FileType) -> None:
+        """Delete what of type *ftype* is in member *m*'s way at *path*,
+        a directory with everything below it, if it lies in *dest*'s tree
+        (:meth:`_in_dest`).  Outside it nothing is deleted and the member
+        fails with :class:`ArchiveError`."""
+        canonical = cls._in_dest(sys, dest, path)
+        if canonical is None:
+            raise ArchiveError(
+                f"tar: {m.path}: will not replace a {ftype.value} outside "
+                f"{dest}")
+        cls._remove(sys, canonical, ftype)
+
+    @classmethod
+    def _remove(cls, sys: Syscalls, path: str,
+                ftype: Optional[FileType] = None) -> None:
         """Delete what is at *path*, a directory with everything below it.
-        *st* is anything with the path's ``ftype`` (an lstat result, a
-        directory entry); without it the path is lstat'ed, and a missing
-        path is no error (a whiteout of what is already gone)."""
-        if st is None:
+        *ftype* is the path's type when the caller knows it; without it
+        the path is lstat'ed, and a missing path is no error (a whiteout
+        of what is already gone)."""
+        if ftype is None:
             try:
-                st = sys.lstat(path)
+                ftype = sys.lstat(path).ftype
             except KernelError:
                 return
-        if st.ftype is FileType.DIR:
+        if ftype is FileType.DIR:
             for entry in sys.readdir(path):
-                cls._remove(sys, f"{path}/{entry.name}", entry)
+                cls._remove(sys, f"{path}/{entry.name}", entry.ftype)
             sys.rmdir(path)
         else:
             sys.unlink(path)
@@ -275,7 +308,7 @@ class TarArchive:
             except KernelError:
                 existing = None
             if existing is not None and existing.ftype is not m.ftype:
-                self._remove(sys, path, existing)
+                self._remove(sys, path, existing.ftype)
                 existing = None
             if m.ftype is FileType.DIR:
                 if existing is None:

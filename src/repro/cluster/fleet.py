@@ -642,7 +642,11 @@ class RegistryFleet(Registry):
         """One workload-generator pull: route and *admission-check every
         layer first* (all-or-nothing, so a rejected request reserves no
         service and no bytes are double-counted on retry), then reserve
-        and serve; returns the virtual completion time."""
+        and serve; returns the virtual completion time.  With
+        *local_store*, each blob's bytes at rest (what its shard serves)
+        must hash to the digest asked for, checked with admission, so a
+        mismatch raises :class:`RegistryError` before any service is
+        reserved, any transfer counted or anything stored."""
         ref = as_ref(ref)
         now = self._now() if now is None else now
         tenant = self._admit(ref, token, "pull")
@@ -658,6 +662,11 @@ class RegistryFleet(Registry):
             shard = self.route_blob(digest)
             shard.check_admission(now, extra=pending.get(shard.name, 0))
             pending[shard.name] = pending.get(shard.name, 0) + 1
+            if (local_store is not None and blob_digest(
+                    shard.registry.blob_at_rest(digest)) != digest):
+                raise RegistryError(
+                    f"{shard.name}: blob {digest[:19]}... does not "
+                    "match its digest")
             planned.append((shard, digest,
                             shard.registry.blob_size(digest)))
         end = now
@@ -666,7 +675,6 @@ class RegistryFleet(Registry):
             blob = self._serve(shard, digest)
             if local_store is not None:
                 local_store.put(blob)
-                TarArchive.deserialize(blob)  # digest-checked decode
         skipped = len(manifest.layers) - len(planned)
         if skipped:
             self.stats.blobs_pull_skipped += skipped

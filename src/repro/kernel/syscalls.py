@@ -536,11 +536,16 @@ class Syscalls:
         return self._stat_of(self._resolve(path, follow=False))
 
     def exists(self, path: str) -> bool:
+        return self.ftype_at(path) is not None
+
+    def ftype_at(self, path: str) -> Optional[FileType]:
+        """The type of what *path* names, a final symlink not followed
+        (an lstat's ``ftype``), or None when nothing is there.  Like
+        :meth:`exists`, one path walk and no traced syscall."""
         try:
-            self._resolve(path, follow=False)
-            return True
+            return self._resolve(path, follow=False).inode.ftype
         except KernelError:
-            return False
+            return None
 
     def access(self, path: str, *, read: bool = False, write: bool = False,
                execute: bool = False) -> bool:
@@ -802,7 +807,9 @@ class Syscalls:
         metadata, in one call — the reflink / overlayfs lower-dir sharing
         fast path caching builders use to materialize FROM.  Data blocks
         are shared, so the cost is O(1) in syscalls rather than O(files)
-        of a userspace copy; like reflinks, it cannot cross filesystems."""
+        of a userspace copy; like reflinks, it cannot cross filesystems.
+        The whole copy is one journal generation plus the touch linking
+        it in (:func:`~repro.kernel.vfs.copy_tree`), whatever its size."""
         res = self._resolve(src)
         if not res.inode.is_dir:
             raise KernelError(Errno.ENOTDIR, src, syscall="clone_tree")

@@ -264,14 +264,20 @@ class Filesystem:
         node.tree_gen = g
         return g
 
-    def link_child(self, parent: Inode, name: str, child: Inode) -> None:
-        """Add a directory entry; maintains nlink."""
+    @staticmethod
+    def check_link(parent: Inode, name: str) -> None:
+        """Raise what :meth:`link_child` would for entry *name* in
+        *parent*: ENOTDIR, EEXIST or EINVAL (a bad name)."""
         if not parent.is_dir:
             raise KernelError(Errno.ENOTDIR)
         if name in parent.entries:
             raise KernelError(Errno.EEXIST, name)
         if not name or "/" in name or name in (".", ".."):
             raise KernelError(Errno.EINVAL, f"bad entry name {name!r}")
+
+    def link_child(self, parent: Inode, name: str, child: Inode) -> None:
+        """Add a directory entry; maintains nlink."""
+        self.check_link(parent, name)
         parent.entries[name] = child.ino
         child.nlink += 1
         if child.is_dir:
@@ -425,24 +431,62 @@ def copy_tree(
     *,
     now: int = 0,
 ) -> Inode:
-    """Recursively copy a subtree preserving all metadata.
+    """Copy a subtree preserving all metadata, as one journal generation.
 
     This is a *driver-level* operation (no permission checks): it models what
     storage drivers do inside their own context, e.g. the vfs driver
     duplicating a layer (paper §4.1).  Returns the new root inode of the copy.
+
+    One iterative pass in sorted pre-order (so inode numbers follow a
+    per-entry recursive copy) builds the copy unlinked: every new inode
+    gets one fresh generation as its ``gen`` and ``tree_gen``, and its
+    entries, ``nlink`` and parent edge are set directly.  Linking the
+    top under *dst_parent_ino* then journals the whole copy with one
+    touch, so a copy costs two generations however many inodes it has:
+    every copied inode is at or below the filesystem's ``gen`` right
+    after the copy, and every ancestor's ``tree_gen`` is above any
+    generation before it.  Each path gets its own inode (hardlinks are
+    not shared), ``atime``/``ctime`` are *now*.  Every check comes
+    before the first allocation, so a failed copy leaves no inode behind.
     """
     src = src_fs.inode(src_ino)
     parent = dst_fs.inode(dst_parent_ino)
-    dup = dst_fs.alloc(
-        src.ftype, src.mode, src.uid, src.gid, now=now,
-        data=src.data, target=src.target, rdev=src.rdev,
-        exe_impl=src.exe_impl, exe_arch=src.exe_arch, exe_static=src.exe_static,
-    )
-    dup.xattrs = dict(src.xattrs)
-    dup.mtime = src.mtime
-    dst_fs.link_child(parent, name, dup)
-    if src.is_dir:
-        for child_name in sorted(src.entries):
-            copy_tree(src_fs, src.entries[child_name], dst_fs, dup.ino, child_name,
-                      now=now)
-    return dup
+    if dst_fs.features.read_only:
+        raise KernelError(Errno.EROFS, dst_fs.label)
+    dst_fs.check_link(parent, name)
+    dst_fs.gen += 1
+    g = dst_fs.gen
+    inodes, parents, next_ino = dst_fs._inodes, dst_fs._parents, dst_fs._next_ino
+    src_inode = src_fs.inode
+    top = None
+    # (source inode, parent of its copy, entry name): pushed in reverse
+    # name order, so pops run in sorted pre-order
+    stack: list[tuple[Inode, Optional[Inode], str]] = [(src, None, name)]
+    while stack:
+        src, up, entry = stack.pop()
+        is_dir = src.ftype is FileType.DIR
+        node = Inode(
+            ino=next(next_ino), ftype=src.ftype, mode=src.mode & 0o7777,
+            uid=src.uid, gid=src.gid, nlink=0, data=src.data,
+            target=src.target, rdev=src.rdev, xattrs=dict(src.xattrs),
+            atime=now, mtime=src.mtime, ctime=now, exe_impl=src.exe_impl,
+            exe_arch=src.exe_arch, exe_static=src.exe_static,
+            gen=g, tree_gen=g,
+        )
+        inodes[node.ino] = node
+        if is_dir:
+            stack.extend((src_inode(ino), node, child)
+                         for child, ino in sorted(src.entries.items(),
+                                                  reverse=True))
+        if up is None:
+            top = node  # its nlink and parent edge come from link_child
+            continue
+        up.entries[entry] = node.ino
+        parents[node.ino] = {up.ino}
+        if is_dir:
+            node.nlink = 2
+            up.nlink += 1
+        else:
+            node.nlink = 1
+    dst_fs.link_child(parent, name, top)
+    return top

@@ -22,7 +22,9 @@ from repro.cluster import (
     make_deploy_topology,
     make_machine,
 )
+from repro.cas.store import ContentStore
 from repro.containers import ImageConfig, Registry
+from repro.errors import RegistryError
 from repro.kernel import FileType
 from repro.sim import FaultPlan, WorkloadSpec, run_workload
 
@@ -237,6 +239,37 @@ class TestLedgerUnderFaults:
         after = {n: fleet.tenant_stats(n)["bytes_used"]
                  for n, _ in SPEC.tenants}
         assert after["bob"] == before["bob"]
+
+
+class TestTimedPullDigestCheck:
+    """A timed pull into a node store keeps only bytes that hash to the
+    digest it asked for."""
+
+    def test_clean_pull_stores_every_layer(self):
+        fleet = make_fleet()
+        ref = SPEC.refs()[0]
+        store = ContentStore()
+        fleet.timed_pull(ref, now=0.0, local_store=store)
+        assert sorted(store.digests()) == \
+            sorted(fleet.image_blob_digests(ref))
+
+    def test_corrupt_shard_fails_the_pull_and_stores_nothing(self):
+        fleet = make_fleet()
+        ref = SPEC.refs()[0]
+        digest = fleet.image_blob_digests(ref)[-1]
+        for name in fleet.blob_holders(digest):
+            shard = next(s for s in fleet.shards if s.name == name)
+            shard.registry.store._blobs[digest] = b"bit rot"
+        before = (fleet.stats.as_dict(),
+                  [s.stats.as_dict() for s in fleet.shards])
+        store = ContentStore()
+        with pytest.raises(RegistryError, match="does not match its digest"):
+            fleet.timed_pull(ref, now=0.0, local_store=store)
+        assert store.blob_count == 0
+        # checked with admission: no blob served, reserved or counted,
+        # the intact first layer included
+        assert (fleet.stats.as_dict(),
+                [s.stats.as_dict() for s in fleet.shards]) == before
 
 
 class TestBroadcastFleetRouting:

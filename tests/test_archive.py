@@ -199,6 +199,97 @@ class TestLayerOverlay:
         assert calls == [("write_file", "ELOOP"), ("unlink", ""),
                          ("write_file", ""), ("chmod", "")]
 
+    def test_directory_member_replaces_a_symlink(self, kernel, root_sys):
+        """A later layer's directory lands on an earlier layer's symlink
+        to a directory outside the image: the link is replaced, and the
+        member's mode is not chmod-ed onto the link's target."""
+        alice = _alice_tree(kernel, root_sys)
+        alice.mkdir("/home/alice/private", 0o700)
+        TarArchive([
+            TarMember("x", FileType.SYMLINK, 0o777, 0, 0,
+                      target="/home/alice/private"),
+        ]).extract(alice, "/home/alice/img")
+        TarArchive([
+            TarMember("x", FileType.DIR, 0o777, 0, 0,
+                      xattrs=(("user.tag", b"v"),)),
+        ]).extract(alice, "/home/alice/img")
+        assert alice.stat("/home/alice/private").st_mode & 0o7777 == 0o700
+        assert alice.listxattr("/home/alice/private") == []
+        st = alice.lstat("/home/alice/img/x")
+        assert (st.ftype, st.st_mode & 0o7777) == (FileType.DIR, 0o777)
+        assert alice.getxattr("/home/alice/img/x", "user.tag") == b"v"
+
+    def test_directory_member_replaces_a_file(self, kernel, root_sys):
+        alice = _alice_tree(kernel, root_sys)
+        TarArchive([TarMember("x", FileType.REG, 0o644, 0, 0, data=b"f")]
+                   ).extract(alice, "/home/alice/img")
+        TarArchive([TarMember("x", FileType.DIR, 0o755, 0, 0),
+                    TarMember("x/f", FileType.REG, 0o644, 0, 0, data=b"in")]
+                   ).extract(alice, "/home/alice/img")
+        assert alice.lstat("/home/alice/img/x").ftype is FileType.DIR
+        assert alice.read_file("/home/alice/img/x/f") == b"in"
+
+    def test_symlink_member_replaces_a_directory(self, kernel, root_sys):
+        """The reverse: an earlier layer's directory, contents and all,
+        gives way to a later layer's symlink, as apply_diff does."""
+        alice = _alice_tree(kernel, root_sys)
+        TarArchive([
+            TarMember("etc", FileType.DIR, 0o755, 0, 0),
+            TarMember("lib", FileType.DIR, 0o755, 0, 0),
+            TarMember("lib/sub", FileType.DIR, 0o755, 0, 0),
+            TarMember("lib/sub/f", FileType.REG, 0o644, 0, 0, data=b"f"),
+        ]).extract(alice, "/home/alice/img")
+        TarArchive([TarMember("lib", FileType.SYMLINK, 0o777, 0, 0,
+                              target="etc")]
+                   ).extract(alice, "/home/alice/img")
+        assert alice.readlink("/home/alice/img/lib") == "etc"
+        assert alice.readdir("/home/alice/img/etc") == []
+
+    def test_symlink_member_below_a_symlink_deletes_nothing_outside(
+            self, kernel, root_sys):
+        """An earlier layer's ``x -> /home/alice`` puts a symlink member
+        ``x/private`` on alice's own directory: it is not deleted, and
+        the member fails instead of landing there."""
+        alice = _alice_tree(kernel, root_sys)
+        alice.mkdir("/home/alice/private", 0o700)
+        alice.write_file("/home/alice/private/key", b"secret")
+        TarArchive([TarMember("x", FileType.SYMLINK, 0o777, 0, 0,
+                              target="/home/alice")]
+                   ).extract(alice, "/home/alice/img")
+        with pytest.raises(ArchiveError, match="x/private: will not replace "
+                                               "a directory outside"):
+            TarArchive([TarMember("x/private", FileType.SYMLINK, 0o777, 0,
+                                  0, target="/etc")]
+                       ).extract(alice, "/home/alice/img")
+        assert alice.lstat("/home/alice/private").ftype is FileType.DIR
+        assert alice.read_file("/home/alice/private/key") == b"secret"
+
+    def test_directory_member_below_a_symlink_deletes_nothing_outside(
+            self, kernel, root_sys):
+        alice = _alice_tree(kernel, root_sys)
+        TarArchive([TarMember("x", FileType.SYMLINK, 0o777, 0, 0,
+                              target="/home/alice")]
+                   ).extract(alice, "/home/alice/img")
+        with pytest.raises(ArchiveError, match="x/.bashrc: will not replace "
+                                               "a regular file outside"):
+            TarArchive([TarMember("x/.bashrc", FileType.DIR, 0o777, 0, 0)]
+                       ).extract(alice, "/home/alice/img")
+        st = alice.lstat("/home/alice/.bashrc")
+        assert (st.ftype, st.st_mode & 0o7777) == (FileType.REG, 0o644)
+        assert alice.read_file("/home/alice/.bashrc") == b"alias ll='ls -l'\n"
+
+    def test_directory_member_on_a_directory_only_chmods(self, kernel,
+                                                         root_sys):
+        """Telling a directory from a symlink costs no traced call."""
+        from repro.obs import attach_tracer
+        alice = _alice_tree(kernel, root_sys)
+        alice.mkdir("/home/alice/img/d", 0o700)
+        tracer = attach_tracer(kernel)
+        tracer.clear()
+        TarArchive([TarMember("d", FileType.DIR, 0o755, 0, 0)]
+                   ).extract(alice, "/home/alice/img")
+        assert [(e.name, e.errno) for e in tracer.events] == [("chmod", "")]
+
     def test_pulled_image_with_a_deleted_file(self, world, login, alice):
         """Push an image whose last layer deletes a file, then pull it as
         ch-image does (unprivileged, flattening every layer)."""

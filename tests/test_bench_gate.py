@@ -121,6 +121,18 @@ def test_coldbuild_rule_gates_the_rebuild_counts_not_its_seconds():
     ]
 
 
+def test_coldbuild_rule_gates_the_clone_generations():
+    """A FROM clone of the 10 000-file base is two journal generations;
+    one that went back to stamping every inode fails the gate."""
+    assert "clone_gens" in GATES["coldbuild"].ceiling
+    baseline = committed("coldbuild")
+    assert baseline["clone_gens"] <= 2
+    per_inode = dict(baseline, clone_gens=2 * baseline["files"])
+    assert check("coldbuild", baseline, per_inode) == [
+        f"BENCH_coldbuild.json: clone_gens grew: {2 * baseline['files']} "
+        f"> baseline {baseline['clone_gens']}"]
+
+
 def test_walk_rule_lets_the_unpack_counts_only_shrink():
     """One extra path walk or syscall per unpack fails the gate; fewer
     pass, and become the next baseline."""
