@@ -42,6 +42,10 @@ class Rule:
 
 
 GATES: dict[str, Rule] = {
+    "build": Rule(
+        true=("digests_identical",),
+        exact=("makespan_seconds", "critical_path_seconds",
+               "parallel_over_sequential")),
     "coldbuild": Rule(
         true=("digest_identical", "rebuild_digest_identical"),
         floor=("speedup",),

@@ -12,7 +12,8 @@ Three shapes, all on the sim clock so the numbers are deterministic:
   work — one execution, the rest wait and replay warm (``inflight_hits``).
 
 ``test_ablation_build_parallelism`` also emits ``BENCH_build.json`` (the
-makespan trajectory, uploaded by CI but not gated).
+makespan trajectory, gated exactly by ``benchmarks/gate.py``: it is
+virtual-clock time).
 """
 
 import pytest

@@ -167,14 +167,25 @@ class TarArchive:
         with everything below it, instead of being created: the mode-0
         character device it is could not be made without CAP_MKNOD
         anyway.  It deletes only inside *dest*'s tree (:meth:`_whiteout`).
-        A member replaces what is in the way at its own path instead of
-        going through it: a regular member a symlink, a directory member
-        any non-directory, a symlink member anything (a directory with
-        everything below it).  A directory or symlink member deletes only
-        inside *dest*'s tree (:meth:`_replace`).  A symlinked directory
-        above a member is still followed, as tar(1) follows it, so
-        members can land outside *dest*.
+        A member replaces whatever is in the way at its own path (a
+        directory with everything below it) instead of going through it,
+        except that a directory member keeps a directory and a regular
+        member writes into a regular file or a device.  It deletes only
+        inside *dest*'s tree (:meth:`_replace`).  A symlinked
+        directory above a member is still followed, as tar(1) follows
+        it, so members can land outside *dest*.
         """
+        return self._unpack(sys, dest, preserve_owner, on_chown_error)
+
+    def apply_diff(self, sys: Syscalls, dest: str) -> None:
+        """Apply this archive as a build-cache hit's *diff*: the unpack of
+        :meth:`extract`, keeping owners where the kernel permits it, so a
+        warm build reproduces the tree its cold build made."""
+        self._unpack(sys, dest, True, "ignore")
+
+    def _unpack(self, sys: Syscalls, dest: str, preserve_owner: bool,
+                on_chown_error: str) -> list[str]:
+        """The member loop of :meth:`extract` and :meth:`apply_diff`."""
         warnings: list[str] = []
         for m in self.members:
             path = f"{dest.rstrip('/')}/{m.path}"
@@ -192,12 +203,8 @@ class TarArchive:
                 if ftype is not None:
                     self._replace(sys, dest, path, m, ftype)
                 sys.symlink(m.target, path)
-            elif m.ftype is FileType.REG:
-                self._write_member(sys, path, m)
-            elif m.ftype in (FileType.CHR, FileType.BLK):
-                sys.mknod(path, m.ftype, m.mode & 0o777, rdev=m.rdev)
             else:
-                sys.mknod(path, m.ftype, m.mode & 0o777)
+                self._create(sys, dest, path, m)
             if m.ftype is not FileType.SYMLINK:
                 sys.chmod(path, m.mode)
             if preserve_owner and m.ftype is not FileType.SYMLINK:
@@ -217,20 +224,34 @@ class TarArchive:
                     warnings.append(f"tar: {m.path}: setxattr {name} failed")
         return warnings
 
-    @staticmethod
-    def _write_member(sys: Syscalls, path: str, m: TarMember) -> None:
-        """Write a regular member in one syscall, executable metadata
-        included.  A symlink in the way is replaced, not written through:
-        the O_NOFOLLOW open fails with ELOOP, the link is unlinked and the
-        write retried, as tar(1) unlinks and retries a refused open."""
-        exe = (m.exe_impl, m.exe_arch, m.exe_static)
+    #: What a member's first call says is in its way: a symlink (O_NOFOLLOW
+    #: open), a directory, a FIFO or socket, anything (mknod's EEXIST).
+    _IN_THE_WAY = (Errno.ELOOP, Errno.EISDIR, Errno.ENXIO, Errno.EEXIST)
+
+    @classmethod
+    def _create(cls, sys: Syscalls, dest: str, path: str,
+                m: TarMember) -> None:
+        """Make a regular or special member in one syscall.  If that fails
+        because something is in the way (:attr:`_IN_THE_WAY`), it is
+        replaced (:meth:`_replace`) and the call retried, as tar(1)
+        unlinks and retries a refused open."""
         try:
-            sys.write_file(path, m.data, follow=False, exe=exe)
+            cls._make(sys, path, m)
         except KernelError as err:
-            if err.errno is not Errno.ELOOP:
+            ftype = sys.ftype_at(path) if err.errno in cls._IN_THE_WAY \
+                else None
+            if ftype is None:
                 raise
-            sys.unlink(path)
-            sys.write_file(path, m.data, follow=False, exe=exe)
+            cls._replace(sys, dest, path, m, ftype)
+            cls._make(sys, path, m)
+
+    @staticmethod
+    def _make(sys: Syscalls, path: str, m: TarMember) -> None:
+        if m.ftype is FileType.REG:
+            sys.write_file(path, m.data, follow=False,
+                           exe=(m.exe_impl, m.exe_arch, m.exe_static))
+        else:
+            sys.mknod(path, m.ftype, m.mode & 0o777, rdev=m.rdev)
 
     @staticmethod
     def _in_dest(sys: Syscalls, dest: str, path: str) -> Optional[str]:
@@ -290,43 +311,6 @@ class TarArchive:
             sys.rmdir(path)
         else:
             sys.unlink(path)
-
-    def apply_diff(self, sys: Syscalls, dest: str) -> None:
-        """Apply this archive as an overlay *diff*: whiteout members
-        delete the corresponding path (a directory with everything below
-        it) inside *dest*'s tree (:meth:`_whiteout`); everything else is
-        written in place, replacing whatever of another type is in the
-        way."""
-        for m in self.members:
-            path = f"{dest.rstrip('/')}/{m.path}"
-            if m.is_whiteout:
-                self._whiteout(sys, dest, path)
-                continue
-            # handle type changes: replace whatever is in the way
-            try:
-                existing = sys.lstat(path)
-            except KernelError:
-                existing = None
-            if existing is not None and existing.ftype is not m.ftype:
-                self._remove(sys, path, existing.ftype)
-                existing = None
-            if m.ftype is FileType.DIR:
-                if existing is None:
-                    sys.mkdir(path, m.mode & 0o777)
-                sys.chmod(path, m.mode)
-                continue
-            if m.ftype is FileType.SYMLINK:
-                if existing is not None:
-                    sys.unlink(path)
-                sys.symlink(m.target, path)
-                continue
-            sys.write_file(path, m.data,
-                           exe=(m.exe_impl, m.exe_arch, m.exe_static))
-            sys.chmod(path, m.mode)
-            try:
-                sys.chown(path, m.uid, m.gid, follow=False)
-            except KernelError:
-                pass
 
     # -- serialization ---------------------------------------------------------------
 

@@ -108,6 +108,7 @@ class Registry:
         #: layer digest -> (blob bytes, decoded members): each layer blob
         #: is decoded once, however many nodes pull it (:meth:`_decode`)
         self._decoded: dict[str, tuple[bytes, tuple[TarMember, ...]]] = {}
+        self._checked: dict[str, bytes] = {}
 
     # -- blob plumbing --------------------------------------------------------------
 
@@ -136,10 +137,18 @@ class Registry:
         return [self._put_blob(blob) for blob in blobs]
 
     def _get_blob(self, digest: str) -> bytes:
+        """One blob off the store for the wire, checked against *digest*
+        (a fleet's shard checks its own read) unless it is the very bytes
+        object that passed before (``_checked``): bytes are immutable."""
         try:
             blob = self.store.get(digest)
         except CasError:
             raise RegistryError(f"{self.name}: no blob {digest[:19]}...")
+        if self._checked.get(digest) is not blob:
+            if blob_digest(blob) != digest:
+                raise RegistryError(f"{self.name}: blob {digest[:19]}... "
+                                    "does not match its digest")
+            self._checked[digest] = blob
         self.stats.blobs_pulled += 1
         self.stats.bytes_pulled += len(blob)
         return blob
@@ -147,10 +156,11 @@ class Registry:
     def fetch_blob(self, digest: str, *,
                    local_store: Optional[ContentStore] = None) -> bytes:
         """Pull one blob by digest.  If the caller's node-local
-        *local_store* already holds the bytes, they are served from there
-        and the wire transfer is skipped (counted as a pull-skip — the
-        mirror of push-side dedup).  A freshly pulled blob is dropped into
-        *local_store* so the next puller on that node skips too."""
+        *local_store* already holds the bytes, they are served from there,
+        not re-hashed, and the wire transfer is skipped (counted as a
+        pull-skip — the mirror of push-side dedup).  Wire bytes must hash
+        to *digest* (:meth:`_get_blob`).  A freshly pulled blob is dropped
+        into *local_store* so the next puller on that node skips too."""
         return self._fetch(digest, local_store)
 
     def _fetch(self, digest: str,
@@ -226,6 +236,7 @@ class Registry:
         if digest not in self._owned:
             return False
         self._owned.discard(digest)
+        self._checked.pop(digest, None)
         self.store.decref(digest)
         return self.store.discard(digest)
 

@@ -671,8 +671,9 @@ class Syscalls:
 
         The path is walked once: its parent directory (through the
         dentry cache), then the final name from there.  ``follow=False``
-        is O_NOFOLLOW: a final symlink fails with ELOOP.  *exe*, an
-        ``(impl, arch, static)`` triple, stamps the written file's
+        is O_NOFOLLOW: a final symlink fails with ELOOP.  A FIFO or socket
+        fails with ENXIO, as a non-blocking open with no reader does.
+        *exe*, an ``(impl, arch, static)`` triple, stamps the written file's
         executable metadata (see :class:`~repro.kernel.vfs.Inode`)."""
         if isinstance(data, str):  # tolerate text for userland convenience
             data = data.encode()
@@ -706,6 +707,8 @@ class Syscalls:
             raise KernelError(Errno.ELOOP, path, syscall="open")
         if node.is_dir:
             raise KernelError(Errno.EISDIR, path, syscall="open")
+        if node.ftype in (FileType.FIFO, FileType.SOCK):
+            raise KernelError(Errno.ENXIO, path, syscall="open")
         self._check_writable_mount(res.mount, "open")
         if not may_access(self.cred, node, write=True):
             raise KernelError(Errno.EACCES, path, syscall="open")

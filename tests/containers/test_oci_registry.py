@@ -211,6 +211,21 @@ class TestLayerDecodeMemo:
         assert [m.path for m in clean] == ["base"]
         assert len(decodes) == 4
 
+    def test_tampered_wire_bytes_are_refused(self, decodes):
+        """Registry-side bytes that do not hash to their digest (another
+        well-formed layer) are refused before they are stored or
+        decoded, also after the honest bytes were served."""
+        from repro.cas import ContentStore
+        r = Registry("solo")
+        (digest,) = self.pushed(r, layer("base"))
+        r.pull("a:1")
+        r.store._blobs[digest] = layer("evil", b"rogue").serialize()
+        node = ContentStore()
+        with pytest.raises(RegistryError, match="does not match its digest"):
+            r.pull("a:1", local_store=node)
+        assert (dict(node._blobs), node.stats.puts) == ({}, 0)
+        assert (len(decodes), r.stats.blobs_pulled) == (1, 1)
+
     def test_returned_layers_are_fresh(self):
         r = Registry("hub")
         self.pushed(r, layer("base"), layer("app", b"other"))

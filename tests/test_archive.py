@@ -231,7 +231,7 @@ class TestLayerOverlay:
 
     def test_symlink_member_replaces_a_directory(self, kernel, root_sys):
         """The reverse: an earlier layer's directory, contents and all,
-        gives way to a later layer's symlink, as apply_diff does."""
+        gives way to a later layer's symlink."""
         alice = _alice_tree(kernel, root_sys)
         TarArchive([
             TarMember("etc", FileType.DIR, 0o755, 0, 0),
@@ -244,6 +244,72 @@ class TestLayerOverlay:
                    ).extract(alice, "/home/alice/img")
         assert alice.readlink("/home/alice/img/lib") == "etc"
         assert alice.readdir("/home/alice/img/etc") == []
+
+    @pytest.mark.parametrize("member,before,calls", [
+        (TarMember("x", FileType.REG, 0o644, 0, 0, data=b"y"), "dir",
+         [("write_file", "EISDIR"), ("readdir", ""), ("unlink", ""),
+          ("rmdir", ""),
+          ("write_file", ""), ("chmod", "")]),
+        (TarMember("x", FileType.REG, 0o644, 0, 0, data=b"y"), "fifo",
+         [("write_file", "ENXIO"), ("unlink", ""), ("write_file", ""),
+          ("chmod", "")]),
+        (TarMember("x", FileType.FIFO, 0o600, 0, 0), "file",
+         [("mknod", "EEXIST"), ("unlink", ""), ("mknod", ""),
+          ("chmod", "")]),
+        (TarMember("x", FileType.FIFO, 0o600, 0, 0), "fifo",
+         [("mknod", "EEXIST"), ("unlink", ""), ("mknod", ""),
+          ("chmod", "")]),
+    ], ids=["file-on-dir", "file-on-fifo", "fifo-on-file", "fifo-on-fifo"])
+    def test_member_replaces_what_its_first_call_meets(self, kernel,
+                                                       root_sys, member,
+                                                       before, calls):
+        """A regular or special member is made in one call; the error
+        that call returns names what is in the way, which is deleted and
+        the call retried."""
+        from repro.obs import attach_tracer
+        alice = _alice_tree(kernel, root_sys)
+        x = "/home/alice/img/x"
+        if before == "dir":
+            alice.mkdir(x, 0o755)
+            alice.write_file(f"{x}/f", b"in")
+        elif before == "fifo":
+            alice.mknod(x, FileType.FIFO, 0o644)
+        else:
+            alice.write_file(x, b"old")
+        tracer = attach_tracer(kernel)
+        tracer.clear()
+        TarArchive([member]).extract(alice, "/home/alice/img")
+        assert [(e.name, e.errno) for e in tracer.events] == calls
+        st = alice.lstat(x)
+        assert (st.ftype, st.st_mode & 0o7777) == (member.ftype, member.mode)
+        if member.ftype is FileType.REG:
+            assert alice.read_file(x) == b"y"
+
+    @pytest.mark.parametrize("member,outside", [
+        (TarMember("x/d", FileType.REG, 0o644, 0, 0, data=b"y"),
+         FileType.DIR),
+        (TarMember("x/.bashrc", FileType.FIFO, 0o644, 0, 0), FileType.REG),
+        (TarMember("x/link", FileType.REG, 0o644, 0, 0, data=b"y"),
+         FileType.SYMLINK),
+    ], ids=["file-on-dir", "fifo-on-file", "file-on-symlink"])
+    def test_member_below_a_symlink_replaces_nothing_outside(
+            self, kernel, root_sys, member, outside):
+        """Below an earlier layer's ``x -> /home/alice`` a member that
+        meets something of alice's fails instead of deleting it."""
+        alice = _alice_tree(kernel, root_sys)
+        alice.mkdir("/home/alice/d", 0o700)
+        alice.symlink(".bashrc", "/home/alice/link")
+        TarArchive([TarMember("x", FileType.SYMLINK, 0o777, 0, 0,
+                              target="/home/alice")]
+                   ).extract(alice, "/home/alice/img")
+        with pytest.raises(ArchiveError, match=f"{member.path}: will not "
+                                               f"replace a {outside.value} "
+                                               "outside"):
+            TarArchive([member]).extract(alice, "/home/alice/img")
+        assert alice.lstat("/home/alice/d").ftype is FileType.DIR
+        assert alice.readlink("/home/alice/link") == ".bashrc"
+        assert alice.read_file("/home/alice/.bashrc") == \
+            b"alias ll='ls -l'\n"
 
     def test_symlink_member_below_a_symlink_deletes_nothing_outside(
             self, kernel, root_sys):

@@ -63,6 +63,27 @@ def test_corrupting_a_declared_key_fails_the_gate(name, key, corrupt):
     assert failures[0].startswith(f"BENCH_{name}.json: {key} ")
 
 
+def test_every_committed_artifact_has_a_rule():
+    names = {path.name[len("BENCH_"):-len(".json")]
+             for path in ROOT.glob("BENCH_*.json")}
+    assert names and names <= set(GATES)
+
+
+def test_build_rule_gates_the_virtual_clock_schedule():
+    """The stage-graph schedule is simulated time: its makespans and
+    critical paths are exact, like any plan output."""
+    assert GATES["build"] == Rule(
+        true=("digests_identical",),
+        exact=("makespan_seconds", "critical_path_seconds",
+               "parallel_over_sequential"))
+    baseline = committed("build")
+    slower = copy.deepcopy(baseline)
+    slower["makespan_seconds"]["4"] *= 2
+    assert check("build", baseline, slower) == [
+        "BENCH_build.json: makespan_seconds drifted from the baseline: "
+        f"{slower['makespan_seconds']!r} != {baseline['makespan_seconds']!r}"]
+
+
 def test_floor_is_inclusive():
     baseline = committed("coldbuild")
     current = dict(baseline, speedup=FLOOR * baseline["speedup"])

@@ -15,6 +15,7 @@ import pytest
 
 from repro.errors import Errno, KernelError
 from repro.kernel import (
+    FileType,
     Kernel,
     MountFlags,
     Syscalls,
@@ -79,6 +80,9 @@ def test_every_raised_errno_is_exercised():
     expect(Errno.ENOTDIR, root.stat, "/tmp/f/sub")
     # EISDIR: truncate a directory
     expect(Errno.EISDIR, root.truncate, "/tmp", 0)
+    # ENXIO: open a FIFO for writing with no reader
+    root.mknod("/tmp/p", FileType.FIFO, 0o644)
+    expect(Errno.ENXIO, root.write_file, "/tmp/p", b"x")
     # EEXIST: mkdir over an existing entry
     expect(Errno.EEXIST, root.mkdir, "/tmp", 0o777)
     # ENOTEMPTY: rmdir a populated directory

@@ -105,17 +105,29 @@ def test_fakeroot_wrapped_view_consistent_and_invisible(ops):
 # -- archive diff/apply invariant ----------------------------------------------------------
 
 _tree_ops = st.lists(
-    st.tuples(st.sampled_from(["write", "mkdir", "delete", "chmod"]),
-              st.sampled_from(["a", "b", "c", "d/e", "d/f"]),
+    st.tuples(st.sampled_from(["write", "mkdir", "delete", "rmtree", "chmod",
+                               "symlink", "mkfifo", "setxattr"]),
+              st.sampled_from(["a", "b", "c", "d", "d/e", "d/f"]),
               st.binary(max_size=16)),
-    max_size=10)
+    max_size=12)
+
+
+def _remove_tree(sys, path):
+    if sys.lstat(path).ftype is FileType.DIR:
+        for entry in sys.readdir(path):
+            _remove_tree(sys, f"{path}/{entry.name}")
+        sys.rmdir(path)
+    else:
+        sys.unlink(path)
 
 
 @_slow
 @given(ops=_tree_ops)
 def test_diff_apply_reconstructs_tree(ops):
     """For any mutation sequence A -> B: apply_diff(diff(A,B), A) == B.
-    This is the invariant the overlay driver's layer commits rest on."""
+    This is the invariant the overlay driver's layer commits rest on.
+    Paths change type among regular file, directory, symlink and FIFO,
+    so every member lands on whatever an earlier one left."""
     k = Kernel(make_ext4())
     sys0 = Syscalls(k.init_process)
     for base in ("/t1", "/t2"):
@@ -140,9 +152,17 @@ def test_diff_apply_reconstructs_tree(ops):
                 if sys0.exists(full) and \
                         sys0.lstat(full).ftype is not FileType.DIR:
                     sys0.unlink(full)
+            elif op == "rmtree":
+                _remove_tree(sys0, full)
             elif op == "chmod":
                 if sys0.exists(full):
                     sys0.chmod(full, 0o700)
+            elif op == "symlink":
+                sys0.symlink("a" if data else "nowhere", full)
+            elif op == "mkfifo":
+                sys0.mknod(full, FileType.FIFO, 0o640)
+            elif op == "setxattr":
+                sys0.setxattr(full, "user.tag", data)
         except Exception:
             pass
 
@@ -150,10 +170,10 @@ def test_diff_apply_reconstructs_tree(ops):
     # apply the diff onto the untouched copy /t2
     diff.apply_diff(sys0, "/t2")
 
-    a = TarArchive.pack(sys0, "/t1")
-    b = TarArchive.pack(sys0, "/t2")
-    assert {(m.path, m.ftype, m.data, m.mode & 0o777) for m in a} == \
-        {(m.path, m.ftype, m.data, m.mode & 0o777) for m in b}
+    def tree(root):
+        return {(m.path, m.ftype, m.data, m.mode, m.xattrs, m.target)
+                for m in TarArchive.pack(sys0, root)}
+    assert tree("/t1") == tree("/t2")
 
 
 # -- flatten idempotence over real images ----------------------------------------------------
