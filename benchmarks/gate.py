@@ -68,7 +68,7 @@ GATES: dict[str, Rule] = {
                "cve_violations", "tampered_rejected", "unsigned_rejected",
                "audit_front_door_bytes")),
     "walk": Rule(true=("identical",), floor=("speedup",),
-                 ceiling=("syscalls", "path_resolves")),
+                 ceiling=("syscalls", "path_resolves", "unpack_gens")),
 }
 
 MISSING = object()

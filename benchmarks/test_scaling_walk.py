@@ -1,24 +1,32 @@
-"""Path-walk scaling: the dentry cache against the uncached walk on the
-Figure 6 node-side unpack.
+"""Path-walk scaling: the unpack's open directories against the
+reference engine's per-member path walks on the Figure 6 node-side
+unpack.
 
 Every compute node of the Figure 6 workflow unpacks the ATSE image's
-layers with ``TarArchive.extract`` (unprivileged tar: an ``exists``
-and a ``mkdir`` per directory, an ``exists`` and a ``symlink`` per
-symlink, one ``write_file`` per regular file that also stamps its
-executable metadata, and a ``chmod`` per member but symlinks), and each
-of those walks its path from ``/``.  This benchmark builds the
-image once, then extracts its layers into ``NODES`` fresh aarch64 nodes,
-``ROUNDS`` times each way in one process, alternating the reference
-engine (uncached walks) with the cache.  The speedup is the median of
-the rounds' reference/cached ratios, so a slow spell of the host that
-spans one round cancels out of it.  One traced extraction each way pins that the cache
-changes nothing: the extracted trees, the traced syscall counts and the
-``MountNamespace.resolve``/``resolve_parent`` counts must match.
+layers with ``TarArchive.extract`` (unprivileged tar: a type probe and
+a ``mkdir`` per directory, a type probe and a ``symlink`` per symlink,
+one ``write_file`` per regular file that also stamps its executable
+metadata, and a ``chmod`` per member but symlinks).  Each layer opens
+the image directory once and names every member beneath it
+(``dir_fd=``); with the engine fast paths on, every directory a member
+sits in is opened once, one entry from its parent, so a member costs
+no walk, while the reference engine walks each call's whole member
+path from the image root.  This benchmark builds the image once, then
+extracts its layers into ``NODES`` fresh aarch64 nodes, ``ROUNDS``
+times each way in one process, alternating the reference engine with
+the fast path.  The speedup is the median of the rounds'
+reference/cached ratios, so a slow spell of the host that spans one
+round cancels out of it.  One traced extraction each way pins that the
+fast path changes nothing the program sees: the extracted trees and
+the traced syscall counts must match.  It also reports the fast path's
+``MountNamespace.resolve``/``resolve_parent`` calls and how many
+journal generations (``Filesystem.gen``) one node's unpack stamps: one
+per layer.
 
 Emits ``BENCH_walk.json``; ``benchmarks/gate.py`` gates it on
 ``identical``, on the speedup staying at least 0.9x the committed
 baseline (a same-process ratio, not a wall-clock floor) and on the
-syscall and path-walk counts per unpack never growing.
+syscall, path-walk and generation counts per unpack never growing.
 """
 
 import gc
@@ -83,14 +91,17 @@ def _unpack(targets, layers) -> float:
 
 
 def _traced_unpack(world, layers, node_id: int):
-    """One traced extraction: the tree digest, the traced syscall counts
-    and the path-walk counts."""
+    """One traced extraction: the tree digest, the traced syscall counts,
+    the path-walk counts and the journal generations stamped."""
     sys = _node_sys(world, node_id)
     tracer = attach_tracer(sys.kernel)
     tracer.metrics.clear()
     resolves = _count_resolves(sys.mnt_ns)
+    fs = sys.mnt_ns.resolve(DEST, sys.cred).fs
+    gen = fs.gen
     _unpack([sys], layers)
-    counts = {"syscalls": dict(tracer.metrics.syscalls), **resolves}
+    counts = {"syscalls": dict(tracer.metrics.syscalls), **resolves,
+              "gens": fs.gen - gen}
     return TarArchive.pack(sys, DEST).digest(), counts
 
 
@@ -122,7 +133,8 @@ def test_scaling_walk_cache_vs_reference():
     cached_s = statistics.median(times[cached])
     speedup = statistics.median(
         r / c for r, c in zip(times[reference], times[cached]))
-    identical = cached_digest == ref_digest and cached_counts == ref_counts
+    identical = cached_digest == ref_digest and \
+        cached_counts["syscalls"] == ref_counts["syscalls"]
     members = sum(len(layer) for layer in layers)
     syscalls = sum(cached_counts["syscalls"].values())
     resolves = cached_counts["resolve"] + cached_counts["resolve_parent"]
@@ -130,6 +142,7 @@ def test_scaling_walk_cache_vs_reference():
            f"{ROUNDS} rounds each way", [
         ("syscalls per unpack", str(syscalls)),
         ("path resolves per unpack", str(resolves)),
+        ("journal generations per unpack", str(cached_counts["gens"])),
         ("reference seconds (median)", f"{ref_s:.4f}"),
         ("cached seconds (median)", f"{cached_s:.4f}"),
         ("speedup", f"{speedup:.2f}x"),
@@ -142,6 +155,7 @@ def test_scaling_walk_cache_vs_reference():
         "rounds": ROUNDS,
         "syscalls": syscalls,
         "path_resolves": resolves,
+        "unpack_gens": cached_counts["gens"],
         "reference_seconds": round(ref_s, 4),
         "cached_seconds": round(cached_s, 4),
         "speedup": round(speedup, 2),

@@ -20,6 +20,8 @@ from typing import Iterable, Optional
 
 from .errors import Errno, KernelError, ReproError
 from .kernel import FileType, Syscalls
+from .kernel.mounts import DirFd
+from .sim import opts as _opts
 
 __all__ = ["TarMember", "TarArchive", "ArchiveError", "member_of"]
 
@@ -34,6 +36,7 @@ _FTYPE_CODE = {
     FileType.SOCK: "s",
 }
 _CODE_FTYPE = {v: k for k, v in _FTYPE_CODE.items()}
+_DEVICES = (FileType.CHR, FileType.BLK)
 
 
 @dataclass(frozen=True)
@@ -166,14 +169,21 @@ class TarArchive:
         (:attr:`TarMember.is_whiteout`) deletes its path, a directory
         with everything below it, instead of being created: the mode-0
         character device it is could not be made without CAP_MKNOD
-        anyway.  It deletes only inside *dest*'s tree (:meth:`_whiteout`).
-        A member replaces whatever is in the way at its own path (a
-        directory with everything below it) instead of going through it,
-        except that a directory member keeps a directory and a regular
-        member writes into a regular file or a device.  It deletes only
-        inside *dest*'s tree (:meth:`_replace`).  A symlinked
-        directory above a member is still followed, as tar(1) follows
-        it, so members can land outside *dest*.
+        anyway.  A member replaces whatever is in the way at its own path
+        (a directory with everything below it) instead of going through
+        it, except that a directory member keeps a directory and a
+        regular member writes into a regular file.
+
+        Every member stays inside *dest*: *dest* is opened once
+        (:meth:`~repro.kernel.Syscalls.open_dir`) and each member's path
+        is walked beneath it, as ``openat2(..., RESOLVE_IN_ROOT)`` walks
+        it.  A symlinked directory above a member is followed, as tar(1)
+        follows it, but ``..`` stops at *dest* and an absolute target
+        starts over at *dest*: after an earlier layer's
+        ``x -> /home/alice``, member ``x/.bashrc`` goes to
+        ``dest/home/alice/.bashrc``, or fails with ENOENT if that
+        directory is missing.  A whiteout whose directory does not
+        resolve deletes nothing.
         """
         return self._unpack(sys, dest, preserve_owner, on_chown_error)
 
@@ -185,43 +195,55 @@ class TarArchive:
 
     def _unpack(self, sys: Syscalls, dest: str, preserve_owner: bool,
                 on_chown_error: str) -> list[str]:
-        """The member loop of :meth:`extract` and :meth:`apply_diff`."""
+        """The member loop of :meth:`extract` and :meth:`apply_diff`.
+
+        Each call names its member beneath an open directory
+        (``dir_fd=``): the member's parent from :class:`_Dirs`, so a
+        member whose directory is already open costs no path walk.  The
+        whole layer is one journal generation on *dest*'s filesystem
+        (:meth:`~repro.kernel.Filesystem.one_generation`)."""
         warnings: list[str] = []
-        for m in self.members:
-            path = f"{dest.rstrip('/')}/{m.path}"
-            if m.is_whiteout:
-                self._whiteout(sys, dest, path)
-                continue
-            if m.ftype is FileType.DIR:
-                ftype = sys.ftype_at(path)
-                if ftype is not FileType.DIR:
+        dirs = _Dirs(sys, dest)
+        with dirs.top.fs.one_generation():
+            for m in self.members:
+                if m.is_whiteout:
+                    self._whiteout(sys, dirs, m.path)
+                    continue
+                at, name = dirs.parent(m.path)
+                if m.ftype is FileType.DIR:
+                    ftype = sys.ftype_at(name, dir_fd=at)
+                    if ftype is not FileType.DIR:
+                        if ftype is not None:
+                            dirs.forget(m.path)
+                            self._remove(sys, at, name, ftype)
+                        sys.mkdir(name, 0o755, dir_fd=at)
+                elif m.ftype is FileType.SYMLINK:
+                    ftype = sys.ftype_at(name, dir_fd=at)
                     if ftype is not None:
-                        self._replace(sys, dest, path, m, ftype)
-                    sys.mkdir(path, 0o755)
-            elif m.ftype is FileType.SYMLINK:
-                ftype = sys.ftype_at(path)
-                if ftype is not None:
-                    self._replace(sys, dest, path, m, ftype)
-                sys.symlink(m.target, path)
-            else:
-                self._create(sys, dest, path, m)
-            if m.ftype is not FileType.SYMLINK:
-                sys.chmod(path, m.mode)
-            if preserve_owner and m.ftype is not FileType.SYMLINK:
-                try:
-                    sys.chown(path, m.uid, m.gid, follow=False)
-                except KernelError as err:
-                    msg = (f"tar: {m.path}: chown to {m.uid}:{m.gid} "
-                           f"failed: {err.strerror}")
-                    if on_chown_error == "raise":
-                        raise ArchiveError(msg) from err
-                    if on_chown_error == "warn":
-                        warnings.append(msg)
-            for name, value in m.xattrs:
-                try:
-                    sys.setxattr(path, name, value)
-                except KernelError:
-                    warnings.append(f"tar: {m.path}: setxattr {name} failed")
+                        dirs.forget(m.path)
+                        self._remove(sys, at, name, ftype)
+                    sys.symlink(m.target, name, dir_fd=at)
+                else:
+                    self._create(sys, dirs, at, name, m)
+                if m.ftype is not FileType.SYMLINK:
+                    sys.chmod(name, m.mode, dir_fd=at)
+                if preserve_owner and m.ftype is not FileType.SYMLINK:
+                    try:
+                        sys.chown(name, m.uid, m.gid, follow=False,
+                                  dir_fd=at)
+                    except KernelError as err:
+                        msg = (f"tar: {m.path}: chown to {m.uid}:{m.gid} "
+                               f"failed: {err.strerror}")
+                        if on_chown_error == "raise":
+                            raise ArchiveError(msg) from err
+                        if on_chown_error == "warn":
+                            warnings.append(msg)
+                for xname, value in m.xattrs:
+                    try:
+                        sys.setxattr(name, xname, value, dir_fd=at)
+                    except KernelError:
+                        warnings.append(
+                            f"tar: {m.path}: setxattr {xname} failed")
         return warnings
 
     #: What a member's first call says is in its way: a symlink (O_NOFOLLOW
@@ -229,88 +251,71 @@ class TarArchive:
     _IN_THE_WAY = (Errno.ELOOP, Errno.EISDIR, Errno.ENXIO, Errno.EEXIST)
 
     @classmethod
-    def _create(cls, sys: Syscalls, dest: str, path: str,
+    def _create(cls, sys: Syscalls, dirs: "_Dirs", at: DirFd, name: str,
                 m: TarMember) -> None:
         """Make a regular or special member in one syscall.  If that fails
         because something is in the way (:attr:`_IN_THE_WAY`), it is
-        replaced (:meth:`_replace`) and the call retried, as tar(1)
-        unlinks and retries a refused open."""
+        deleted (:meth:`_remove`) and the call retried, as tar(1)
+        unlinks and retries a refused open.  A device in a regular
+        member's way is deleted first: writing one would succeed and
+        keep the device."""
+        if m.ftype is FileType.REG and \
+                sys.ftype_at(name, dir_fd=at) in _DEVICES:
+            sys.unlink(name, dir_fd=at)
         try:
-            cls._make(sys, path, m)
+            cls._make(sys, at, name, m)
         except KernelError as err:
-            ftype = sys.ftype_at(path) if err.errno in cls._IN_THE_WAY \
-                else None
+            ftype = sys.ftype_at(name, dir_fd=at) \
+                if err.errno in cls._IN_THE_WAY else None
             if ftype is None:
                 raise
-            cls._replace(sys, dest, path, m, ftype)
-            cls._make(sys, path, m)
+            dirs.forget(m.path)
+            cls._remove(sys, at, name, ftype)
+            cls._make(sys, at, name, m)
 
     @staticmethod
-    def _make(sys: Syscalls, path: str, m: TarMember) -> None:
+    def _make(sys: Syscalls, at: DirFd, name: str, m: TarMember) -> None:
         if m.ftype is FileType.REG:
-            sys.write_file(path, m.data, follow=False,
-                           exe=(m.exe_impl, m.exe_arch, m.exe_static))
+            sys.write_file(name, m.data, follow=False,
+                           exe=(m.exe_impl, m.exe_arch, m.exe_static),
+                           dir_fd=at)
         else:
-            sys.mknod(path, m.ftype, m.mode & 0o777, rdev=m.rdev)
+            sys.mknod(name, m.ftype, m.mode & 0o777, rdev=m.rdev, dir_fd=at)
 
-    @staticmethod
-    def _in_dest(sys: Syscalls, dest: str, path: str) -> Optional[str]:
-        """*path*'s canonical name if the directory holding it lies in
-        *dest*'s tree, else None (also when either does not resolve).  A
-        symlink above *path* may lead elsewhere: an earlier layer's
-        ``x -> /home/alice`` puts ``x/private`` in alice's home.  One
-        ``resolve`` of *dest* and one ``resolve_parent`` of *path*."""
-        ns, cwd = sys.mnt_ns, sys.getcwd()
+    @classmethod
+    def _whiteout(cls, sys: Syscalls, dirs: "_Dirs", rel: str) -> None:
+        """Delete what whiteout *rel* names, a directory with everything
+        below it.  When its directory does not resolve beneath *dest*,
+        when it names no entry (``.``, ``..``) and when the path is
+        already gone, the whiteout does nothing."""
+        parent, _, name = rel.rpartition("/")
+        if not _one_name(name):
+            return
         try:
-            top = ns.resolve(dest, sys.cred, cwd=cwd).path.rstrip("/")
-            rp = ns.resolve_parent(path, sys.cred, cwd=cwd)
+            at = dirs.open(parent)
         except KernelError:
-            return None
-        if rp.dir_path == (top or "/") or rp.dir_path.startswith(top + "/"):
-            return f"{rp.dir_path.rstrip('/')}/{rp.name}"
-        return None
+            return
+        try:
+            ftype = sys.lstat(name, dir_fd=at).ftype
+        except KernelError:
+            return
+        dirs.forget(rel)
+        cls._remove(sys, at, name, ftype)
 
     @classmethod
-    def _whiteout(cls, sys: Syscalls, dest: str, path: str) -> None:
-        """Delete what whiteout *path* names if it lies in *dest*'s tree
-        (:meth:`_in_dest`); outside it, and when the path is already
-        gone, the whiteout does nothing."""
-        canonical = cls._in_dest(sys, dest, path)
-        if canonical is not None:
-            cls._remove(sys, canonical)
-
-    @classmethod
-    def _replace(cls, sys: Syscalls, dest: str, path: str, m: TarMember,
-                 ftype: FileType) -> None:
-        """Delete what of type *ftype* is in member *m*'s way at *path*,
-        a directory with everything below it, if it lies in *dest*'s tree
-        (:meth:`_in_dest`).  Outside it nothing is deleted and the member
-        fails with :class:`ArchiveError`."""
-        canonical = cls._in_dest(sys, dest, path)
-        if canonical is None:
-            raise ArchiveError(
-                f"tar: {m.path}: will not replace a {ftype.value} outside "
-                f"{dest}")
-        cls._remove(sys, canonical, ftype)
-
-    @classmethod
-    def _remove(cls, sys: Syscalls, path: str,
-                ftype: Optional[FileType] = None) -> None:
-        """Delete what is at *path*, a directory with everything below it.
-        *ftype* is the path's type when the caller knows it; without it
-        the path is lstat'ed, and a missing path is no error (a whiteout
-        of what is already gone)."""
-        if ftype is None:
-            try:
-                ftype = sys.lstat(path).ftype
-            except KernelError:
-                return
+    def _remove(cls, sys: Syscalls, at: DirFd, name: str,
+                ftype: FileType) -> None:
+        """Delete *name*, of type *ftype*, beneath *at*: a directory with
+        everything below it."""
         if ftype is FileType.DIR:
-            for entry in sys.readdir(path):
-                cls._remove(sys, f"{path}/{entry.name}", entry.ftype)
-            sys.rmdir(path)
+            entries = sys.readdir(name, dir_fd=at)
+            if entries:
+                below = sys.open_dir(name, dir_fd=at)
+                for entry in entries:
+                    cls._remove(sys, below, entry.name, entry.ftype)
+            sys.rmdir(name, dir_fd=at)
         else:
-            sys.unlink(path)
+            sys.unlink(name, dir_fd=at)
 
     # -- serialization ---------------------------------------------------------------
 
@@ -358,3 +363,70 @@ class TarArchive:
             except (ValueError, KeyError) as exc:
                 raise ArchiveError(f"bad member {path!r}: {exc}") from exc
         return cls(members)
+
+
+def _one_name(name: str) -> bool:
+    """Does *name* (no ``/`` in it) name one directory entry?"""
+    return name not in ("", ".", "..")
+
+
+class _Dirs:
+    """The directories one unpack has opened beneath *dest*, by
+    member-relative path.
+
+    :attr:`top` is *dest*, opened once.  With the engine fast paths on
+    (:mod:`repro.sim.opts`) every directory a member's parent path names
+    is opened once, one entry from its own parent, and kept: a member
+    below it costs no walk.  The kernel walks a kept directory again
+    when a ``walk_gen`` it depends on has moved (a directory chmod-ed,
+    deleted or replaced), so search permission holds as for a walk
+    from *dest*.  The reference engine keeps nothing: every call walks
+    its member's whole path from *dest*, the loop the cache is checked
+    against."""
+
+    def __init__(self, sys: Syscalls, dest: str):
+        self.sys = sys
+        self.top = sys.open_dir(dest)
+        self._open: Optional[dict[str, DirFd]] = \
+            {} if _opts.ENABLED else None
+
+    def open(self, rel: str) -> DirFd:
+        """The directory at *rel* beneath :attr:`top`; raises the walk's
+        KernelError."""
+        if not rel:
+            return self.top
+        cache = self._open
+        if cache is None:
+            return self.sys.open_dir(rel, dir_fd=self.top)
+        fd = cache.get(rel)
+        if fd is None:
+            parent, _, name = rel.rpartition("/")
+            fd = self.sys.open_dir(name, dir_fd=self.open(parent)) \
+                if _one_name(name) else self.sys.open_dir(rel,
+                                                          dir_fd=self.top)
+            cache[rel] = fd
+        return fd
+
+    def parent(self, rel: str) -> tuple[DirFd, str]:
+        """``(dir_fd, name)`` for member path *rel*: its open parent and
+        final name, or, when that parent does not resolve, :attr:`top`
+        and the whole path (the member's own call then reports the
+        walk's error)."""
+        if self._open is not None:
+            parent, _, name = rel.rpartition("/")
+            if _one_name(name):
+                try:
+                    return self.open(parent), name
+                except KernelError:
+                    pass
+        return self.top, rel
+
+    def forget(self, rel: str) -> None:
+        """Drop the directories kept at *rel* and below it: a member
+        replaces or deletes what is there."""
+        cache = self._open
+        if cache:
+            below = rel + "/"
+            for key in [k for k in cache
+                        if k == rel or k.startswith(below)]:
+                del cache[key]

@@ -47,9 +47,9 @@ class IgnoreChownSyscalls(Syscalls):
         super().__init__(inner.proc)
         self.inner = inner
 
-    def chown(self, path, uid, gid, *, follow=True):
+    def chown(self, path, uid, gid, *, follow=True, dir_fd=None):
         try:
-            self.inner.chown(path, uid, gid, follow=follow)
+            self.inner.chown(path, uid, gid, follow=follow, dir_fd=dir_fd)
         except KernelError as err:
             if err.errno not in (Errno.EPERM, Errno.EINVAL):
                 raise

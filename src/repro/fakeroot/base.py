@@ -27,6 +27,7 @@ from typing import Optional
 
 from ..errors import Errno, KernelError, ReproError
 from ..kernel import FileType, StatResult, Syscalls
+from ..kernel.mounts import DirFd
 from ..obs.trace import instrument_syscalls
 from .state import Lie, LieDatabase
 
@@ -109,20 +110,23 @@ class FakerootSyscalls(Syscalls):
 
     # -- helpers ---------------------------------------------------------------------
 
-    def _key(self, path: str, *, follow: bool = True) -> tuple[int, int]:
-        st = self.inner.lstat(path) if not follow else self.inner.stat(path)
+    def _key(self, path: str, *, follow: bool = True,
+             dir_fd: Optional[DirFd] = None) -> tuple[int, int]:
+        """The lie database key of what *path* names (beneath *dir_fd*
+        when given), from the real stat."""
+        st = self.inner.lstat(path, dir_fd=dir_fd) if not follow \
+            else self.inner.stat(path, dir_fd=dir_fd)
         return st.st_dev, st.st_ino
 
-    def _journal_touch(self, path: str, *, follow: bool = True) -> None:
+    def _journal_touch(self, path: str, *, follow: bool = True,
+                       dir_fd: Optional[DirFd] = None) -> None:
         """Record a lie mutation in the VFS change journal.  Lies change
         what this wrapper's stat/pack view reports for the inode even
         though no kernel write happened, so snapshot walkers must see the
         inode as dirty.  Resolved directly against the mount table — a
         syscall here would perturb the wrapped process's trace."""
         try:
-            res = self.inner.mnt_ns.resolve(path, self.inner.cred,
-                                            follow=follow,
-                                            cwd=self.inner.getcwd())
+            res = self.inner._resolve(path, follow=follow, dir_fd=dir_fd)
         except KernelError:
             return
         res.fs.touch(res.inode)
@@ -152,57 +156,60 @@ class FakerootSyscalls(Syscalls):
 
     # -- ownership lies ------------------------------------------------------------------
 
-    def chown(self, path: str, uid: int, gid: int, *, follow: bool = True
-              ) -> None:
+    def chown(self, path: str, uid: int, gid: int, *, follow: bool = True,
+              dir_fd: Optional[DirFd] = None) -> None:
         """Fake success without ever issuing the real call."""
-        dev, ino = self._key(path, follow=follow)
+        dev, ino = self._key(path, follow=follow, dir_fd=dir_fd)
         self.db.record(dev, ino, Lie(
             uid=uid if uid != -1 else None,
             gid=gid if gid != -1 else None,
         ))
-        self._journal_touch(path, follow=follow)
+        self._journal_touch(path, follow=follow, dir_fd=dir_fd)
 
     def lchown(self, path: str, uid: int, gid: int) -> None:
         self.chown(path, uid, gid, follow=False)
 
-    def chmod(self, path: str, mode: int) -> None:
+    def chmod(self, path: str, mode: int, *,
+              dir_fd: Optional[DirFd] = None) -> None:
         """Try the real chmod; record a lie when the kernel refuses, and
         always remember setuid/setgid bits (the kernel may silently strip
         them for foreign groups)."""
         try:
-            self.inner.chmod(path, mode)
+            self.inner.chmod(path, mode, dir_fd=dir_fd)
         except KernelError as err:
             if err.errno not in (Errno.EPERM, Errno.EACCES):
                 raise
-        dev, ino = self._key(path)
+        dev, ino = self._key(path, dir_fd=dir_fd)
         self.db.record(dev, ino, Lie(mode=mode & 0o7777))
-        self._journal_touch(path)
+        self._journal_touch(path, dir_fd=dir_fd)
 
     def mknod(self, path: str, ftype: FileType, mode: int = 0o644,
-              rdev: tuple[int, int] = (0, 0)) -> None:
+              rdev: tuple[int, int] = (0, 0), *,
+              dir_fd: Optional[DirFd] = None) -> None:
         """Device nodes become plain files plus a lie (paper Figure 7)."""
         if ftype in (FileType.CHR, FileType.BLK):
-            self.inner.mknod(path, FileType.REG, mode)
-            dev, ino = self._key(path, follow=False)
+            self.inner.mknod(path, FileType.REG, mode, dir_fd=dir_fd)
+            dev, ino = self._key(path, follow=False, dir_fd=dir_fd)
             self.db.record(dev, ino, Lie(uid=0, gid=0, ftype=ftype, rdev=rdev,
                                          mode=mode & 0o7777))
-            self._journal_touch(path, follow=False)
+            self._journal_touch(path, follow=False, dir_fd=dir_fd)
         else:
-            self.inner.mknod(path, ftype, mode, rdev)
+            self.inner.mknod(path, ftype, mode, rdev, dir_fd=dir_fd)
 
     # -- xattr lies (engine-dependent; the package-coverage differentiator) --------------
 
-    def setxattr(self, path: str, name: str, value: bytes) -> None:
+    def setxattr(self, path: str, name: str, value: bytes, *,
+                 dir_fd: Optional[DirFd] = None) -> None:
         if name.startswith(("security.", "trusted.")):
             if not self.engine.intercepts_xattrs:
                 # classic fakeroot: pass through; the kernel will refuse
-                self.inner.setxattr(path, name, value)
+                self.inner.setxattr(path, name, value, dir_fd=dir_fd)
                 return
-            dev, ino = self._key(path)
+            dev, ino = self._key(path, dir_fd=dir_fd)
             self.db.record(dev, ino, Lie(xattrs=((name, bytes(value)),)))
-            self._journal_touch(path)
+            self._journal_touch(path, dir_fd=dir_fd)
             return
-        self.inner.setxattr(path, name, value)
+        self.inner.setxattr(path, name, value, dir_fd=dir_fd)
 
     def getxattr(self, path: str, name: str) -> bytes:
         dev, ino = self._key(path)
@@ -247,20 +254,22 @@ class FakerootSyscalls(Syscalls):
             exe_static=st.exe_static,
         )
 
-    def stat(self, path: str) -> StatResult:
-        return self._overlay(self.inner.stat(path))
+    def stat(self, path: str, *, dir_fd: Optional[DirFd] = None
+             ) -> StatResult:
+        return self._overlay(self.inner.stat(path, dir_fd=dir_fd))
 
-    def lstat(self, path: str) -> StatResult:
-        return self._overlay(self.inner.lstat(path))
+    def lstat(self, path: str, *, dir_fd: Optional[DirFd] = None
+              ) -> StatResult:
+        return self._overlay(self.inner.lstat(path, dir_fd=dir_fd))
 
     # -- db maintenance on unlink --------------------------------------------------------
 
-    def unlink(self, path: str) -> None:
+    def unlink(self, path: str, *, dir_fd: Optional[DirFd] = None) -> None:
         try:
-            st = self.inner.lstat(path)
+            st = self.inner.lstat(path, dir_fd=dir_fd)
         except KernelError:
             st = None
-        self.inner.unlink(path)
+        self.inner.unlink(path, dir_fd=dir_fd)
         if st is not None and st.st_nlink <= 1:
             self.db.forget(st.st_dev, st.st_ino)
 

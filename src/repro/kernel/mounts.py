@@ -18,7 +18,8 @@ from .cred import Credentials
 from .userns import UserNamespace
 from .vfs import FileType, Filesystem, Inode, may_access
 
-__all__ = ["MountFlags", "Mount", "MountNamespace", "Resolved", "normpath"]
+__all__ = ["DirFd", "MountFlags", "Mount", "MountNamespace", "Resolved",
+           "normpath"]
 
 _MAX_SYMLINKS = 40  # kernel ELOOP limit
 #: Entries one namespace's dentry cache holds before it starts over.
@@ -73,7 +74,7 @@ class Mount:
         return ns is not None and not ns.is_initial
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Resolved:
     """Result of a path walk."""
 
@@ -86,7 +87,53 @@ class Resolved:
         return self.mount.fs
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
+class DirFd:
+    """An open directory, what ``open(path, O_PATH | O_DIRECTORY)``
+    returns: the ``dir_fd`` of the ``*at`` forms of the syscalls.
+
+    A path given relative to it is walked from it, never from ``/``, and
+    the walk is confined to :attr:`root` the way ``openat2(...,
+    RESOLVE_IN_ROOT)`` confines it: ``..`` stops at the root, and an
+    absolute path or symlink target starts over at it.  A directory
+    opened without a ``dir_fd`` is its own root; one opened beneath
+    another shares that one's root.
+
+    ``path`` is the name the opener gave it, relative names joined on
+    (:meth:`join`): how traces and error messages show an ``*at`` call's
+    path.  ``canon`` is its canonical path, ``""`` for ``/``.  *base*
+    and *rel* say how it was reached (*rel* walked from *base*, or from
+    ``/`` when *base* is None), and ``gens`` holds the ``walk_gen`` of
+    every filesystem those walks crossed: while they all hold, walking
+    *rel* again would reach the same directory with the same permission
+    checks, and when one moves the syscalls walk it again.
+    """
+
+    mount: Mount
+    inode: Inode
+    canon: str
+    path: str
+    base: Optional["DirFd"]
+    rel: str
+    gens: tuple = ()
+    root: "DirFd" = None  # type: ignore[assignment]
+
+    def __post_init__(self):
+        if self.root is None:
+            self.root = self.base.root if self.base is not None else self
+        self._prefix = self.path.rstrip("/") + "/"
+
+    @property
+    def fs(self) -> Filesystem:
+        return self.mount.fs
+
+    def join(self, name: str) -> str:
+        """*name*, relative to this directory, as its opener would name
+        it."""
+        return self._prefix + name
+
+
+@dataclass(slots=True)
 class ResolvedParent:
     """Result of resolving a path up to (but excluding) its final component."""
 
@@ -95,6 +142,7 @@ class ResolvedParent:
     name: str
     dir_path: str
     links: int = 0  # symlinks followed on the way (the ELOOP budget)
+    root: Optional[DirFd] = None  # where the rest of the walk is confined
 
     @property
     def fs(self) -> Filesystem:
@@ -190,24 +238,39 @@ class MountNamespace:
         *,
         follow: bool = True,
         cwd: str = "/",
+        at: Optional[DirFd] = None,
+        crossed: Optional[set[Filesystem]] = None,
     ) -> Resolved:
         """Walk *path*, enforcing search permission, following symlinks.
 
         ``follow=False`` gives lstat-style behaviour for the final component.
-        Relative paths are resolved against *cwd*.
+        Relative paths are resolved against *cwd*; with *at*, *path* is
+        walked beneath that directory instead (:class:`DirFd`), uncached.
+        Filesystems the walk enters are added to *crossed*.
         """
-        mount, inode, canon = self._walk(path, cred, follow_final=follow, cwd=cwd)
+        if at is not None:
+            comps, start = self._beneath(path, at)
+            mount, inode, canon, _ = self._follow(
+                comps[::-1], cred, follow, *start, 0, crossed, root=at.root)
+            return Resolved(mount, inode, canon or "/")
+        mount, inode, canon = self._walk(path, cred, follow_final=follow,
+                                         cwd=cwd, crossed=crossed)
         return Resolved(mount, inode, canon)
 
     def resolve_parent(
-        self, path: str, cred: Credentials, *, cwd: str = "/"
+        self, path: str, cred: Credentials, *, cwd: str = "/",
+        at: Optional[DirFd] = None,
     ) -> ResolvedParent:
         """Resolve everything but the final component (for create/unlink).
 
         The parent is walked physically, like :meth:`resolve`: ``..``
         after a symlink climbs from the symlink's target, not from the
-        symlink.  A final ``..`` names the directory it leads to.
+        symlink.  A final ``..`` names the directory it leads to.  With
+        *at*, the walk is confined beneath that directory, as for
+        :meth:`resolve`.
         """
+        if at is not None:
+            return self._parent_beneath(path, cred, at)
         if not path.startswith("/"):
             path = cwd.rstrip("/") + "/" + path
         comps = [c for c in path.split("/") if c not in ("", ".")]
@@ -224,23 +287,67 @@ class MountNamespace:
                               links)
 
     def resolve_final(
-        self, rp: ResolvedParent, cred: Credentials, *, follow: bool = True
+        self, rp: ResolvedParent, cred: Credentials, *, follow: bool = True,
+        crossed: Optional[set[Filesystem]] = None,
     ) -> Optional[Resolved]:
         """Finish the walk :meth:`resolve_parent` began: step to *rp*'s
         final name as :meth:`resolve` would, without walking the parent
         again.  None when the name is not in its directory; a final
         symlink whose target is missing still raises ENOENT."""
+        name, inode = rp.name, rp.dir_inode
+        if name != ".." and inode.is_dir:
+            # the common step inline: a searchable directory, no mount
+            # on the name, and no symlink to follow
+            candidate = f"{'' if rp.dir_path == '/' else rp.dir_path}/{name}"
+            if may_access(cred, inode, execute=True) \
+                    and candidate not in self._mounts:
+                child = rp.mount.fs.lookup(inode, name)
+                if child is None:
+                    return None
+                if not follow or child.ftype is not FileType.SYMLINK:
+                    return Resolved(rp.mount, child, candidate)
         walked = self._follow(
             [rp.name], cred, follow, rp.mount, rp.dir_inode,
-            "" if rp.dir_path == "/" else rp.dir_path, rp.links,
-            missing_ok=True)
+            "" if rp.dir_path == "/" else rp.dir_path, rp.links, crossed,
+            missing_ok=True, root=rp.root)
         if walked is None:
             return None
         mount, inode, canon, _links = walked
         return Resolved(mount, inode, canon or "/")
 
+    @staticmethod
+    def _beneath(path: str, at: DirFd) -> tuple[list[str], tuple]:
+        """*path*'s components and the ``(mount, inode, canon)`` its walk
+        beneath *at* starts from: *at*, or *at*'s root for an absolute
+        path."""
+        if not path:
+            raise KernelError(Errno.ENOENT, "empty path")
+        start = at.root if path.startswith("/") else at
+        comps = [c for c in path.split("/") if c not in ("", ".")]
+        return comps, (start.mount, start.inode, start.canon)
+
+    def _parent_beneath(self, path: str, cred: Credentials,
+                        at: DirFd) -> ResolvedParent:
+        """:meth:`resolve_parent` for a *path* walked beneath *at*."""
+        comps, start = self._beneath(path, at)
+        root = at.root
+        if comps and comps[-1] == "..":
+            canon = self._follow(comps[::-1], cred, True, *start, 0,
+                                 root=root)[2]
+            comps = canon[len(root.canon):].split("/")[1:]
+            start = (root.mount, root.inode, root.canon)
+        if not comps:
+            raise KernelError(Errno.EBUSY, "cannot operate on the root")
+        mount, dir_inode, canon, links = self._follow(
+            comps[-2::-1], cred, True, *start, 0, root=root)
+        if not dir_inode.is_dir:
+            raise KernelError(Errno.ENOTDIR, canon or "/")
+        return ResolvedParent(mount, dir_inode, comps[-1], canon or "/",
+                              links, root)
+
     def _walk(
-        self, path: str, cred: Credentials, *, follow_final: bool, cwd: str
+        self, path: str, cred: Credentials, *, follow_final: bool, cwd: str,
+        crossed: Optional[set[Filesystem]] = None,
     ) -> tuple[Mount, Inode, str]:
         """Walk *path*: the parent directory through the dentry cache
         (:meth:`_walk_prefix`), then the final component uncached.
@@ -258,20 +365,23 @@ class MountNamespace:
         if not path.startswith("/"):
             path = cwd.rstrip("/") + "/" + path
         comps = [c for c in path.split("/") if c not in ("", ".")]
-        mount, inode, canon, links = self._walk_prefix(comps, cred)
+        mount, inode, canon, links = self._walk_prefix(comps, cred, crossed)
         mount, inode, canon, links = self._follow(
-            comps[-1:], cred, follow_final, mount, inode, canon, links)
+            comps[-1:], cred, follow_final, mount, inode, canon, links,
+            crossed)
         return mount, inode, canon or "/"
 
     def _walk_prefix(
-        self, comps: list[str], cred: Credentials
+        self, comps: list[str], cred: Credentials,
+        crossed: Optional[set[Filesystem]] = None,
     ) -> tuple[Mount, Inode, str, int]:
         """Walk every component of *comps* but the last, following symlinks.
 
         Returns ``(mount, inode, canon, links)``: the state the walk of the
         final component starts from, ``canon`` being the canonical path
         (``""`` for the root) and ``links`` the symlinks followed so far
-        (the ELOOP budget carries over to the final step).
+        (the ELOOP budget carries over to the final step).  Filesystems
+        the walk enters (a cached one included) are added to *crossed*.
 
         With the engine fast paths on (:mod:`repro.sim.opts`), a path of
         two or more components and no ``..`` goes through the dentry
@@ -297,35 +407,42 @@ class MountNamespace:
                     if fs.walk_gen != gen:
                         break
                 else:
+                    if crossed is not None:
+                        crossed.update(fs for fs, _ in entry[4])
                     return entry[:4]
         root = self._mounts["/"]
-        crossed = {root.fs} if key is not None else None
+        seen = {root.fs} if key is not None or crossed is not None else None
         mount, inode, canon, links = self._follow(
             comps[-2::-1], cred, True, root, root.fs.inode(root.root_ino),
-            "", 0, crossed)
+            "", 0, seen)
         if key is not None and inode.is_dir:
             if len(self._dentries) >= _DENTRY_LIMIT:
                 self._dentries.clear()
             self._dentries[key] = (
                 mount, inode, canon, links,
-                tuple((fs, fs.walk_gen) for fs in crossed))
+                tuple((fs, fs.walk_gen) for fs in seen))
+        if crossed is not None:
+            crossed |= seen
         return mount, inode, canon, links
 
     def _follow(
         self, pending: list[str], cred: Credentials, follow_final: bool,
         mount: Mount, inode: Inode, canon: str, links: int,
         crossed: Optional[set[Filesystem]] = None, *,
-        missing_ok: bool = False,
+        missing_ok: bool = False, root: Optional[DirFd] = None,
     ) -> Optional[tuple[Mount, Inode, str, int]]:
         """The per-component walk: pop names off the *pending* stack from
         the given state, checking search permission, mounts and symlinks.
         Filesystems the walk enters are added to *crossed*.  With
         *missing_ok*, a last pending name absent from its directory gives
-        None, unless the walk reached it through a symlink."""
+        None, unless the walk reached it through a symlink.  With *root*
+        the walk is confined beneath it (:class:`DirFd`): ``..`` at the
+        root stays there and an absolute symlink target restarts there."""
+        top = "" if root is None else root.canon
         while pending:
             name = pending.pop()
             if name == "..":
-                if canon:
+                if canon != top:
                     canon = canon[:canon.rindex("/")]
                     mount, inode = self._rewalk(canon)
                     if crossed is not None:
@@ -357,9 +474,12 @@ class MountNamespace:
                 tcomps = [c for c in target.split("/") if c not in ("", ".")]
                 pending.extend(reversed(tcomps))
                 if target.startswith("/"):
-                    canon = ""
-                    mount = self._mounts["/"]
-                    inode = mount.fs.inode(mount.root_ino)
+                    if root is not None:
+                        mount, inode, canon = root.mount, root.inode, top
+                    else:
+                        canon = ""
+                        mount = self._mounts["/"]
+                        inode = mount.fs.inode(mount.root_ino)
                     if crossed is not None:
                         crossed.add(mount.fs)
                 continue

@@ -28,7 +28,7 @@ from ..errors import Errno, KernelError
 from ..obs.trace import instrument_syscalls
 from .capabilities import Cap
 from .idmap import IdMap, IdMapEntry
-from .mounts import MountFlags, Resolved, normpath
+from .mounts import DirFd, MountFlags, Resolved, ResolvedParent, normpath
 from .process import Process
 from .userns import UserNamespace
 from .vfs import (
@@ -109,12 +109,99 @@ class Syscalls:
     def mnt_ns(self):
         return self.proc.mnt_ns
 
-    def _resolve(self, path: str, *, follow: bool = True) -> Resolved:
-        return self.mnt_ns.resolve(path, self.cred, follow=follow,
-                                   cwd=self.proc.cwd)
+    def _resolve(self, path: str, *, follow: bool = True,
+                 dir_fd: Optional[DirFd] = None,
+                 missing_ok: bool = False) -> Optional[Resolved]:
+        """Walk *path* (beneath *dir_fd* when given).  With *missing_ok*,
+        a plain name missing from *dir_fd* gives None instead of
+        ENOENT."""
+        if dir_fd is None:
+            return self.mnt_ns.resolve(path, self.cred, follow=follow,
+                                       cwd=self.proc.cwd)
+        rp = self._in_dir(path, dir_fd)
+        if rp is None:
+            return self.mnt_ns.resolve(path, self.cred, follow=follow,
+                                       at=dir_fd)
+        res = self.mnt_ns.resolve_final(rp, self.cred, follow=follow)
+        if res is None and not missing_ok:
+            raise KernelError(Errno.ENOENT, f"{dir_fd.canon}/{path}")
+        return res
 
-    def _resolve_parent(self, path: str):
-        return self.mnt_ns.resolve_parent(path, self.cred, cwd=self.proc.cwd)
+    def _resolve_parent(self, path: str,
+                        dir_fd: Optional[DirFd] = None) -> ResolvedParent:
+        if dir_fd is None:
+            return self.mnt_ns.resolve_parent(path, self.cred,
+                                              cwd=self.proc.cwd)
+        rp = self._in_dir(path, dir_fd)
+        if rp is None:
+            return self.mnt_ns.resolve_parent(path, self.cred, at=dir_fd)
+        return rp
+
+    def _in_dir(self, path: str, dir_fd: DirFd) -> Optional[ResolvedParent]:
+        """Bring *dir_fd* up to date (:meth:`_reopen`); then, if *path* is
+        one plain name, the parent state of its walk: the directory
+        itself, no walk.  None when *path* needs a walk."""
+        for fs, gen in dir_fd.gens:
+            if fs.walk_gen != gen:
+                self._reopen(dir_fd)
+                break
+        if not path or "/" in path or path == "." or path == "..":
+            return None
+        return ResolvedParent(dir_fd.mount, dir_fd.inode, path,
+                              dir_fd.canon or "/", 0, dir_fd.root)
+
+    def _reopen(self, fd: DirFd) -> None:
+        """Walk *fd*'s path again (its base first), as a path-walk cache
+        re-walks a stale entry: a directory chmod-ed, deleted or replaced
+        since *fd* was opened is seen as the walk now sees it."""
+        crossed: set[Filesystem] = set()
+        base = fd.base
+        if base is None:
+            res = self.mnt_ns.resolve(fd.rel, self.cred, crossed=crossed)
+        else:
+            rp = self._in_dir(fd.rel, base)
+            if rp is None:
+                res = self.mnt_ns.resolve(fd.rel, self.cred, at=base,
+                                          crossed=crossed)
+            else:
+                res = self.mnt_ns.resolve_final(rp, self.cred,
+                                                crossed=crossed)
+                if res is None:
+                    raise KernelError(Errno.ENOENT,
+                                      f"{base.canon}/{fd.rel}")
+                crossed.add(res.fs)
+        if not res.inode.is_dir:
+            raise KernelError(Errno.ENOTDIR, res.path)
+        own = base.gens if base is not None else ()
+        known = {fs for fs, _ in own}
+        fd.mount, fd.inode = res.mount, res.inode
+        fd.canon = "" if res.path == "/" else res.path
+        fd.gens = own + tuple((fs, fs.walk_gen) for fs in crossed
+                              if fs not in known)
+
+    def open_dir(self, path: str, *,
+                 dir_fd: Optional[DirFd] = None) -> DirFd:
+        """``open(path, O_PATH | O_DIRECTORY)``: a handle on the directory
+        at *path* that the ``dir_fd=`` forms of the path calls walk from
+        (:class:`~repro.kernel.mounts.DirFd`).  Without *dir_fd* the
+        handle is its own root: walks from it, and from every directory
+        opened beneath it, stay inside it, as ``openat2(...,
+        RESOLVE_IN_ROOT)`` keeps them.  Like :meth:`ftype_at`, one path
+        walk (none for one plain name beneath *dir_fd*) and no traced
+        syscall."""
+        if dir_fd is None:
+            rel = path if path.startswith("/") else \
+                f"{self.proc.cwd.rstrip('/')}/{path}"
+            fd = DirFd(None, None, "", path, None, rel)
+        else:
+            fd = DirFd(None, None, "", dir_fd.join(path), dir_fd, path)
+        self._reopen(fd)
+        return fd
+
+    @staticmethod
+    def _at(path: str, dir_fd: Optional[DirFd]) -> str:
+        """*path* as a message names it: joined onto *dir_fd*'s path."""
+        return path if dir_fd is None else dir_fd.join(path)
 
     def _check_writable_mount(self, res_mount, call: str = "") -> None:
         if res_mount.flags.read_only or res_mount.fs.features.read_only:
@@ -529,23 +616,29 @@ class Syscalls:
                 ns.uid_map.entries if ns.uid_map is not None else None,
                 ns.gid_map.entries if ns.gid_map is not None else None)
 
-    def stat(self, path: str) -> StatResult:
-        return self._stat_of(self._resolve(path))
+    def stat(self, path: str, *, dir_fd: Optional[DirFd] = None
+             ) -> StatResult:
+        return self._stat_of(self._resolve(path, dir_fd=dir_fd))
 
-    def lstat(self, path: str) -> StatResult:
-        return self._stat_of(self._resolve(path, follow=False))
+    def lstat(self, path: str, *, dir_fd: Optional[DirFd] = None
+              ) -> StatResult:
+        return self._stat_of(self._resolve(path, follow=False,
+                                           dir_fd=dir_fd))
 
     def exists(self, path: str) -> bool:
         return self.ftype_at(path) is not None
 
-    def ftype_at(self, path: str) -> Optional[FileType]:
+    def ftype_at(self, path: str, *, dir_fd: Optional[DirFd] = None
+                 ) -> Optional[FileType]:
         """The type of what *path* names, a final symlink not followed
         (an lstat's ``ftype``), or None when nothing is there.  Like
         :meth:`exists`, one path walk and no traced syscall."""
         try:
-            return self._resolve(path, follow=False).inode.ftype
+            res = self._resolve(path, follow=False, dir_fd=dir_fd,
+                                missing_ok=True)
         except KernelError:
             return None
+        return None if res is None else res.inode.ftype
 
     def access(self, path: str, *, read: bool = False, write: bool = False,
                execute: bool = False) -> bool:
@@ -562,8 +655,10 @@ class Syscalls:
             raise KernelError(Errno.EINVAL, path, syscall="readlink")
         return res.inode.target
 
-    def readdir(self, path: str) -> list[DirEntry]:
-        res = self._resolve(path)
+    def readdir(self, path: str, *, dir_fd: Optional[DirFd] = None
+                ) -> list[DirEntry]:
+        res = self._resolve(path, dir_fd=dir_fd)
+        path = self._at(path, dir_fd)
         if not res.inode.is_dir:
             raise KernelError(Errno.ENOTDIR, path, syscall="readdir")
         if not may_access(self.cred, res.inode, read=True):
@@ -576,9 +671,10 @@ class Syscalls:
 
     # -- creation -----------------------------------------------------------------------
 
-    def _prep_create(self, path: str, call: str):
-        rp = self._resolve_parent(path)
-        self._may_create(rp, path, call)
+    def _prep_create(self, path: str, call: str,
+                     dir_fd: Optional[DirFd] = None) -> ResolvedParent:
+        rp = self._resolve_parent(path, dir_fd)
+        self._may_create(rp, self._at(path, dir_fd), call)
         return rp
 
     def _may_create(self, rp, path: str, call: str) -> None:
@@ -597,8 +693,9 @@ class Syscalls:
             return uid, parent_dir.gid, True
         return uid, self.cred.fsgid, False
 
-    def mkdir(self, path: str, mode: int = 0o777) -> None:
-        rp = self._prep_create(path, "mkdir")
+    def mkdir(self, path: str, mode: int = 0o777, *,
+              dir_fd: Optional[DirFd] = None) -> None:
+        rp = self._prep_create(path, "mkdir", dir_fd)
         uid, gid, sgid = self._new_ids(rp.dir_inode)
         eff = mode & ~self.proc.umask & 0o777
         if sgid:
@@ -618,23 +715,27 @@ class Syscalls:
                 self.mkdir(cur, mode)
 
     def mknod(self, path: str, ftype: FileType, mode: int = 0o644,
-              rdev: tuple[int, int] = (0, 0)) -> None:
+              rdev: tuple[int, int] = (0, 0), *,
+              dir_fd: Optional[DirFd] = None) -> None:
         """mknod(2).  Device nodes require CAP_MKNOD in the *initial* user
         namespace — a container root cannot create them, which is exactly the
         operation fakeroot(1) fakes in Figure 7."""
         if ftype in (FileType.CHR, FileType.BLK):
             if not (self.cred.userns.is_initial and self.cred.has_cap(Cap.MKNOD)):
-                raise KernelError(Errno.EPERM, path, syscall="mknod")
+                raise KernelError(Errno.EPERM, self._at(path, dir_fd),
+                                  syscall="mknod")
         elif ftype not in (FileType.REG, FileType.FIFO, FileType.SOCK):
-            raise KernelError(Errno.EINVAL, path, syscall="mknod")
-        rp = self._prep_create(path, "mknod")
+            raise KernelError(Errno.EINVAL, self._at(path, dir_fd),
+                              syscall="mknod")
+        rp = self._prep_create(path, "mknod", dir_fd)
         uid, gid, _ = self._new_ids(rp.dir_inode)
         eff = mode & ~self.proc.umask & 0o777
         node = rp.fs.alloc(ftype, eff, uid, gid, now=self.kernel.now(), rdev=rdev)
         rp.fs.link_child(rp.dir_inode, rp.name, node)
 
-    def symlink(self, target: str, path: str) -> None:
-        rp = self._prep_create(path, "symlink")
+    def symlink(self, target: str, path: str, *,
+                dir_fd: Optional[DirFd] = None) -> None:
+        rp = self._prep_create(path, "symlink", dir_fd)
         uid, gid, _ = self._new_ids(rp.dir_inode)
         node = rp.fs.alloc(FileType.SYMLINK, 0o777, uid, gid,
                            now=self.kernel.now(), target=target)
@@ -664,8 +765,8 @@ class Syscalls:
 
     def write_file(self, path: str, data: bytes, *, append: bool = False,
                    mode: int = 0o666, follow: bool = True,
-                   exe: Optional[tuple[Optional[str], str, bool]] = None
-                   ) -> None:
+                   exe: Optional[tuple[Optional[str], str, bool]] = None,
+                   dir_fd: Optional[DirFd] = None) -> None:
         """open(O_WRONLY|O_CREAT[|O_APPEND|O_TRUNC][|O_NOFOLLOW]) + write
         + close.
 
@@ -678,11 +779,13 @@ class Syscalls:
         if isinstance(data, str):  # tolerate text for userland convenience
             data = data.encode()
         try:
-            rp = self._resolve_parent(path)
+            rp = self._resolve_parent(path, dir_fd)
         except KernelError as err:
             if err.errno is not Errno.EBUSY:
                 raise
-            raise KernelError(Errno.EISDIR, path, syscall="open") from None
+            raise KernelError(Errno.EISDIR, self._at(path, dir_fd),
+                              syscall="open") from None
+        path = self._at(path, dir_fd)
         try:
             res = self.mnt_ns.resolve_final(rp, self.cred, follow=follow)
         except KernelError as err:
@@ -743,8 +846,9 @@ class Syscalls:
             ):
                 raise KernelError(Errno.EPERM, path, syscall=call)
 
-    def unlink(self, path: str) -> None:
-        rp = self._resolve_parent(path)
+    def unlink(self, path: str, *, dir_fd: Optional[DirFd] = None) -> None:
+        rp = self._resolve_parent(path, dir_fd)
+        path = self._at(path, dir_fd)
         self._check_writable_mount(rp.mount, "unlink")
         if not may_access(self.cred, rp.dir_inode, write=True, execute=True):
             raise KernelError(Errno.EACCES, path, syscall="unlink")
@@ -756,8 +860,9 @@ class Syscalls:
         self._check_sticky(rp.dir_inode, victim, path, "unlink")
         rp.fs.unlink_child(rp.dir_inode, rp.name)
 
-    def rmdir(self, path: str) -> None:
-        rp = self._resolve_parent(path)
+    def rmdir(self, path: str, *, dir_fd: Optional[DirFd] = None) -> None:
+        rp = self._resolve_parent(path, dir_fd)
+        path = self._at(path, dir_fd)
         self._check_writable_mount(rp.mount, "rmdir")
         if not may_access(self.cred, rp.dir_inode, write=True, execute=True):
             raise KernelError(Errno.EACCES, path, syscall="rmdir")
@@ -826,7 +931,8 @@ class Syscalls:
 
     # -- ownership & permissions (the heart of the paper) ----------------------------------
 
-    def chown(self, path: str, uid: int, gid: int, *, follow: bool = True) -> None:
+    def chown(self, path: str, uid: int, gid: int, *, follow: bool = True,
+              dir_fd: Optional[DirFd] = None) -> None:
         """chown(2)/lchown(2).  *uid*/*gid* are namespace-relative; -1 means
         "leave unchanged".
 
@@ -838,7 +944,8 @@ class Syscalls:
         * NFS-style server-side ID enforcement → EPERM even for mapped IDs
           (§4.2: shared-filesystem container storage).
         """
-        res = self._resolve(path, follow=follow)
+        res = self._resolve(path, follow=follow, dir_fd=dir_fd)
+        path = self._at(path, dir_fd)
         self._check_writable_mount(res.mount, "chown")
         node = res.inode
         c = self.cred
@@ -900,8 +1007,10 @@ class Syscalls:
     def lchown(self, path: str, uid: int, gid: int) -> None:
         self.chown(path, uid, gid, follow=False)
 
-    def chmod(self, path: str, mode: int) -> None:
-        res = self._resolve(path)
+    def chmod(self, path: str, mode: int, *,
+              dir_fd: Optional[DirFd] = None) -> None:
+        res = self._resolve(path, dir_fd=dir_fd)
+        path = self._at(path, dir_fd)
         self._check_writable_mount(res.mount, "chmod")
         node = res.inode
         c = self.cred
@@ -924,11 +1033,13 @@ class Syscalls:
 
     # -- extended attributes ------------------------------------------------------------------
 
-    def setxattr(self, path: str, name: str, value: bytes) -> None:
+    def setxattr(self, path: str, name: str, value: bytes, *,
+                 dir_fd: Optional[DirFd] = None) -> None:
         """setxattr(2).  ``user.*`` needs filesystem support (the
         fuse-overlayfs-on-NFS failure of §6.1); ``security.*``/``trusted.*``
         need privilege."""
-        res = self._resolve(path)
+        res = self._resolve(path, dir_fd=dir_fd)
+        path = self._at(path, dir_fd)
         self._check_writable_mount(res.mount, "setxattr")
         node = res.inode
         c = self.cred

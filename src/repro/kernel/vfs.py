@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 import stat as _stat
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -187,6 +188,8 @@ class Filesystem:
         #: ``_parents`` so "anything changed below here since gen G?" is a
         #: single integer comparison.
         self.gen = 0
+        #: Set while :meth:`one_generation` holds ``gen`` open.
+        self._held = False
         #: Dentry-cache generation: moves only on mutations that can change
         #: an existing path walk (see ``MountNamespace._walk_prefix``).
         self.walk_gen = 0
@@ -233,7 +236,8 @@ class Filesystem:
         if self.features.read_only:
             raise KernelError(Errno.EROFS, self.label)
         ino = next(self._next_ino)
-        self.gen += 1
+        if not self._held:
+            self.gen += 1
         node = Inode(
             ino=ino, ftype=ftype, mode=mode & 0o7777, uid=uid, gid=gid,
             nlink=0, atime=now, mtime=now, ctime=now,
@@ -245,12 +249,17 @@ class Filesystem:
     def touch(self, node: Inode) -> int:
         """Journal one mutation of *node*: bump the superblock generation,
         stamp the inode, and propagate ``tree_gen`` to every ancestor
-        directory.  Every touch stamps a strictly newer generation, so the
-        propagation reaches the root each time (O(depth) per touch); the
-        check that skips ancestors already at this generation only keeps
-        a hardlinked inode's shared ancestors (a "diamond" of parent
-        edges) from being visited twice."""
-        self.gen += 1
+        directory, stopping at an ancestor already at this generation
+        (whose own ancestors are, too).  Outside :meth:`one_generation`
+        every touch stamps a strictly newer generation, so the
+        propagation reaches the root each time (O(depth) per touch) and
+        the stop only keeps a hardlinked inode's shared ancestors (a
+        "diamond" of parent edges) from being visited twice.  Inside it
+        every touch stamps the one open generation: the first reaches
+        the root, and a later one stops at the first ancestor an earlier
+        one stamped, usually the parent directory."""
+        if not self._held:
+            self.gen += 1
         g = self.gen
         node.gen = g
         stack = [node.ino]
@@ -263,6 +272,24 @@ class Filesystem:
             stack.extend(self._parents.get(ino, ()))
         node.tree_gen = g
         return g
+
+    @contextmanager
+    def one_generation(self):
+        """Journal every mutation in the block as one generation: the
+        block opens a new ``gen`` and every :meth:`touch` and
+        :meth:`alloc` in it stamps that one (a nested block joins the
+        open one).  A snapshot taken before the block sees all of it as
+        newer, one taken after sees none of it; nothing may snapshot
+        inside it.  The generation closes however the block ends."""
+        if self._held:
+            yield
+            return
+        self.gen += 1
+        self._held = True
+        try:
+            yield
+        finally:
+            self._held = False
 
     @staticmethod
     def check_link(parent: Inode, name: str) -> None:
@@ -389,7 +416,9 @@ def may_access(
     Checked classes in order user, group, other; first match governs
     (paper §2.1.4).  CAP_DAC_OVERRIDE bypasses rw checks (and x on
     directories / files with any x bit), subject to the inode IDs being
-    mapped in the caller's namespace.
+    mapped in the caller's namespace.  The capabilities can only add
+    access the class bits deny, so they are consulted only then (a path
+    walk's search checks mostly pass on the bits alone).
     """
     want = 0
     if read:
@@ -399,24 +428,24 @@ def may_access(
     if execute:
         want |= 1
 
-    if capable_wrt_inode(cred, inode, Cap.DAC_OVERRIDE):
-        if execute and inode.ftype is FileType.REG and not (inode.mode & 0o111):
-            return False  # even root needs one x bit to exec a regular file
-        return True
-    if (
-        not write
-        and not execute
-        and capable_wrt_inode(cred, inode, Cap.DAC_READ_SEARCH)
-    ):
-        return True
-
     if cred.fsuid == inode.uid:
         bits = (inode.mode >> 6) & 0o7
     elif cred.in_group(inode.gid):
         bits = (inode.mode >> 3) & 0o7
     else:
         bits = inode.mode & 0o7
-    return (bits & want) == want
+    if (bits & want) == want:
+        return True
+
+    if capable_wrt_inode(cred, inode, Cap.DAC_OVERRIDE):
+        # even root needs one x bit to exec a regular file
+        return not (execute and inode.ftype is FileType.REG
+                    and not inode.mode & 0o111)
+    return (
+        not write
+        and not execute
+        and capable_wrt_inode(cred, inode, Cap.DAC_READ_SEARCH)
+    )
 
 
 # -- raw tree copy (driver-level, bypasses permissions) ----------------------------

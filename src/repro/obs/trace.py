@@ -370,13 +370,28 @@ def maybe_span(tracer: Optional[SyscallTracer], name: str,
     return tracer.span(name, kind, **meta)
 
 
+def _as_named(name: str, args: tuple, kwargs: dict) -> tuple[tuple, dict]:
+    """The arguments of an ``*at`` call as the trace shows them: its path
+    joined onto its ``dir_fd``'s (:meth:`~repro.kernel.mounts.DirFd.join`),
+    so a call reads the same whether it walks from ``/`` or from an open
+    directory.  Only ``symlink`` takes its path second."""
+    kwargs = dict(kwargs)
+    fd = kwargs.pop("dir_fd")
+    i = 1 if name == "symlink" else 0
+    if fd is not None and len(args) > i:
+        args = (*args[:i], fd.join(args[i]), *args[i + 1:])
+    return args, kwargs
+
+
 def _wrap(fn: Callable, name: str, layer: str) -> Callable:
     @functools.wraps(fn)
     def wrapper(self, *args, **kwargs):
         tracer = self.proc.kernel.tracer
         if tracer is None:
             return fn(self, *args, **kwargs)
-        frame = tracer.begin_call(name, layer, self, args, kwargs)
+        shown = _as_named(name, args, kwargs) if "dir_fd" in kwargs \
+            else (args, kwargs)
+        frame = tracer.begin_call(name, layer, self, *shown)
         try:
             result = fn(self, *args, **kwargs)
         except KernelError as err:

@@ -16,6 +16,7 @@ three layers up — are what fails.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.archive import TarArchive, TarMember
 from repro.cas import diff as diff_mod
 from repro.cas.diff import (
     Snapshot,
@@ -264,6 +265,61 @@ def _memo_counts(batch_list, slack):
         diff_mod._MEMO_SLACK = saved
     delta = COUNTERS.delta(before)
     return delta.get("digest.memo_hit", 0), delta.get("digest.memo_miss", 0)
+
+
+#: Layer members over the same path universe: every type, whiteouts
+#: (mode-0 character devices), and type changes between layers.
+_members = st.builds(
+    lambda kind, rel, mode, data: (
+        TarMember(rel, FileType.CHR, 0, 0, 0) if kind == "whiteout"
+        else TarMember(rel, kind, mode, 0, 0, data=DATA[data],
+                       target="a/x" if kind is FileType.SYMLINK else "",
+                       xattrs=(("user.k", b"v"),)
+                       if kind is FileType.DIR else ())),
+    st.sampled_from([FileType.REG, FileType.DIR, FileType.SYMLINK,
+                     FileType.FIFO, "whiteout"]),
+    st.sampled_from(RELS), st.sampled_from([0o644, 0o755, 0o700]),
+    st.integers(0, len(DATA) - 1))
+
+
+class TestUnpackJournal:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(layers=st.lists(st.lists(_members, max_size=6), min_size=1,
+                           max_size=3),
+           as_diff=st.booleans())
+    def test_walker_after_an_unpack_equals_the_full_walk(self, layers,
+                                                         as_diff):
+        """A layer unpack journals as one generation (every mutation it
+        makes stamps the same one): the incremental walker, run on a tree
+        snapshotted before the unpack, still equals the full walk."""
+        kernel = Kernel(make_ext4(), hostname="h")
+        sys = Syscalls(kernel.init_process)
+        _seed(sys)
+        fs = kernel.root_fs
+        previous = set_optimizations(True)
+        try:
+            _, prev_inc = snapshot_and_diff(sys, ROOT, {})
+            prev_ref = prev_inc
+            for members in layers:
+                gen = fs.gen
+                try:
+                    if as_diff:
+                        TarArchive(members).apply_diff(sys, ROOT)
+                    else:
+                        TarArchive(members).extract(sys, ROOT)
+                except KernelError:
+                    pass
+                assert fs.gen == gen + 1
+                diff_inc, cur_inc = snapshot_and_diff(sys, ROOT, prev_inc)
+                with reference_engine():
+                    diff_ref, cur_ref = snapshot_and_diff(sys, ROOT,
+                                                          prev_ref)
+                assert dict(cur_inc) == dict(cur_ref)
+                assert diff_inc.serialize() == diff_ref.serialize()
+                prev_inc, prev_ref = cur_inc, cur_ref
+        finally:
+            set_optimizations(previous)
 
 
 class TestDigestMemoBound:

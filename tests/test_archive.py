@@ -2,12 +2,16 @@
 and the ownership-flattening invariants."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.archive import ArchiveError, TarArchive, TarMember
-from repro.errors import KernelError
-from repro.fakeroot import FAKEROOT_CLASSIC, FakerootSyscalls
+from repro.containers.buildah import IgnoreChownSyscalls
+from repro.core.seccomp import SeccompSyscalls
+from repro.errors import Errno, KernelError
+from repro.fakeroot import FAKEROOT_CLASSIC, PSEUDO, FakerootSyscalls
 from repro.kernel import FileType, Kernel, Syscalls, make_ext4
+from repro.obs import attach_tracer
+from repro.sim.opts import set_optimizations
 
 
 @pytest.fixture
@@ -295,17 +299,18 @@ class TestLayerOverlay:
     def test_member_below_a_symlink_replaces_nothing_outside(
             self, kernel, root_sys, member, outside):
         """Below an earlier layer's ``x -> /home/alice`` a member that
-        meets something of alice's fails instead of deleting it."""
+        would meet something of alice's is walked beneath the image
+        instead: ``x`` leads to the image's own ``home/alice``, which is
+        missing, so the member fails with ENOENT."""
         alice = _alice_tree(kernel, root_sys)
         alice.mkdir("/home/alice/d", 0o700)
         alice.symlink(".bashrc", "/home/alice/link")
         TarArchive([TarMember("x", FileType.SYMLINK, 0o777, 0, 0,
                               target="/home/alice")]
                    ).extract(alice, "/home/alice/img")
-        with pytest.raises(ArchiveError, match=f"{member.path}: will not "
-                                               f"replace a {outside.value} "
-                                               "outside"):
+        with pytest.raises(KernelError) as err:
             TarArchive([member]).extract(alice, "/home/alice/img")
+        assert err.value.errno is Errno.ENOENT
         assert alice.lstat("/home/alice/d").ftype is FileType.DIR
         assert alice.readlink("/home/alice/link") == ".bashrc"
         assert alice.read_file("/home/alice/.bashrc") == \
@@ -313,20 +318,21 @@ class TestLayerOverlay:
 
     def test_symlink_member_below_a_symlink_deletes_nothing_outside(
             self, kernel, root_sys):
-        """An earlier layer's ``x -> /home/alice`` puts a symlink member
-        ``x/private`` on alice's own directory: it is not deleted, and
-        the member fails instead of landing there."""
+        """An earlier layer's ``x -> /home/alice`` would put a symlink
+        member ``x/private`` on alice's own directory: it is not deleted,
+        and the member fails (ENOENT: the image has no ``home/alice``)
+        instead of landing there."""
         alice = _alice_tree(kernel, root_sys)
         alice.mkdir("/home/alice/private", 0o700)
         alice.write_file("/home/alice/private/key", b"secret")
         TarArchive([TarMember("x", FileType.SYMLINK, 0o777, 0, 0,
                               target="/home/alice")]
                    ).extract(alice, "/home/alice/img")
-        with pytest.raises(ArchiveError, match="x/private: will not replace "
-                                               "a directory outside"):
+        with pytest.raises(KernelError) as err:
             TarArchive([TarMember("x/private", FileType.SYMLINK, 0o777, 0,
                                   0, target="/etc")]
                        ).extract(alice, "/home/alice/img")
+        assert err.value.errno is Errno.ENOENT
         assert alice.lstat("/home/alice/private").ftype is FileType.DIR
         assert alice.read_file("/home/alice/private/key") == b"secret"
 
@@ -336,10 +342,10 @@ class TestLayerOverlay:
         TarArchive([TarMember("x", FileType.SYMLINK, 0o777, 0, 0,
                               target="/home/alice")]
                    ).extract(alice, "/home/alice/img")
-        with pytest.raises(ArchiveError, match="x/.bashrc: will not replace "
-                                               "a regular file outside"):
+        with pytest.raises(KernelError) as err:
             TarArchive([TarMember("x/.bashrc", FileType.DIR, 0o777, 0, 0)]
                        ).extract(alice, "/home/alice/img")
+        assert err.value.errno is Errno.ENOENT
         st = alice.lstat("/home/alice/.bashrc")
         assert (st.ftype, st.st_mode & 0o7777) == (FileType.REG, 0o644)
         assert alice.read_file("/home/alice/.bashrc") == b"alias ll='ls -l'\n"
@@ -371,6 +377,125 @@ class TestLayerOverlay:
         path = ch.pull("gitlab.example.gov/alice/gone:1")
         assert not ch.sys.exists(f"{path}/etc/gone")
         assert ch.sys.exists(f"{path}/etc/passwd")
+
+
+    @pytest.mark.parametrize("ftype", [FileType.CHR, FileType.BLK])
+    def test_regular_member_replaces_a_device(self, kernel, root_sys, ftype):
+        """Writing a device succeeds and keeps the device, so a regular
+        member deletes one in its way first, as tar(1) replaces it."""
+        root_sys.mkdir("/img", 0o755)
+        root_sys.mknod("/img/x", ftype, 0o644, rdev=(1, 3))
+        TarArchive([TarMember("x", FileType.REG, 0o640, 0, 0,
+                              data=b"hello")]).extract(root_sys, "/img")
+        st = root_sys.lstat("/img/x")
+        assert (st.ftype, st.st_mode & 0o7777) == (FileType.REG, 0o640)
+        assert root_sys.read_file("/img/x") == b"hello"
+        # a plain write onto a device is left alone: the data vanishes
+        root_sys.mknod("/img/null", FileType.CHR, 0o666, rdev=(1, 3))
+        root_sys.write_file("/img/null", b"gone")
+        assert root_sys.lstat("/img/null").ftype is FileType.CHR
+
+
+#: An earlier layer's link above every member of a later one, and where
+#: a walk confined to the image (``RESOLVE_IN_ROOT``) takes ``x``: out of
+#: the image an unconfined walk goes to alice's home or to ``/``.
+_ESCAPES = {"/home/alice": "home/alice", "../../..": "", "/": ""}
+
+#: One member of each kind below ``x``, each named after something of
+#: alice's it would overwrite, chmod or delete if it escaped.
+_BELOW = {
+    "regular": TarMember("x/.bashrc", FileType.REG, 0o777, 0, 0,
+                         data=b"owned"),
+    "directory": TarMember("x/d", FileType.DIR, 0o777, 0, 0),
+    "fifo": TarMember("x/link", FileType.FIFO, 0o666, 0, 0),
+    "symlink": TarMember("x/d", FileType.SYMLINK, 0o777, 0, 0,
+                         target="/etc"),
+    "whiteout": TarMember("x/d", FileType.CHR, 0, 0, 0),
+}
+
+
+class TestConfinement:
+    """Every member stays inside the image: walked beneath it, a link
+    above a member clamps at the image root instead of leaving it."""
+
+    DEST = "/home/alice/a/b/img"
+
+    @pytest.mark.parametrize("kind", sorted(_BELOW))
+    @pytest.mark.parametrize("target", sorted(_ESCAPES))
+    def test_member_below_a_link_out_of_the_image(self, kernel, root_sys,
+                                                  target, kind):
+        alice = _alice_tree(kernel, root_sys)
+        alice.mkdir("/home/alice/d", 0o700)
+        alice.write_file("/home/alice/d/key", b"secret")
+        alice.symlink(".bashrc", "/home/alice/link")
+        alice.mkdir_p(self.DEST)
+
+        def alices_own():
+            packed = TarArchive.pack(alice, "/home/alice")
+            return TarArchive([m for m in packed
+                               if m.path != "a" and not
+                               m.path.startswith("a/")]).serialize()
+
+        before = alices_own()
+        TarArchive([
+            TarMember("d", FileType.DIR, 0o755, 0, 0),
+            TarMember("x", FileType.SYMLINK, 0o777, 0, 0, target=target),
+        ]).extract(alice, self.DEST)
+        member = _BELOW[kind]
+        lands = f"{self.DEST}/{_ESCAPES[target]}".rstrip("/")
+        name = member.path.split("/")[1]
+        if _ESCAPES[target] and not member.is_whiteout:
+            # the image has no home/alice: the clamped walk's ENOENT
+            with pytest.raises(KernelError) as err:
+                TarArchive([member]).extract(alice, self.DEST)
+            assert err.value.errno is Errno.ENOENT
+        else:
+            TarArchive([member]).extract(alice, self.DEST)
+        assert alices_own() == before
+        if _ESCAPES[target]:
+            assert not alice.exists(lands)
+            assert alice.lstat(f"{self.DEST}/d").ftype is FileType.DIR
+        elif member.is_whiteout:
+            assert not alice.exists(f"{lands}/{name}")
+        else:
+            st = alice.lstat(f"{lands}/{name}")
+            assert st.ftype is member.ftype
+            if member.ftype is FileType.REG:
+                assert alice.read_file(f"{lands}/{name}") == b"owned"
+            if member.ftype is FileType.SYMLINK:
+                assert alice.readlink(f"{lands}/{name}") == "/etc"
+            else:
+                assert st.st_mode & 0o7777 == member.mode
+        assert alice.readlink(f"{self.DEST}/x") == target
+
+    def test_dotdot_in_a_member_path_stops_at_the_image(self, kernel,
+                                                        root_sys):
+        alice = _alice_tree(kernel, root_sys)
+        TarArchive([TarMember("../../.bashrc", FileType.REG, 0o644, 0, 0,
+                              data=b"owned")]).extract(alice,
+                                                       "/home/alice/img")
+        assert alice.read_file("/home/alice/.bashrc") == \
+            b"alias ll='ls -l'\n"
+        assert alice.read_file("/home/alice/img/.bashrc") == b"owned"
+
+    def test_a_directory_made_unsearchable_midway_is_honoured(
+            self, kernel, root_sys):
+        """A directory an earlier member opened is searched again after a
+        later member chmods it: the members below then fail EACCES as a
+        walk from the image root would."""
+        alice = _alice_tree(kernel, root_sys)
+        with pytest.raises(KernelError) as err:
+            TarArchive([
+                TarMember("d", FileType.DIR, 0o755, 0, 0),
+                TarMember("d/e", FileType.DIR, 0o755, 0, 0),
+                TarMember("d/e/f", FileType.REG, 0o644, 0, 0, data=b"1"),
+                TarMember("d", FileType.DIR, 0o600, 0, 0),
+                TarMember("d/e/g", FileType.REG, 0o644, 0, 0, data=b"2"),
+            ]).extract(alice, "/home/alice/img")
+        assert err.value.errno is Errno.EACCES
+        alice.chmod("/home/alice/img/d", 0o755)
+        assert alice.read_file("/home/alice/img/d/e/f") == b"1"
+        assert not alice.exists("/home/alice/img/d/e/g")
 
 
 class TestFlattening:
@@ -437,3 +562,111 @@ def test_serialize_roundtrip_property(members):
     a = TarArchive(fixed)
     b = TarArchive.deserialize(a.serialize())
     assert list(b) == list(a)
+
+
+# -- differential: the handle loop against the per-member path-walk loop -----
+
+_PATHS = ["a", "b", "a/x", "a/y", "b/x", "a/x/q"]
+#: Sibling names only: a link never leads out of the image, so the
+#: confined walk and an unconfined one agree.
+_TARGETS = ["a", "b", "x", "y", "q", "none"]
+_OWNERS = [(0, 0), (1000, 1000), (7, 7)]
+_TAGS = [(), (("user.tag", b"v"),)]
+
+
+def _member_of(kind, path, mode, owner, data, target, tag):
+    uid, gid = owner
+    if kind is FileType.DIR:
+        return TarMember(path, kind, mode, uid, gid, xattrs=tag)
+    if kind is FileType.SYMLINK:
+        return TarMember(path, kind, 0o777, uid, gid, target=target)
+    if kind == "whiteout":
+        return TarMember(path, FileType.CHR, 0, 0, 0)
+    if kind is FileType.CHR:
+        return TarMember(path, kind, 0o666, uid, gid, rdev=(1, 3))
+    return TarMember(path, kind, mode & 0o777 if kind is FileType.FIFO
+                     else mode, uid, gid, data=data, xattrs=tag)
+
+
+_layer = st.lists(st.builds(
+    _member_of,
+    st.sampled_from([FileType.REG, FileType.DIR, FileType.SYMLINK,
+                     FileType.FIFO, FileType.CHR, "whiteout"]),
+    st.sampled_from(_PATHS),
+    st.sampled_from([0o755, 0o644, 0o700, 0o555, 0o4755, 0o1777, 0o000]),
+    st.sampled_from(_OWNERS),
+    st.sampled_from([b"", b"one", b"two two"]),
+    st.sampled_from(_TARGETS),
+    st.sampled_from(_TAGS),
+), max_size=8)
+
+_WRAPPERS = {
+    "plain": lambda alice: alice,
+    "fakeroot": lambda alice: FakerootSyscalls(alice, PSEUDO),
+    "seccomp": lambda alice: SeccompSyscalls(alice),
+    "ignore-chown": lambda alice: IgnoreChownSyscalls(alice),
+}
+
+
+def _unpack_stack(layers, wrapper, apply_diff, fast):
+    """Unpack *layers* onto a fresh alice-owned image with the engine
+    fast paths on (*fast*) or off; what the unpack did."""
+    kernel = Kernel(make_ext4())
+    root = Syscalls(kernel.init_process)
+    root.mkdir_p("/home/alice/img")
+    root.chown("/home/alice", 1000, 1000)
+    root.chown("/home/alice/img", 1000, 1000)
+    sys = _WRAPPERS[wrapper](Syscalls(kernel.login(1000, 1000)))
+    tracer = attach_tracer(kernel)
+    tracer.clear()
+    ticks = kernel.ticks
+    previous = set_optimizations(fast)
+    error = None
+    try:
+        for layer in layers:
+            if apply_diff:
+                layer.apply_diff(sys, "/home/alice/img")
+            else:
+                layer.extract(sys, "/home/alice/img")
+    except KernelError as err:
+        error = err.errno
+    finally:
+        set_optimizations(previous)
+    calls = [(e.name, e.errno, e.depth) for e in tracer.events]
+    ticks = kernel.ticks - ticks
+    lies = sorted(((ino, repr(lie)) for (_, ino), lie in sys.db)
+                  if hasattr(sys, "db") else ())
+    tree = TarArchive.pack(root, "/home/alice/img").serialize()
+    return error, calls, ticks, lies, tree
+
+
+def _d(path, mode=0o755):
+    return TarMember(path, FileType.DIR, mode, 0, 0)
+
+
+def _f(path):
+    return TarMember(path, FileType.REG, 0o644, 0, 0, data=b"f")
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_layer, min_size=1, max_size=3),
+       st.sampled_from(sorted(_WRAPPERS)), st.booleans())
+# an open directory whose parent loses its search bit, is deleted, or
+# becomes a symlink: each must be walked again
+@example([[_d("a"), _d("a/x"), _f("a/x/q"), _d("a", 0o600), _f("a/x/y")]],
+         "plain", False)
+@example([[_d("a"), _d("a/x"), _f("a/x/q")],
+          [TarMember("a", FileType.CHR, 0, 0, 0), _f("a/x/y")]],
+         "seccomp", True)
+@example([[_d("a"), _d("a/x"), _d("b"), _d("b/x"), _f("a/x/q")],
+          [TarMember("a", FileType.SYMLINK, 0o777, 0, 0, target="b"),
+           _f("a/x/y")]], "fakeroot", False)
+def test_handle_loop_matches_the_path_walk_loop(layers, wrapper, apply_diff):
+    """The unpack with directories kept open (the fast path) does what
+    the reference engine's loop does, which walks every member's whole
+    path from the image root: the same error, traced calls and errnos,
+    ticks, lie database and tree."""
+    layers = [TarArchive(members) for members in layers]
+    assert _unpack_stack(layers, wrapper, apply_diff, True) == \
+        _unpack_stack(layers, wrapper, apply_diff, False)

@@ -99,11 +99,12 @@ def test_missing_key_fails():
 
 
 def test_walk_rule_gates_identity_and_the_same_process_ratio():
-    """The walk cache's artifact is gated on its identity bit, its
-    reference/cached ratio and its work counts: its wall-clock seconds
-    may move freely."""
+    """The unpack walk's artifact is gated on its identity bit, its
+    reference/cached ratio and its work counts (syscalls, path walks,
+    journal generations): its wall-clock seconds may move freely."""
     assert GATES["walk"] == Rule(true=("identical",), floor=("speedup",),
-                                 ceiling=("syscalls", "path_resolves"))
+                                 ceiling=("syscalls", "path_resolves",
+                                          "unpack_gens"))
     baseline = committed("walk")
     slower_host = dict(baseline,
                        reference_seconds=3 * baseline["reference_seconds"],
@@ -116,6 +117,11 @@ def test_walk_rule_gates_identity_and_the_same_process_ratio():
         f"BENCH_walk.json: speedup regressed: {0.5 * baseline['speedup']} "
         f"< {FLOOR} x baseline {baseline['speedup']}",
     ]
+    # a generation per member instead of per layer
+    per_member = dict(baseline, unpack_gens=baseline["members"])
+    assert check("walk", baseline, per_member) == [
+        f"BENCH_walk.json: unpack_gens grew: {baseline['members']} > "
+        f"baseline {baseline['unpack_gens']}"]
 
 
 def test_coldbuild_rule_gates_the_rebuild_counts_not_its_seconds():
