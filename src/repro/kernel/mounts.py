@@ -116,7 +116,7 @@ class DirFd:
     base: Optional["DirFd"]
     rel: str
     gens: tuple = ()
-    root: "DirFd" = None  # type: ignore[assignment]
+    root: Optional["DirFd"] = None  # set by __post_init__
 
     def __post_init__(self):
         if self.root is None:

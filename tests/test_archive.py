@@ -311,6 +311,8 @@ class TestLayerOverlay:
         with pytest.raises(KernelError) as err:
             TarArchive([member]).extract(alice, "/home/alice/img")
         assert err.value.errno is Errno.ENOENT
+        assert alice.lstat(f"/home/alice/{member.path[2:]}").ftype \
+            is outside
         assert alice.lstat("/home/alice/d").ftype is FileType.DIR
         assert alice.readlink("/home/alice/link") == ".bashrc"
         assert alice.read_file("/home/alice/.bashrc") == \
