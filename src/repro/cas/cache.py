@@ -383,12 +383,10 @@ class BuildCache:
         installed = 0
         for entry in manifest.get("records", ()):
             blob = fetch(entry["diff"])
-            digest = self.store.put(blob)
-            if digest != entry["diff"]:
-                raise CacheManifestError(
-                    f"cache blob digest mismatch: manifest says "
-                    f"{entry['diff'][:19]}..., bytes hash to "
-                    f"{digest[:19]}...")
+            try:
+                self.store.put(blob, expect=entry["diff"])
+            except CasError as err:
+                raise CacheManifestError(f"cache blob: {err}") from None
             self.records[entry["key"]] = CacheRecord(
                 key=entry["key"], parent=entry["parent"],
                 kind=entry["kind"], text=entry["text"],

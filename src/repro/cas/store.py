@@ -7,6 +7,11 @@ registry economics work ("persistence ... portability, debugging with old
 versions, or general future reproducibility"): identical bytes are stored
 once no matter how many images, repositories, or builders reference them.
 
+Integrity: :meth:`ContentStore.get` returns only bytes that hash to their
+key, so readers need no check of their own.  ``put`` hashes what it stores;
+``get`` re-hashes only bytes it did not (swapped in under the key: bit rot)
+and drops them with a :class:`CasError` if they fail.
+
 Lifetime model — three independent protections, weakest to strongest:
 
 * **LRU residency**: unprotected blobs live in least-recently-used order
@@ -37,7 +42,7 @@ __all__ = ["CasError", "CasStats", "ContentStore", "blob_digest"]
 
 
 class CasError(ReproError):
-    """Missing blob or inconsistent reference bookkeeping."""
+    """Missing or corrupt blob, or inconsistent reference bookkeeping."""
 
 
 def blob_digest(data: bytes) -> str:
@@ -99,17 +104,18 @@ class ContentStore:
         self.max_bytes = max_bytes
         self.stats = CasStats()
         self._blobs: OrderedDict[str, bytes] = OrderedDict()
+        #: digest -> the bytes object this store hashed for it
+        self._hashed: dict[str, bytes] = {}
         self._refs: dict[str, int] = {}
         self._pins: set[str] = set()
         self._size = 0
 
     # -- introspection -----------------------------------------------------------
 
-    def __contains__(self, digest: str) -> bool:
-        return digest in self._blobs
-
     def has(self, digest: str) -> bool:
         return digest in self._blobs
+
+    __contains__ = has
 
     @property
     def size_bytes(self) -> int:
@@ -142,10 +148,14 @@ class ContentStore:
 
     # -- data plane --------------------------------------------------------------
 
-    def put(self, data: bytes) -> str:
-        """Store *data*; returns its digest.  Never fails: identical bytes
-        dedup to the existing blob, and eviction makes room if bounded."""
+    def put(self, data: bytes, expect: Optional[str] = None) -> str:
+        """Store *data*; returns its digest.  Identical bytes dedup to the
+        existing blob, and eviction makes room if bounded.  With *expect*
+        (the digest the bytes were fetched by), bytes that hash otherwise
+        raise :class:`CasError` and nothing is stored."""
         digest = blob_digest(data)
+        if expect is not None and digest != expect:
+            raise CasError(f"blob {expect[:19]}... does not match its digest")
         self.stats.puts += 1
         self.stats.bytes_in += len(data)
         if digest in self._blobs:
@@ -153,18 +163,25 @@ class ContentStore:
             self._blobs.move_to_end(digest)
             return digest
         self._evict_for(len(data))
-        self._blobs[digest] = data
+        self._blobs[digest] = self._hashed[digest] = data
         self._size += len(data)
         self.stats.bytes_stored += len(data)
         return digest
 
     def get(self, digest: str) -> bytes:
-        """Fetch a blob (LRU-touching); raises :class:`CasError` on miss."""
+        """Fetch a blob (LRU-touching); raises :class:`CasError` on a miss
+        or on bytes that do not hash to *digest*, which are dropped."""
         try:
             data = self._blobs[digest]
         except KeyError:
             self.stats.misses += 1
             raise CasError(f"no blob {digest[:19]}... in store")
+        if self._hashed.get(digest) is not data:
+            if blob_digest(data) != digest:
+                self._remove(digest)
+                raise CasError(
+                    f"blob {digest[:19]}... does not match its digest")
+            self._hashed[digest] = data
         self._blobs.move_to_end(digest)
         self.stats.hits += 1
         return data
@@ -195,6 +212,13 @@ class ContentStore:
 
     # -- reclamation --------------------------------------------------------------
 
+    def _remove(self, digest: str) -> int:
+        """Drop *digest*'s bytes, protected or not; returns their size."""
+        self._hashed.pop(digest, None)
+        size = len(self._blobs.pop(digest))
+        self._size -= size
+        return size
+
     def _evict_for(self, incoming: int) -> None:
         if self.max_bytes is None:
             return
@@ -203,10 +227,8 @@ class ContentStore:
                 break
             if self.protected(digest):
                 continue
-            data = self._blobs.pop(digest)
-            self._size -= len(data)
             self.stats.evictions += 1
-            self.stats.bytes_evicted += len(data)
+            self.stats.bytes_evicted += self._remove(digest)
 
     def discard(self, digest: str) -> bool:
         """Drop one specific blob if present and unprotected; returns
@@ -214,10 +236,8 @@ class ContentStore:
         their own blobs on a shared store (the build cache's GC)."""
         if digest not in self._blobs or self.protected(digest):
             return False
-        data = self._blobs.pop(digest)
-        self._size -= len(data)
         self.stats.gc_reclaimed += 1
-        self.stats.gc_bytes_reclaimed += len(data)
+        self.stats.gc_bytes_reclaimed += self._remove(digest)
         return True
 
     def gc(self, keep: Iterable[str] = ()) -> list[str]:
@@ -229,9 +249,7 @@ class ContentStore:
         for digest in list(self._blobs):
             if self.protected(digest) or digest in keep:
                 continue
-            data = self._blobs.pop(digest)
-            self._size -= len(data)
             reclaimed.append(digest)
             self.stats.gc_reclaimed += 1
-            self.stats.gc_bytes_reclaimed += len(data)
+            self.stats.gc_bytes_reclaimed += self._remove(digest)
         return reclaimed

@@ -441,17 +441,13 @@ class RegistryFleet(Registry):
         return tenant
 
     def _reserve_quota(self, tenant: Optional[Tenant],
-                       blobs: Sequence[bytes]) -> dict[str, int]:
-        """Check the quota without mutating the ledger; returns the
-        not-yet-charged digests (digest -> size) for :meth:`_commit_quota`.
-        """
+                       sizes: dict[str, int]) -> dict[str, int]:
+        """Check the quota for a request's blobs (digest -> size) without
+        mutating the ledger; returns the not-yet-charged ones for
+        :meth:`_commit_quota`."""
         if tenant is None:
             return {}
-        new = {}
-        for blob in blobs:
-            d = blob_digest(blob)
-            if d not in tenant.digests:
-                new[d] = len(blob)
+        new = {d: n for d, n in sizes.items() if d not in tenant.digests}
         added = sum(new.values())
         if tenant.quota_bytes is not None \
                 and tenant.bytes_used + added > tenant.quota_bytes:
@@ -479,13 +475,17 @@ class RegistryFleet(Registry):
         fault) drops the blobs the request introduced and restores the
         front-door counters, so the ledger and ``bytes_pushed`` count
         only bytes actually stored; blobs that pre-existed the request
-        are left alone (another image or tenant references them)."""
+        are left alone (another image or tenant references them).  Each
+        blob is hashed once, here; quota and placement share the digest."""
         tenant = self._tenant_of(ref)
-        new = self._reserve_quota(tenant, blobs)
+        digests = [blob_digest(blob) for blob in blobs]
+        new = self._reserve_quota(
+            tenant, {d: len(blob) for d, blob in zip(digests, blobs)})
         snap = _transfer_snapshot(self.stats)
         fresh: list[str] = []
         try:
-            digests = [self._place_blob(blob, fresh) for blob in blobs]
+            for blob, digest in zip(blobs, digests):
+                self._place_blob(blob, digest, fresh)
         except Exception:
             for digest in fresh:
                 for shard in self.shards:
@@ -496,12 +496,13 @@ class RegistryFleet(Registry):
         self._commit_quota(tenant, new)
         return digests
 
-    def _place_blob(self, blob: bytes, fresh: list[str]) -> str:
-        """Write *blob* to its primary holder and fill the replicas
-        shard-to-shard; returns the digest.  A blob the fleet already
-        holds counts as a push skip (:class:`Registry`'s dedup rule);
-        a new one is counted as pushed and appended to *fresh*."""
-        digest = blob_digest(blob)
+    def _place_blob(self, blob: bytes, digest: str,
+                    fresh: list[str]) -> None:
+        """Write *blob*, hashed to *digest* at the front door, to its
+        primary holder and fill the replicas shard-to-shard.  A blob the
+        fleet already holds counts as a push skip (:class:`Registry`'s
+        dedup rule); a new one is counted as pushed and appended to
+        *fresh*."""
         now = self._now()
         holders = [self._by_name[h] for h in self.blob_holders(digest)]
         live = [s for s in holders if self._is_live(s, now)]
@@ -521,7 +522,6 @@ class RegistryFleet(Registry):
         fill = [s for s in live[1:] if not s.registry.has_blob(digest)]
         if fill:
             self._fill(primary, [digest], fill)
-        return digest
 
     def _fill(self, origin: RegistryShard, digests: Sequence[str],
               targets: Sequence[RegistryShard]) -> None:
@@ -638,15 +638,11 @@ class RegistryFleet(Registry):
 
     def timed_pull(self, ref: ImageRef | str, *,
                    now: Optional[float] = None, arch: Optional[str] = None,
-                   local_store=None, token: Optional[str] = None) -> float:
+                   token: Optional[str] = None) -> float:
         """One workload-generator pull: route and *admission-check every
         layer first* (all-or-nothing, so a rejected request reserves no
         service and no bytes are double-counted on retry), then reserve
-        and serve; returns the virtual completion time.  With
-        *local_store*, each blob's bytes at rest (what its shard serves)
-        must hash to the digest asked for, checked with admission, so a
-        mismatch raises :class:`RegistryError` before any service is
-        reserved, any transfer counted or anything stored."""
+        and serve; returns the virtual completion time."""
         ref = as_ref(ref)
         now = self._now() if now is None else now
         tenant = self._admit(ref, token, "pull")
@@ -657,27 +653,15 @@ class RegistryFleet(Registry):
         planned: list[tuple[RegistryShard, str, int]] = []
         pending: dict[str, int] = {}
         for digest in manifest.layers:
-            if local_store is not None and local_store.has(digest):
-                continue
             shard = self.route_blob(digest)
             shard.check_admission(now, extra=pending.get(shard.name, 0))
             pending[shard.name] = pending.get(shard.name, 0) + 1
-            if (local_store is not None and blob_digest(
-                    shard.registry.blob_at_rest(digest)) != digest):
-                raise RegistryError(
-                    f"{shard.name}: blob {digest[:19]}... does not "
-                    "match its digest")
             planned.append((shard, digest,
                             shard.registry.blob_size(digest)))
         end = now
         for shard, digest, size in planned:
             end = max(end, shard.reserve(now, size))
-            blob = self._serve(shard, digest)
-            if local_store is not None:
-                local_store.put(blob)
-        skipped = len(manifest.layers) - len(planned)
-        if skipped:
-            self.stats.blobs_pull_skipped += skipped
+            self._serve(shard, digest)
         if tenant is not None:
             tenant.pulls += 1
         return end

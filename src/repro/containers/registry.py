@@ -105,10 +105,9 @@ class Registry:
         #: ``fetch_blob``/``push`` raise ``TransientRegistryError`` inside
         #: the plan's flake windows and callers retry per their policy.
         self.fault_injector = None
-        #: layer digest -> (blob bytes, decoded members): each layer blob
-        #: is decoded once, however many nodes pull it (:meth:`_decode`)
-        self._decoded: dict[str, tuple[bytes, tuple[TarMember, ...]]] = {}
-        self._checked: dict[str, bytes] = {}
+        #: layer digest -> decoded members: each layer blob is decoded
+        #: once, however many nodes pull it (:meth:`_decode`)
+        self._decoded: dict[str, tuple[TarMember, ...]] = {}
 
     # -- blob plumbing --------------------------------------------------------------
 
@@ -136,19 +135,16 @@ class Registry:
         digests.  (A fleet places them on its ring instead.)"""
         return [self._put_blob(blob) for blob in blobs]
 
-    def _get_blob(self, digest: str) -> bytes:
-        """One blob off the store for the wire, checked against *digest*
-        (a fleet's shard checks its own read) unless it is the very bytes
-        object that passed before (``_checked``): bytes are immutable."""
+    def _read(self, store: ContentStore, digest: str) -> bytes:
+        """*digest*'s verified bytes from *store*, or a RegistryError."""
         try:
-            blob = self.store.get(digest)
-        except CasError:
-            raise RegistryError(f"{self.name}: no blob {digest[:19]}...")
-        if self._checked.get(digest) is not blob:
-            if blob_digest(blob) != digest:
-                raise RegistryError(f"{self.name}: blob {digest[:19]}... "
-                                    "does not match its digest")
-            self._checked[digest] = blob
+            return store.get(digest)
+        except CasError as err:
+            raise RegistryError(f"{self.name}: {err}") from None
+
+    def _get_blob(self, digest: str) -> bytes:
+        """One blob off the store for the wire (a fleet's shard serves)."""
+        blob = self._read(self.store, digest)
         self.stats.blobs_pulled += 1
         self.stats.bytes_pulled += len(blob)
         return blob
@@ -156,17 +152,17 @@ class Registry:
     def fetch_blob(self, digest: str, *,
                    local_store: Optional[ContentStore] = None) -> bytes:
         """Pull one blob by digest.  If the caller's node-local
-        *local_store* already holds the bytes, they are served from there,
-        not re-hashed, and the wire transfer is skipped (counted as a
-        pull-skip — the mirror of push-side dedup).  Wire bytes must hash
-        to *digest* (:meth:`_get_blob`).  A freshly pulled blob is dropped
-        into *local_store* so the next puller on that node skips too."""
+        *local_store* already holds the bytes, they are served from there
+        and the wire transfer is skipped (counted as a pull-skip — the
+        mirror of push-side dedup).  Either store's ``get`` verifies the
+        bytes (:meth:`_read`).  A freshly pulled blob is dropped into
+        *local_store* so the next puller on that node skips too."""
         return self._fetch(digest, local_store)
 
     def _fetch(self, digest: str,
                local_store: Optional[ContentStore]) -> bytes:
         if local_store is not None and local_store.has(digest):
-            blob = local_store.get(digest)
+            blob = self._read(local_store, digest)
             self.stats.blobs_pull_skipped += 1
             self.stats.bytes_pull_skipped += len(blob)
             return blob
@@ -186,10 +182,7 @@ class Registry:
     def blob_at_rest(self, digest: str) -> bytes:
         """One blob's bytes without counting a transfer (audit-side
         reads; clients fetching over the wire use :meth:`fetch_blob`)."""
-        try:
-            return self.store.get(digest)
-        except CasError:
-            raise RegistryError(f"{self.name}: no blob {digest[:19]}...")
+        return self._read(self.store, digest)
 
     def storage_bytes(self) -> int:
         """Bytes at rest attributable to this registry's blobs.  On a
@@ -236,7 +229,6 @@ class Registry:
         if digest not in self._owned:
             return False
         self._owned.discard(digest)
-        self._checked.pop(digest, None)
         self.store.decref(digest)
         return self.store.discard(digest)
 
@@ -369,20 +361,15 @@ class Registry:
         return manifest.config, layers
 
     def _decode(self, digest: str, blob: bytes) -> TarArchive:
-        """The layer archive in *blob*, fetched as *digest*.  Members are
-        decoded once and reused only for bytes equal to those decoded, so
-        other bytes under the same digest (a corrupt node-local copy) are
-        decoded, and fail, as without the memo.  Each call returns a
-        fresh archive.  A miss first drops the entries of blobs this
-        registry no longer holds."""
-        hit = self._decoded.get(digest)
-        if hit is not None and hit[0] == blob:
-            return TarArchive(hit[1])
-        for gone in [d for d in self._decoded if not self.has_blob(d)]:
-            del self._decoded[gone]
-        archive = TarArchive.deserialize(blob)
-        self._decoded[digest] = (blob, tuple(archive.members))
-        return archive
+        """The layer archive in *blob*, fetched as *digest* from a store
+        that checked the bytes against it, so the members are decoded
+        once per digest.  Each call returns a fresh archive.  A miss
+        first drops the entries of blobs this registry no longer holds."""
+        if digest not in self._decoded:
+            for gone in [d for d in self._decoded if not self.has_blob(d)]:
+                del self._decoded[gone]
+            self._decoded[digest] = tuple(TarArchive.deserialize(blob))
+        return TarArchive(self._decoded[digest])
 
     def image_blob_digests(self, ref: ImageRef | str, *,
                            arch: Optional[str] = None) -> list[str]:

@@ -262,6 +262,18 @@ class FakerootSyscalls(Syscalls):
               ) -> StatResult:
         return self._overlay(self.inner.lstat(path, dir_fd=dir_fd))
 
+    def ftype_at(self, path: str, *, dir_fd: Optional[DirFd] = None
+                 ) -> Optional[FileType]:
+        """Untraced :meth:`lstat` type: a faked device answers with its
+        lie's, so an unpack replaces it (:meth:`unlink` forgets the lie)."""
+        try:
+            res = self._resolve(path, follow=False, dir_fd=dir_fd,
+                                missing_ok=True)
+        except KernelError:
+            return None
+        lie = res and self.db.get(res.fs.device_id, res.inode.ino)
+        return lie.ftype if lie and lie.ftype else res and res.inode.ftype
+
     # -- db maintenance on unlink --------------------------------------------------------
 
     def unlink(self, path: str, *, dir_fd: Optional[DirFd] = None) -> None:

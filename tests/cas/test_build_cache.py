@@ -155,8 +155,11 @@ class TestExportImport:
         src = BuildCache()
         _chain(src, "sha256:base", "a")
         manifest = src.to_manifest()
+        dst = BuildCache()
         with pytest.raises(CacheManifestError):
-            BuildCache().import_manifest(manifest, lambda d: b"tampered")
+            dst.import_manifest(manifest, lambda d: b"tampered")
+        # checked before it is stored: no bad blob is left behind
+        assert (dst.store.blob_count, dst.store.stats.puts) == (0, 0)
 
     def test_version_gate(self):
         with pytest.raises(CacheManifestError):

@@ -42,6 +42,38 @@ class TestRoundTrip:
         assert store.stats.misses == 1
 
 
+class TestIntegrity:
+    """``get`` returns only bytes that hash to their key, and hashes
+    only bytes the store did not hash itself."""
+
+    def test_get_hashes_only_bytes_it_did_not_hash(self, blob_hashes):
+        store = ContentStore()
+        digest = store.put(b"layer")
+        assert store.get(digest) == store.get(digest) == b"layer"
+        assert blob_hashes == [b"layer"]                   # put's hash only
+        store._blobs[digest] = bytes(bytearray(b"layer"))  # another object
+        assert store.get(digest) == store.get(digest) == b"layer"
+        assert blob_hashes == [b"layer"] * 2
+
+    def test_swapped_bytes_that_fail_are_dropped(self):
+        store = ContentStore()
+        digest = store.put(b"layer")
+        store._blobs[digest] = b"bit rot"         # swapped in under the key
+        with pytest.raises(CasError, match="does not match its digest"):
+            store.get(digest)
+        assert (store.has(digest), store.blob_count) == (False, 0)
+        assert store.put(b"layer") == digest      # a fresh copy heals it
+        assert store.get(digest) == b"layer"
+
+    def test_put_with_expect_refuses_other_bytes(self):
+        store = ContentStore()
+        want = blob_digest(b"layer")
+        with pytest.raises(CasError, match="does not match its digest"):
+            store.put(b"evil", expect=want)
+        assert (store.blob_count, store.stats.puts) == (0, 0)
+        assert store.put(b"layer", expect=want) == want
+
+
 class TestGcSafety:
     @_prop
     @given(blobs=blobs_st,

@@ -241,35 +241,57 @@ class TestLedgerUnderFaults:
         assert after["bob"] == before["bob"]
 
 
-class TestTimedPullDigestCheck:
-    """A timed pull into a node store keeps only bytes that hash to the
-    digest it asked for."""
+class TestFleetPullDigestCheck:
+    """A fleet pull into a node store keeps only bytes that hash to the
+    digest it asked for: the serving shard's store checks them."""
 
     def test_clean_pull_stores_every_layer(self):
         fleet = make_fleet()
         ref = SPEC.refs()[0]
         store = ContentStore()
-        fleet.timed_pull(ref, now=0.0, local_store=store)
+        fleet.pull(ref, local_store=store)
         assert sorted(store.digests()) == \
             sorted(fleet.image_blob_digests(ref))
 
     def test_corrupt_shard_fails_the_pull_and_stores_nothing(self):
         fleet = make_fleet()
         ref = SPEC.refs()[0]
-        digest = fleet.image_blob_digests(ref)[-1]
-        for name in fleet.blob_holders(digest):
-            shard = next(s for s in fleet.shards if s.name == name)
-            shard.registry.store._blobs[digest] = b"bit rot"
-        before = (fleet.stats.as_dict(),
-                  [s.stats.as_dict() for s in fleet.shards])
+        digest = fleet.image_blob_digests(ref)[0]
+        holders = [s for s in fleet.shards
+                   if s.name in fleet.blob_holders(digest)]
+        for read in (lambda store: fleet.pull(ref, local_store=store),
+                     lambda store: fleet.fetch_blob(digest,
+                                                    local_store=store)):
+            for shard in holders:
+                shard.registry.store._blobs[digest] = b"bit rot"
+            before = (fleet.stats.as_dict(),
+                      [(s.stats.as_dict(), s.registry.stats.as_dict())
+                       for s in fleet.shards])
+            store = ContentStore()
+            with pytest.raises(RegistryError,
+                               match="does not match its digest"):
+                read(store)
+            assert store.blob_count == 0
+            # nothing served or counted, and the rotten copy read is gone
+            assert (fleet.stats.as_dict(),
+                    [(s.stats.as_dict(), s.registry.stats.as_dict())
+                     for s in fleet.shards]) == before
+            assert [s.registry.has_blob(digest)
+                    for s in holders].count(False) == 1
+
+    def test_a_rotten_replica_is_dropped_and_the_other_serves(self):
+        fleet = make_fleet()
+        ref = SPEC.refs()[0]
+        digest = fleet.image_blob_digests(ref)[0]
+        shard = fleet.route_blob(digest)
+        shard.registry.store._blobs[digest] = b"bit rot"
+        with pytest.raises(RegistryError, match="does not match"):
+            fleet.fetch_blob(digest)
+        assert fleet.route_blob(digest) is not shard
         store = ContentStore()
-        with pytest.raises(RegistryError, match="does not match its digest"):
-            fleet.timed_pull(ref, now=0.0, local_store=store)
-        assert store.blob_count == 0
-        # checked with admission: no blob served, reserved or counted,
-        # the intact first layer included
-        assert (fleet.stats.as_dict(),
-                [s.stats.as_dict() for s in fleet.shards]) == before
+        fleet.pull(ref, local_store=store)
+        assert sorted(store.digests()) == \
+            sorted(fleet.image_blob_digests(ref))
 
 
 class TestBroadcastFleetRouting:

@@ -88,6 +88,24 @@ def alice(login):
 
 
 @pytest.fixture
+def blob_hashes(monkeypatch):
+    """The bytes of every blob hash taken from here on, in order: each
+    is a sha256 in :mod:`repro.cas.store` (``blob_digest``)."""
+    import hashlib
+
+    import repro.cas.store as store_module
+    seen = []
+
+    class Counting:
+        @staticmethod
+        def sha256(data):
+            seen.append(bytes(data))
+            return hashlib.sha256(data)
+    monkeypatch.setattr(store_module, "hashlib", Counting)
+    return seen
+
+
+@pytest.fixture
 def golden_check(request):
     """Compare a trace digest against its stored golden transcript.
 

@@ -193,23 +193,28 @@ class TestLayerDecodeMemo:
             assert [l.members for l in again] == [l.members for l in first]
         assert len(decodes) == 2
 
-    def test_corrupt_bytes_under_the_digest_are_decoded(self, decodes):
-        from repro.archive import ArchiveError
+    def test_tampered_node_copy_is_refused(self, decodes):
+        """A node-store copy that does not hash to its digest (garbage,
+        or another well-formed layer) is refused and dropped before it
+        is decoded or counted; the next pull fetches the honest bytes."""
         from repro.cas import ContentStore
         r = Registry("hub")
         (digest,) = self.pushed(r, layer("base"))
         r.pull("a:1")
         node = ContentStore()
-        node.put(r.blob_at_rest(digest))
-        node._blobs[digest] = b"not|an|archive\n"      # a corrupt node copy
-        with pytest.raises(ArchiveError):
-            r.pull("a:1", local_store=node)
-        node._blobs[digest] = layer("evil", b"rogue").serialize()
-        _, (got,) = r.pull("a:1", local_store=node)
-        assert [m.path for m in got] == ["evil"]
-        _, (clean,) = r.pull("a:1")                      # the memo is intact
+        for bad in (b"not|an|archive\n", layer("evil", b"rogue").serialize()):
+            node.put(r.blob_at_rest(digest))
+            node._blobs[digest] = bad                  # a tampered node copy
+            before = r.stats.as_dict()
+            with pytest.raises(RegistryError,
+                               match="does not match its digest"):
+                r.pull("a:1", local_store=node)
+            assert not node.has(digest)
+            assert r.stats.as_dict() == before
+        _, (clean,) = r.pull("a:1", local_store=node)  # over the wire
         assert [m.path for m in clean] == ["base"]
-        assert len(decodes) == 4
+        assert node.get(digest) == r.blob_at_rest(digest)
+        assert len(decodes) == 1
 
     def test_tampered_wire_bytes_are_refused(self, decodes):
         """Registry-side bytes that do not hash to their digest (another

@@ -5,7 +5,9 @@ persistence."""
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.archive import TarArchive, TarMember
 from repro.cluster import make_machine
+from repro.core.seccomp import SeccompSyscalls
 from repro.distro import populate_userland
 from repro.errors import Errno, KernelError
 from repro.fakeroot import (
@@ -167,6 +169,27 @@ class TestLieConsistency:
         fr.chmod("/home/alice/rootfile", 0o600)  # EPERM for alice -> lie
         assert fr.stat("/home/alice/rootfile").st_mode & 0o777 == 0o600
         assert fr.inner.stat("/home/alice/rootfile").st_mode & 0o777 == 0o644
+
+
+class TestUnpackThroughLies:
+    @pytest.mark.parametrize("wrap", [
+        lambda inner: FakerootSyscalls(inner, PSEUDO), SeccompSyscalls,
+    ], ids=["pseudo", "seccomp"])
+    def test_regular_member_replaces_a_faked_device(self, alice_sys, wrap):
+        """A faked device is a plain file plus a lie, so a regular member
+        replaces it only if the unpack sees the lie's type: then it
+        unlinks the device, as tar(1) does, and the lie is forgotten."""
+        fr = wrap(alice_sys)
+        fr.mkdir("/home/alice/img", 0o755)
+        TarArchive([TarMember("x", FileType.CHR, 0o644, 0, 0,
+                              rdev=(1, 3))]).extract(fr, "/home/alice/img")
+        assert fr.ftype_at("x", dir_fd=fr.open_dir("/home/alice/img")) \
+            is FileType.CHR
+        TarArchive([TarMember("x", FileType.REG, 0o640, 0, 0,
+                              data=b"hello")]).extract(fr, "/home/alice/img")
+        (m,) = TarArchive.pack(fr, "/home/alice/img").members
+        assert (m.ftype, m.rdev, m.mode & 0o7777, m.data) == \
+            (FileType.REG, (0, 0), 0o640, b"hello")
 
 
 class TestEngineQuirks:
