@@ -10,7 +10,9 @@ once no matter how many images, repositories, or builders reference them.
 Integrity: :meth:`ContentStore.get` returns only bytes that hash to their
 key, so readers need no check of their own.  ``put`` hashes what it stores;
 ``get`` re-hashes only bytes it did not (swapped in under the key: bit rot)
-and drops them with a :class:`CasError` if they fail.
+and drops them with a :class:`CasError` if they fail.  A ``put`` of bytes
+already present replaces a copy the store did not hash with the bytes it
+just hashed.
 
 Lifetime model — three independent protections, weakest to strongest:
 
@@ -152,16 +154,19 @@ class ContentStore:
         """Store *data*; returns its digest.  Identical bytes dedup to the
         existing blob, and eviction makes room if bounded.  With *expect*
         (the digest the bytes were fetched by), bytes that hash otherwise
-        raise :class:`CasError` and nothing is stored."""
+        raise :class:`CasError` and nothing is stored.  Resident bytes the
+        store did not hash are replaced, not deduplicated."""
         digest = blob_digest(data)
         if expect is not None and digest != expect:
             raise CasError(f"blob {expect[:19]}... does not match its digest")
         self.stats.puts += 1
         self.stats.bytes_in += len(data)
         if digest in self._blobs:
-            self.stats.dedup_hits += 1
-            self._blobs.move_to_end(digest)
-            return digest
+            if self._hashed.get(digest) is self._blobs[digest]:
+                self.stats.dedup_hits += 1
+                self._blobs.move_to_end(digest)
+                return digest
+            self._remove(digest)  # swapped in under the key: maybe rotten
         self._evict_for(len(data))
         self._blobs[digest] = self._hashed[digest] = data
         self._size += len(data)

@@ -584,13 +584,16 @@ class RegistryFleet(Registry):
 
     def _get_blob(self, digest: str) -> bytes:
         """Ring routing, then admission (when a clock is bound), then the
-        nearest live holder serves."""
+        nearest live holder serves; service is reserved only for a blob
+        it served."""
         shard = self.route_blob(digest)
-        if self.clock is not None:
-            now = self._now()
-            shard.check_admission(now)
-            shard.reserve(now, shard.registry.blob_size(digest))
-        return self._serve(shard, digest)
+        if self.clock is None:
+            return self._serve(shard, digest)
+        now = self._now()
+        shard.check_admission(now)
+        blob = self._serve(shard, digest)
+        shard.reserve(now, len(blob))
+        return blob
 
     def fetch_blob(self, digest: str, *, local_store=None) -> bytes:
         """Pull one blob through the front door: local CAS short-circuit
@@ -641,8 +644,10 @@ class RegistryFleet(Registry):
                    token: Optional[str] = None) -> float:
         """One workload-generator pull: route and *admission-check every
         layer first* (all-or-nothing, so a rejected request reserves no
-        service and no bytes are double-counted on retry), then reserve
-        and serve; returns the virtual completion time."""
+        service and no bytes are double-counted on retry), then serve
+        every layer, then reserve; returns the virtual completion time.
+        A layer a shard's store refuses fails the pull before anything is
+        reserved."""
         ref = as_ref(ref)
         now = self._now() if now is None else now
         tenant = self._admit(ref, token, "pull")
@@ -650,18 +655,17 @@ class RegistryFleet(Registry):
             self.fault_injector.check("fetch_blob")
         manifest = self.manifest(ref, arch=arch)
         self._verify_served(ref, manifest)
-        planned: list[tuple[RegistryShard, str, int]] = []
+        planned: list[tuple[RegistryShard, str]] = []
         pending: dict[str, int] = {}
         for digest in manifest.layers:
             shard = self.route_blob(digest)
             shard.check_admission(now, extra=pending.get(shard.name, 0))
             pending[shard.name] = pending.get(shard.name, 0) + 1
-            planned.append((shard, digest,
-                            shard.registry.blob_size(digest)))
+            planned.append((shard, digest))
+        blobs = [self._serve(shard, digest) for shard, digest in planned]
         end = now
-        for shard, digest, size in planned:
-            end = max(end, shard.reserve(now, size))
-            self._serve(shard, digest)
+        for (shard, _), blob in zip(planned, blobs):
+            end = max(end, shard.reserve(now, len(blob)))
         if tenant is not None:
             tenant.pulls += 1
         return end

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from ..archive import TarArchive, TarMember
-from ..cas.store import CasError, ContentStore, blob_digest
+from ..cas.store import CasError, ContentStore
 from ..errors import RegistryError
 from ..obs.trace import maybe_span
 from .oci import ImageConfig, ImageRef, Manifest
@@ -115,14 +115,14 @@ class Registry:
         return self.store.has(digest)
 
     def _put_blob(self, blob: bytes) -> str:
-        digest = blob_digest(blob)
-        if self.store.has(digest):
+        hits = self.store.stats.dedup_hits
+        digest = self.store.put(blob)
+        if self.store.stats.dedup_hits > hits:
             # dedup hit: the bytes are already at rest (possibly pushed to
             # another repo, or another registry on a shared store)
             self.stats.blobs_push_skipped += 1
             self.stats.bytes_push_skipped += len(blob)
-        else:
-            self.store.put(blob)
+        else:  # new bytes, or a rotten copy at rest replaced by them
             self.stats.blobs_pushed += 1
             self.stats.bytes_pushed += len(blob)
         if digest not in self._owned:

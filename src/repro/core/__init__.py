@@ -20,7 +20,7 @@ from .force import CONFIGS, DEBDERIV, ForceConfig, InitStep, RHEL7, detect_confi
 from .images import ImageStorage
 from .push import flatten_archive, push_image
 from .runtime import ChRun, ChRunResult
-from .seccomp import SECCOMP_ENGINE, SeccompSyscalls
+from .seccomp import SeccompSyscalls
 
 __all__ = [
     "BuildGraphError",
@@ -44,6 +44,5 @@ __all__ = [
     "push_image",
     "ChRun",
     "ChRunResult",
-    "SECCOMP_ENGINE",
     "SeccompSyscalls",
 ]

@@ -28,7 +28,6 @@ from ..containers.dockerfile import (
 from ..containers.oci import ImageConfig
 from ..containers.runtime import ContainerError, enter_container
 from ..errors import BuildError, KernelError
-from ..fakeroot.state import LieDatabase
 from ..kernel import Process, Syscalls
 from ..obs.trace import attach_tracer, kernel_span
 from ..shell import ExecContext, OutputSink, execute
@@ -105,9 +104,6 @@ class ChImage:
             self.cache = BuildCache(max_bytes=cache_max_bytes)
         else:
             self.cache = None
-        #: §6.2.2(3): in seccomp mode the lie database lives in the builder
-        #: (host side) and persists across RUN instructions and to push time
-        self.seccomp_db = LieDatabase()
 
     @property
     def cache_enabled(self) -> bool:
@@ -458,7 +454,7 @@ class ChImage:
             out(f"error: {err}")
             return 125
         if seccomp:
-            ctx = ctx.child(sys=SeccompSyscalls(ctx.sys, self.seccomp_db))
+            ctx = ctx.child(sys=SeccompSyscalls(ctx.sys))
         sink = OutputSink()
         status = execute(ctx.child(stdout=sink, stderr=sink), list(argv))
         for line in sink.lines():

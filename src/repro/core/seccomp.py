@@ -7,92 +7,63 @@ into the container implementation.  This would simplify it and also ease
 
 Real Charliecloud later shipped exactly this as ``ch-image build
 --force=seccomp``: a seccomp(2) filter installed by the runtime intercepts
-privileged system calls and fakes their success — nothing is installed into
-the image, no Dockerfile-visible change happens, and the lie database lives
-host-side so it naturally persists across RUN instructions and is available
-at push time (enabling the §6.2.2(2) ownership-preserving push).
+privileged system calls — nothing is installed into the image and no
+Dockerfile-visible change happens.
 
+The filter gives *zero consistency*: a privileged call returns success
+and does nothing, nothing is recorded, and ``stat`` reports the truth.
+The faked calls are ``chown``/``lchown``, ``mknod`` of a character or
+block device (nothing is created), ``setxattr`` of ``security.*`` and
+``trusted.*``, and the set*id/``setgroups`` family; every other call
+reaches the kernel unchanged.  So a later RUN, a cache hit and a push all
+see the same tree, and a faked chown or device leaves no trace in it.
 Unlike fakeroot(1), the filter also fakes the set*id family, so APT's
-privilege drop "succeeds" without the no-sandbox configuration file.
+privilege drop "succeeds" without the no-sandbox configuration file; and
+it sits on the process, not in libc, so static binaries are covered too.
+
+The one place a Type III image built this way differs from a Type II
+(rootless Podman) one, ownership aside, is file capabilities: a
+``security.capability`` xattr such as ping's ``cap_net_raw+ep`` is stored
+only by Type II, whose user namespace owns its filesystem.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from ..fakeroot.base import EngineSpec, FakerootSyscalls
-from ..fakeroot.state import LieDatabase
-from ..kernel import Syscalls
+from ..kernel import FileType, Syscalls
+from ..kernel.mounts import DirFd
 from ..obs.trace import instrument_syscalls
 
-__all__ = ["SECCOMP_ENGINE", "SeccompSyscalls"]
-
-#: Not a fakeroot(1) implementation — the runtime itself.  Arch-independent
-#: (seccomp is a kernel feature), wraps everything including static
-#: binaries (the filter is on the *process*, not injected into libc).
-SECCOMP_ENGINE = EngineSpec(
-    name="seccomp",
-    initial_release="(runtime feature)",
-    latest_version="(runtime feature)",
-    approach="seccomp",
-    architectures=("any",),
-    daemon=False,
-    persistency="host-side database",
-    intercepts_xattrs=True,
-)
+__all__ = ["SeccompSyscalls"]
 
 
 @instrument_syscalls("seccomp")
-class SeccompSyscalls(FakerootSyscalls):
-    """Runtime-installed syscall interception.
+class SeccompSyscalls(Syscalls):
+    """Runtime-installed syscall interception: the privileged calls below
+    return success and do nothing; the rest is the kernel's."""
 
-    Extends the fakeroot lie machinery with:
-
-    * set*id/setgroups faking (they report success without changing
-      credentials — the wrapped process only *believes* it dropped or
-      gained privilege);
-    * static-binary coverage (a process filter, not an LD_PRELOAD library —
-      the executor checks ``wraps_static_binaries`` via the engine's
-      ``approach``).
-    """
-
-    def __init__(self, inner: Syscalls, db: Optional[LieDatabase] = None):
-        super().__init__(inner, SECCOMP_ENGINE, db)
+    def __init__(self, inner: Syscalls):
+        super().__init__(inner.proc)
 
     def clone_for(self, proc):
-        return SeccompSyscalls(self.inner.clone_for(proc), self.db)
+        """seccomp filters are inherited across fork."""
+        return SeccompSyscalls(super().clone_for(proc))
 
-    # seccomp filters see every clone/execve: static binaries included
-    # (EngineSpec.wraps_static_binaries keys off approach == "ptrace", so
-    # override explicitly).
-    @property
-    def wraps_static(self) -> bool:  # pragma: no cover - informational
-        return True
+    def _succeed(self, *args, **kwargs) -> None:
+        """A faked call: success, and nothing done."""
 
-    # -- fake the set*id family -------------------------------------------------
+    chown = lchown = _succeed
+    setuid = seteuid = setreuid = setresuid = _succeed
+    setgid = setegid = setresgid = setgroups = _succeed
 
-    def setuid(self, uid: int) -> None:
-        return None  # faked success
+    def mknod(self, path: str, ftype: FileType, mode: int = 0o644,
+              rdev: tuple[int, int] = (0, 0), *,
+              dir_fd: Optional[DirFd] = None) -> None:
+        if ftype not in (FileType.CHR, FileType.BLK):
+            super().mknod(path, ftype, mode, rdev, dir_fd=dir_fd)
 
-    def seteuid(self, euid: int) -> None:
-        return None
-
-    def setreuid(self, ruid: int, euid: int) -> None:
-        return None
-
-    def setresuid(self, ruid: int, euid: int, suid: int) -> None:
-        return None
-
-    def setgid(self, gid: int) -> None:
-        return None
-
-    def setegid(self, egid: int) -> None:
-        return None
-
-    def setresgid(self, rgid: int, egid: int, sgid: int) -> None:
-        return None
-
-    def setgroups(self, groups: Sequence[int]) -> None:
-        return None
-
-    # mknod of devices is faked by the base class; chown/chmod/xattrs too.
+    def setxattr(self, path: str, name: str, value: bytes, *,
+                 dir_fd: Optional[DirFd] = None) -> None:
+        if not name.startswith(("security.", "trusted.")):
+            super().setxattr(path, name, value, dir_fd=dir_fd)

@@ -54,9 +54,8 @@ class EngineSpec:
     @property
     def wraps_static_binaries(self) -> bool:
         """LD_PRELOAD implementations cannot wrap statically linked
-        executables; ptrace(2) ones can (paper §5.1), and so can process-
-        level mechanisms like seccomp filters (§6.2.2(3))."""
-        return self.approach in ("ptrace", "seccomp")
+        executables; ptrace(2) ones can (paper §5.1)."""
+        return self.approach == "ptrace"
 
     def supports_arch(self, arch: str) -> bool:
         return "any" in self.architectures or arch in self.architectures
@@ -104,8 +103,8 @@ class FakerootSyscalls(Syscalls):
         self.db = db if db is not None else LieDatabase()
 
     def clone_for(self, proc):
-        """Children inherit the wrapper (LD_PRELOAD env / traced children /
-        seccomp filters all propagate across fork), sharing the lie DB."""
+        """Children inherit the wrapper (LD_PRELOAD env and traced
+        children both propagate across fork), sharing the lie DB."""
         return type(self)(self.inner.clone_for(proc), self.engine, self.db)
 
     # -- helpers ---------------------------------------------------------------------

@@ -607,7 +607,7 @@ class Syscalls:
         partition the member-digest memo: two interfaces may share cached
         digests only if they would stat identical results for the same
         (device, inode, generation).  Wrappers that lie about metadata
-        (fakeroot, seccomp) override this with their lie-database identity.
+        (fakeroot) override this with their lie-database identity.
 
         The uid/gid map entries are part of the key: ID *display* depends
         on them, and a map written after a walk must invalidate the view."""

@@ -65,6 +65,22 @@ class TestIntegrity:
         assert store.put(b"layer") == digest      # a fresh copy heals it
         assert store.get(digest) == b"layer"
 
+    def test_put_replaces_bytes_it_did_not_hash(self, blob_hashes):
+        """A put over a copy swapped in under the key stores the bytes it
+        just hashed instead of deduplicating against the copy; a put over
+        bytes the store hashed is a dedup hit.  Neither hashes twice."""
+        store = ContentStore()
+        digest = store.put(b"layer")
+        store.incref(digest)
+        store._blobs[digest] = b"LAYER"           # rotten, same length
+        assert store.put(b"layer") == digest
+        assert store.stats.dedup_hits == 0
+        assert (store.get(digest), store.size_bytes) == (b"layer", 5)
+        assert store.refcount(digest) == 1
+        store.put(b"layer")
+        assert store.stats.dedup_hits == 1
+        assert blob_hashes == [b"layer"] * 3
+
     def test_put_with_expect_refuses_other_bytes(self):
         store = ContentStore()
         want = blob_digest(b"layer")

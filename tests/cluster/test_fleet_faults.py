@@ -26,7 +26,7 @@ from repro.cas.store import ContentStore
 from repro.containers import ImageConfig, Registry
 from repro.errors import RegistryError
 from repro.kernel import FileType
-from repro.sim import FaultPlan, WorkloadSpec, run_workload
+from repro.sim import FaultPlan, SimClock, WorkloadSpec, run_workload
 
 LAYER_SIZES = (3000, 1500)
 
@@ -292,6 +292,39 @@ class TestFleetPullDigestCheck:
         fleet.pull(ref, local_store=store)
         assert sorted(store.digests()) == \
             sorted(fleet.image_blob_digests(ref))
+
+
+class TestRefusedBlobsReserveNothing:
+    """A shard reserves service only for a blob it served: with a clock
+    bound, a blob its store refuses leaves every queue untouched."""
+
+    @staticmethod
+    def rotten_fleet():
+        fleet = make_fleet()
+        fleet.clock = SimClock()
+        ref = SPEC.refs()[0]
+        digest = fleet.image_blob_digests(ref)[-1]
+        for shard in fleet.shards:
+            if shard.registry.has_blob(digest):
+                shard.registry.store._blobs[digest] = b"bit rot"
+        return fleet, ref, digest
+
+    @staticmethod
+    def reservations(fleet):
+        return [(s.stats.admitted, s.stats.busy_seconds)
+                for s in fleet.shards]
+
+    def test_a_refused_fetch_reserves_nothing(self):
+        fleet, _, digest = self.rotten_fleet()
+        with pytest.raises(RegistryError, match="does not match"):
+            fleet.fetch_blob(digest)
+        assert self.reservations(fleet) == [(0, 0.0)] * len(fleet.shards)
+
+    def test_a_timed_pull_with_a_rotten_layer_reserves_nothing(self):
+        fleet, ref, _ = self.rotten_fleet()
+        with pytest.raises(RegistryError, match="does not match"):
+            fleet.timed_pull(ref, now=0.0)
+        assert self.reservations(fleet) == [(0, 0.0)] * len(fleet.shards)
 
 
 class TestBroadcastFleetRouting:

@@ -127,6 +127,22 @@ class TestRegistry:
         assert r.stats.bytes_push_skipped == size
         assert r.stats.bytes_pushed == size  # stored exactly once
 
+    def test_repush_replaces_a_rotten_copy(self):
+        """An honest re-push over a copy that rotted at rest stores the
+        pushed bytes again (counted as a push), so the next pull
+        succeeds."""
+        r = Registry("hub")
+        base = layer("base", b"x" * 100)
+        r.push("a:1", ImageConfig(), [base])
+        digest = r.image_blob_digests("a:1")[0]
+        r.store._blobs[digest] = b"bit rot"
+        r.push("a:1", ImageConfig(), [base])
+        assert (r.stats.blobs_pushed, r.stats.blobs_push_skipped) == (2, 0)
+        _, (pulled,) = r.pull("a:1")
+        assert [m.path for m in pulled] == ["base"]
+        r.push("a:1", ImageConfig(), [base])
+        assert r.stats.blobs_push_skipped == 1
+
     def test_stats_as_dict(self):
         r = Registry("hub")
         base = layer("base", b"x" * 100)

@@ -4,7 +4,8 @@ shipped it."""
 
 import pytest
 
-from repro.core import ChImage, SeccompSyscalls, push_image
+from repro.core import ChImage, SeccompSyscalls
+from repro.fakeroot import FakerootSyscalls
 from repro.kernel import FileType, Syscalls
 from tests.conftest import FIG2_DOCKERFILE, FIG3_DOCKERFILE
 
@@ -62,25 +63,18 @@ class TestSeccompBuilds:
 
 
 class TestHostSideLieDatabase:
+    """There is none: the filter records nothing, so every RUN, cache hit
+    and push sees the tree the kernel holds (zero consistency)."""
+
     def test_lies_persist_across_runs(self, ch):
-        """The DB lives in the builder (host side), so later RUNs see the
-        ownership earlier RUNs faked — pseudo-style persistence for free."""
+        """A later RUN sees no ownership an earlier RUN faked."""
         df = ("FROM centos:7\n"
               "RUN yum install -y openssh\n"
               "RUN ls -lh /usr/libexec/openssh/ssh-keysign\n")
         r = ch.build(tag="c", dockerfile=df, force=True)
         assert r.success, r.text
-        assert "root ssh_keys" in r.text  # the faked group, seen later
-
-    def test_ownership_preserving_push_from_seccomp_db(self, ch, world):
-        """§6.2.2(2)+(3) combined: the runtime's database feeds the push."""
-        r = ch.build(tag="c", dockerfile=FIG2_DOCKERFILE, force=True)
-        assert r.success
-        push_image(ch.storage, "c", "gitlab.example.gov/alice/keep:v1",
-                   fakeroot_db=ch.seccomp_db)
-        _, layers = world.site_registry.pull("alice/keep:v1")
-        member = layers[0].member("usr/libexec/openssh/ssh-keysign")
-        assert member.gid not in (0, 1000)  # the packaged group id, kept
+        assert "root root" in r.text
+        assert "ssh_keys" not in r.text.split("ls -lh")[-1]
 
 
 class TestSeccompSyscalls:
@@ -96,19 +90,19 @@ class TestSeccompSyscalls:
         child_proc = alice.fork()
         child = parent.clone_for(child_proc)
         assert isinstance(child, SeccompSyscalls)
-        assert child.db is parent.db  # shared lie database
-
-    def test_wraps_static_binaries(self):
-        from repro.core import SECCOMP_ENGINE
-        assert SECCOMP_ENGINE.wraps_static_binaries
+        assert not isinstance(child, FakerootSyscalls)
+        assert child.proc is child_proc
+        child.setgroups([65534])  # still faked in the child
+        assert child_proc.cred.groups == alice.cred.groups
 
     def test_mknod_and_chown_lies(self, login, alice):
+        """Both calls succeed and change nothing: the wrapper stats what
+        the raw kernel stats, and the faked device does not exist."""
         sys = SeccompSyscalls(Syscalls(alice))
+        raw = Syscalls(alice)
         sys.write_file("/home/alice/f", b"")
         sys.chown("/home/alice/f", 12, 13)
         sys.mknod("/home/alice/dev", FileType.BLK, rdev=(8, 0))
-        assert sys.stat("/home/alice/f").st_uid == 12
-        assert sys.stat("/home/alice/dev").ftype is FileType.BLK
-        raw = Syscalls(alice)
+        assert sys.stat("/home/alice/f") == raw.stat("/home/alice/f")
         assert raw.stat("/home/alice/f").kuid == 1000
-        assert raw.stat("/home/alice/dev").ftype is FileType.REG
+        assert not raw.exists("/home/alice/dev")
