@@ -53,6 +53,7 @@ GATES: dict[str, Rule] = {
                  "rebuild_members_hashed", "clone_gens")),
     "registry": Rule(
         true=("replay_identical", "deploys_digest_identical"),
+        exact=tuple(f"p99_seconds.{n}" for n in (1, 2, 4, 8)),
         floor=tuple(f"pulls_per_sec.{n}" for n in (1, 2, 4, 8))),
     "matrix": Rule(
         true=("digests_identical",),
@@ -61,6 +62,7 @@ GATES: dict[str, Rule] = {
                "measured_stores", "pushed")),
     "engine": Rule(
         true=("identical_reports", "identical_stores"),
+        exact=("pull_storm.makespan", "tree.makespan"),
         floor=("pull_storm.events_per_sec", "workload.events_per_sec")),
     "policy": Rule(
         true=("attestations_deterministic",),

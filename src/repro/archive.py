@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .errors import Errno, KernelError, ReproError
 from .kernel import FileType, Syscalls
@@ -152,10 +152,11 @@ class TarArchive:
             archive = cls([m.flattened() for m in members])
         return archive
 
-    def extract(self, sys: Syscalls, dest: str, *,
+    def extract(self, sys: Syscalls, dest: Union[str, "_Dirs"], *,
                 preserve_owner: bool = False,
                 on_chown_error: str = "raise") -> list[str]:
-        """Unpack under *dest* through *sys*.
+        """Unpack under *dest* through *sys*.  *dest* is a path, or the
+        directories :meth:`extract_layers` keeps open for a whole stack.
 
         ``preserve_owner=False`` is what unprivileged tar does: "downstream
         Type III users that pull the image will change ownership to
@@ -185,25 +186,44 @@ class TarArchive:
         directory is missing.  A whiteout whose directory does not
         resolve deletes nothing.
         """
-        return self._unpack(sys, dest, preserve_owner, on_chown_error)
+        dirs = dest if isinstance(dest, _Dirs) else _Dirs(sys, dest)
+        return self._unpack(sys, dirs, preserve_owner, on_chown_error)
+
+    @staticmethod
+    def extract_layers(layers: Iterable["TarArchive"], sys: Syscalls,
+                       dest: str, *, preserve_owner: bool = False,
+                       on_chown_error: str = "raise") -> list[str]:
+        """:meth:`extract` each of *layers* under *dest*, in order, through
+        one set of open directories: *dest* is opened once for the whole
+        stack, and a directory an earlier layer opened serves the later
+        ones too (the kernel walks it again if a layer moved a
+        ``walk_gen`` it depends on).  Each layer is still one
+        :meth:`extract` call and its own journal generation.  Returns
+        every layer's chown warnings."""
+        dirs = _Dirs(sys, dest)
+        warnings: list[str] = []
+        for layer in layers:
+            warnings += layer.extract(sys, dirs,
+                                      preserve_owner=preserve_owner,
+                                      on_chown_error=on_chown_error)
+        return warnings
 
     def apply_diff(self, sys: Syscalls, dest: str) -> None:
         """Apply this archive as a build-cache hit's *diff*: the unpack of
         :meth:`extract`, keeping owners where the kernel permits it, so a
         warm build reproduces the tree its cold build made."""
-        self._unpack(sys, dest, True, "ignore")
+        self._unpack(sys, _Dirs(sys, dest), True, "ignore")
 
-    def _unpack(self, sys: Syscalls, dest: str, preserve_owner: bool,
+    def _unpack(self, sys: Syscalls, dirs: "_Dirs", preserve_owner: bool,
                 on_chown_error: str) -> list[str]:
         """The member loop of :meth:`extract` and :meth:`apply_diff`.
 
         Each call names its member beneath an open directory
-        (``dir_fd=``): the member's parent from :class:`_Dirs`, so a
-        member whose directory is already open costs no path walk.  The
-        whole layer is one journal generation on *dest*'s filesystem
+        (``dir_fd=``): the member's parent from *dirs*, so a member whose
+        directory is already open costs no path walk.  The whole layer
+        is one journal generation on the destination's filesystem
         (:meth:`~repro.kernel.Filesystem.one_generation`)."""
         warnings: list[str] = []
-        dirs = _Dirs(sys, dest)
         with dirs.top.fs.one_generation():
             for m in self.members:
                 if m.is_whiteout:

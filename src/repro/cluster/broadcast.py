@@ -43,7 +43,7 @@ from ..containers.registry import Registry
 from ..errors import RegistryError, ReproError, TransientError
 from ..obs.trace import maybe_span
 from ..sim import (FaultPlan, RetryPolicy, SimEngine, Topology,
-                   faulty_transmit, link_restore, link_snapshot)
+                   faulty_transmit, link_restore, link_snapshot, transmit)
 from ..sim import opts as sim_opts
 from .machines import Machine
 
@@ -398,18 +398,26 @@ class _BlobCast:
             return
         self._r.attempts += 1
         src, dst = self._link(shost), self._link(chost)
+        plan = ctx.plan
+        if plan is None:
+            # nothing can interrupt a clean hop, so there is nothing to
+            # roll back and no snapshot to take
+            timing = transmit(src, dst, self.size, chunk_size=ctx.chunk,
+                              available=self.chunk_avail[shost],
+                              record_arrivals=self._observed(chost))
+            self._landed(child, timing, src=shost, peer=True)
+            return
         snap_src, snap_dst = link_snapshot(src), link_snapshot(dst)
-        timeout = ctx.policy.attempt_timeout if ctx.plan is not None else None
         try:
             timing = faulty_transmit(
-                ctx.plan, src, dst, self.size, chunk_size=ctx.chunk,
+                plan, src, dst, self.size, chunk_size=ctx.chunk,
                 available=self.chunk_avail[shost], now=now,
-                attempt_timeout=timeout,
+                attempt_timeout=ctx.policy.attempt_timeout,
                 record_arrivals=self._observed(chost))
         except TransientError as exc:
             self._transient("send", child, attempt, exc, sender=sender)
             return
-        crash_t = ctx.plan.crash_time(shost) if ctx.plan is not None else None
+        crash_t = plan.crash_time(shost)
         if crash_t is not None and now < crash_t < timing.end:
             # the sender dies mid-transfer: the chunks never complete, so
             # roll the reservations and stats back and repair the tree

@@ -102,6 +102,10 @@ class HashRing:
     *distinct* shards clockwise from ``sha256(key)``.  Determinism and
     the minimal-movement property both follow from the points being a
     pure function of the shard name.
+
+    Placement changes only when a shard joins or leaves, so
+    :meth:`holders` is memoized per ``(key, n)`` and :meth:`add` /
+    :meth:`remove` clear the memo.
     """
 
     def __init__(self, shards: Iterable[str] = (), *, vnodes: int = 64):
@@ -110,6 +114,7 @@ class HashRing:
         self.vnodes = vnodes
         self._points: list[tuple[int, str]] = []  # sorted (hash, shard)
         self._shards: set[str] = set()
+        self._memo: dict[tuple[str, int], tuple[str, ...]] = {}
         for name in shards:
             self.add(name)
 
@@ -131,6 +136,7 @@ class HashRing:
         if name in self._shards:
             return
         self._shards.add(name)
+        self._memo.clear()
         for point in self._vnode_points(name):
             insort(self._points, point)
 
@@ -138,16 +144,23 @@ class HashRing:
         if name not in self._shards:
             return
         self._shards.discard(name)
+        self._memo.clear()
         dead = set(self._vnode_points(name))
         self._points = [p for p in self._points if p not in dead]
 
-    def holders(self, key: str, n: int = 1) -> list[str]:
+    def holders(self, key: str, n: int = 1) -> tuple[str, ...]:
         """The first *n* distinct shards clockwise from *key*'s point,
         primary first.  ``n`` is clamped to the shard count."""
+        found = self._memo.get((key, n))
+        if found is None:
+            found = self._memo[key, n] = self._walk(key, n)
+        return found
+
+    def _walk(self, key: str, n: int) -> tuple[str, ...]:
         if not self._shards:
             raise FleetError("hash ring has no shards")
         n = min(n, len(self._shards))
-        start = bisect_right(self._points, (_ring_hash(key), "￿"))
+        start = bisect_right(self._points, (_ring_hash(key), "\uffff"))
         found: list[str] = []
         for i in range(len(self._points)):
             _, shard = self._points[(start + i) % len(self._points)]
@@ -155,10 +168,10 @@ class HashRing:
                 found.append(shard)
                 if len(found) == n:
                     break
-        return found
+        return tuple(found)
 
     def placement(self, keys: Iterable[str], n: int = 1
-                  ) -> dict[str, list[str]]:
+                  ) -> dict[str, tuple[str, ...]]:
         """``{key: holders}`` for many keys at once (test/rebalance aid)."""
         return {key: self.holders(key, n) for key in keys}
 
@@ -226,14 +239,22 @@ class RegistryShard:
     # -- admission queue ---------------------------------------------------
 
     def queue_depth(self, now: float) -> int:
-        """Operations queued or in service at virtual time *now*."""
-        self._completions = [t for t in self._completions if t > now]
-        return len(self._completions)
+        """Operations queued or in service at virtual time *now*; forgets
+        the ones complete by then.
+
+        ``_completions`` is sorted: :meth:`reserve` appends
+        ``max(now, _busy_until) + service`` and then advances
+        ``_busy_until`` to it, so no completion precedes the one before
+        it, and the ones done by *now* are a prefix."""
+        c = self._completions
+        del c[:bisect_right(c, now)]
+        return len(c)
 
     def retry_hint(self, now: float) -> float:
         """Earliest time a queue slot can free up."""
-        pending = [t for t in self._completions if t > now]
-        return min(pending) if pending else now
+        c = self._completions
+        i = bisect_right(c, now)
+        return c[i] if i < len(c) else now
 
     def check_admission(self, now: float, extra: int = 0) -> None:
         """Raise :class:`FleetOverloadError` if one more operation (plus
@@ -390,15 +411,20 @@ class RegistryFleet(Registry):
         per-blob registry pulls instead of assuming one origin."""
         now = self._now()
         holders = self.blob_holders(digest)
-        live = [self._by_name[h] for h in holders
-                if self._is_live(self._by_name[h], now)]
-        live = [s for s in live if s.registry.has_blob(digest)]
-        if not live:
+        best, best_depth = None, 0
+        for name in holders:
+            shard = self._by_name[name]
+            if not self._is_live(shard, now) \
+                    or not shard.registry.has_blob(digest):
+                continue
+            depth = shard.queue_depth(now)
+            if best is None or depth < best_depth:
+                best, best_depth = shard, depth
+        if best is None:
             raise FleetError(
                 f"{self.name}: no live shard holds {digest[:19]}... "
-                f"(placement: {holders})")
-        order = {h: i for i, h in enumerate(holders)}
-        return min(live, key=lambda s: (s.queue_depth(now), order[s.name]))
+                f"(placement: {list(holders)})")
+        return best
 
     def endpoints(self) -> list[RegistryShard]:
         """One uplink per shard: a fleet has no single origin link."""

@@ -56,10 +56,10 @@ class ShifterGateway:
             ref, arch=self.machine.arch)
         path = f"{self.store_dir}/{ref.flat_name}"
         self.sys.mkdir_p(path)
-        for layer in layers:
-            # flattened: site policy, ownership dropped to root:root
-            TarArchive([m.flattened() for m in layer]).extract(
-                self.sys, path, preserve_owner=True, on_chown_error="ignore")
+        # flattened: site policy, ownership dropped to root:root
+        TarArchive.extract_layers(
+            (TarArchive([m.flattened() for m in layer]) for layer in layers),
+            self.sys, path, preserve_owner=True, on_chown_error="ignore")
         # world-readable, like Shifter's loop-mounted squashfs images
         self._images[name] = path
         return path
@@ -114,8 +114,8 @@ class Enroot:
             ref, arch=self.machine.arch)
         path = f"{self.data_dir}/{ref.flat_name}"
         self.sys.mkdir_p(path)
-        for layer in layers:
-            layer.extract(self.sys, path, preserve_owner=False)
+        TarArchive.extract_layers(layers, self.sys, path,
+                                  preserve_owner=False)
         self._images[name] = path
         return path
 

@@ -142,9 +142,8 @@ class Singularity:
         build_proc = self.user_proc.fork(comm="singularity-build")
         self.machine.shadow.setup_rootless_userns(build_proc)
         bsys = Syscalls(build_proc)
-        for layer in layers:
-            layer.extract(bsys, work, preserve_owner=True,
-                          on_chown_error="ignore")
+        TarArchive.extract_layers(layers, bsys, work, preserve_owner=True,
+                                  on_chown_error="ignore")
 
         if spec.post:
             try:

@@ -127,11 +127,10 @@ class StorageDriver:
             raise DriverError(f"image {name!r} already in storage")
         with self._span(f"unpack {name}", layers=len(layers)):
             self.sys.mkdir_p(path)
-            warnings: list[str] = []
+            TarArchive.extract_layers(layers, self.sys, path,
+                                      preserve_owner=preserve_owner,
+                                      on_chown_error=on_chown_error)
             for layer in layers:
-                warnings += layer.extract(self.sys, path,
-                                          preserve_owner=preserve_owner,
-                                          on_chown_error=on_chown_error)
                 self.stats.meta_ops += len(layer)
                 self.stats.bytes_copied += layer.total_bytes()
                 self._store_blob(layer)

@@ -179,9 +179,9 @@ class ImageStorage:
             ref, arch=self.machine.arch,
             local_store=getattr(self.machine, "content_store", None))
         self.sys.mkdir_p(path)
-        for layer in layers:
-            # unprivileged tar semantics: no chown attempts at all
-            layer.extract(self.sys, path, preserve_owner=False)
+        # unprivileged tar semantics: no chown attempts at all
+        TarArchive.extract_layers(layers, self.sys, path,
+                                  preserve_owner=False)
         self._configs[name] = config
         self._digests[name] = registry.manifest(
             ref, arch=self.machine.arch).digest()

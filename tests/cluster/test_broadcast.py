@@ -200,6 +200,24 @@ class TestDistributeBlobs:
         assert rep.started_at == 10.0
         assert all(t >= 10.0 for t in rep.node_ready.values())
 
+    def test_registry_flake_without_a_plan_rolls_the_pull_back(
+            self, registry, digests):
+        """A fault injector already on the registry can fail the root's
+        ``fetch_blob`` while the distribution itself has no plan: the
+        pull's transfer is rolled back and retried, so the registry link
+        carries the image once and every node still gets it."""
+        nodes = nodes_named(4)
+        topo = make_deploy_topology(registry, nodes)
+        engine = SimEngine()
+        registry.fault_injector = FaultPlan(seed=3).add_registry_flake(
+            0.0, 0.05).injector(engine.clock)
+        rep = distribute_blobs(registry, digests, nodes, topo,
+                               strategy="tree", engine=engine)
+        assert rep.retries == len(digests)
+        assert topo.link("site").stats.bytes_tx == rep.image_bytes
+        assert all(node.content_store.has(d)
+                   for node in nodes for d in digests)
+
 
 class TestOptimizationParity:
     """The engine fast paths (bulk transmit, bucket queue, leaf-event

@@ -610,9 +610,11 @@ _WRAPPERS = {
 }
 
 
-def _unpack_stack(layers, wrapper, apply_diff, fast):
-    """Unpack *layers* onto a fresh alice-owned image with the engine
-    fast paths on (*fast*) or off; what the unpack did."""
+def _unpack_stack(layers, wrapper, how, fast):
+    """Unpack *layers* onto a fresh alice-owned image, one call per layer
+    (*how* ``"extract"`` or ``"apply_diff"``) or the whole stack in one
+    ``extract_layers`` call, with the engine fast paths on (*fast*) or
+    off; what the unpack did."""
     kernel = Kernel(make_ext4())
     root = Syscalls(kernel.init_process)
     root.mkdir_p("/home/alice/img")
@@ -625,11 +627,11 @@ def _unpack_stack(layers, wrapper, apply_diff, fast):
     previous = set_optimizations(fast)
     error = None
     try:
-        for layer in layers:
-            if apply_diff:
-                layer.apply_diff(sys, "/home/alice/img")
-            else:
-                layer.extract(sys, "/home/alice/img")
+        if how == "extract_layers":
+            TarArchive.extract_layers(layers, sys, "/home/alice/img")
+        else:
+            for layer in layers:
+                getattr(layer, how)(sys, "/home/alice/img")
     except KernelError as err:
         error = err.errno
     finally:
@@ -650,25 +652,54 @@ def _f(path):
     return TarMember(path, FileType.REG, 0o644, 0, 0, data=b"f")
 
 
+_HOWS = ["extract", "extract_layers", "apply_diff"]
+
+
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(_layer, min_size=1, max_size=3),
-       st.sampled_from(sorted(_WRAPPERS)), st.booleans())
+       st.sampled_from(sorted(_WRAPPERS)), st.sampled_from(_HOWS))
 # an open directory whose parent loses its search bit, is deleted, or
 # becomes a symlink: each must be walked again
 @example([[_d("a"), _d("a/x"), _f("a/x/q"), _d("a", 0o600), _f("a/x/y")]],
-         "plain", False)
+         "plain", "extract")
 @example([[_d("a"), _d("a/x"), _f("a/x/q")],
           [TarMember("a", FileType.CHR, 0, 0, 0), _f("a/x/y")]],
-         "seccomp", True)
+         "seccomp", "apply_diff")
 @example([[_d("a"), _d("a/x"), _d("b"), _d("b/x"), _f("a/x/q")],
           [TarMember("a", FileType.SYMLINK, 0o777, 0, 0, target="b"),
-           _f("a/x/y")]], "fakeroot", False)
-def test_handle_loop_matches_the_path_walk_loop(layers, wrapper, apply_diff):
+           _f("a/x/y")]], "fakeroot", "extract")
+# the same three with the directories kept open from layer to layer
+@example([[_d("a"), _d("a/x"), _f("a/x/q")], [_d("a", 0o600)],
+          [_f("a/x/y")]], "plain", "extract_layers")
+@example([[_d("a"), _d("a/x"), _f("a/x/q")],
+          [TarMember("a", FileType.CHR, 0, 0, 0), _f("a/x/y")]],
+         "seccomp", "extract_layers")
+@example([[_d("a"), _d("a/x"), _d("b"), _d("b/x"), _f("a/x/q")],
+          [TarMember("a", FileType.SYMLINK, 0o777, 0, 0, target="b"),
+           _f("a/x/y")]], "fakeroot", "extract_layers")
+def test_handle_loop_matches_the_path_walk_loop(layers, wrapper, how):
     """The unpack with directories kept open (the fast path) does what
     the reference engine's loop does, which walks every member's whole
     path from the image root: the same error, traced calls and errnos,
-    ticks, lie database and tree."""
+    ticks, lie database and tree.  One ``extract_layers`` call over the
+    stack, which keeps its directories open from layer to layer, does
+    what one ``extract`` per layer does."""
     layers = [TarArchive(members) for members in layers]
-    assert _unpack_stack(layers, wrapper, apply_diff, True) == \
-        _unpack_stack(layers, wrapper, apply_diff, False)
+    fast = _unpack_stack(layers, wrapper, how, True)
+    assert fast == _unpack_stack(layers, wrapper, how, False)
+    if how == "extract_layers":
+        assert fast == _unpack_stack(layers, wrapper, "extract", True)
+
+
+def test_extract_layers_journals_one_generation_per_layer(root_sys):
+    root_sys.mkdir_p("/img")
+    fs = root_sys.open_dir("/img").fs
+    layers = [TarArchive([_d("a"), _d("a/x"), _f("a/x/q")]),
+              TarArchive([_f("a/x/y"), _d("b")]),
+              TarArchive([_f("b/z")])]
+    before = fs.gen
+    TarArchive.extract_layers(layers, root_sys, "/img")
+    assert fs.gen == before + len(layers)
+    assert sorted(e.name for e in root_sys.readdir("/img/a/x")) == \
+        ["q", "y"]

@@ -84,6 +84,27 @@ def test_build_rule_gates_the_virtual_clock_schedule():
         f"{slower['makespan_seconds']!r} != {baseline['makespan_seconds']!r}"]
 
 
+def test_fleet_and_engine_rules_gate_their_virtual_times():
+    """Pull-tape p99s and broadcast makespans are sim-clock outputs, so
+    any drift fails; wall-clock throughputs keep their floor."""
+    baseline = committed("registry")
+    drifted = copy.deepcopy(baseline)
+    drifted["p99_seconds"]["8"] += 1e-9
+    drifted["pulls_per_sec"]["8"] *= 0.95
+    assert check("registry", baseline, drifted) == [
+        "BENCH_registry.json: p99_seconds.8 drifted from the baseline: "
+        f"{drifted['p99_seconds']['8']!r} != "
+        f"{baseline['p99_seconds']['8']!r}"]
+    baseline = committed("engine")
+    drifted = copy.deepcopy(baseline)
+    drifted["tree"]["makespan"] += 1e-9
+    drifted["pull_storm"]["events_per_sec"] *= 0.95
+    assert check("engine", baseline, drifted) == [
+        "BENCH_engine.json: tree.makespan drifted from the baseline: "
+        f"{drifted['tree']['makespan']!r} != "
+        f"{baseline['tree']['makespan']!r}"]
+
+
 def test_floor_is_inclusive():
     baseline = committed("coldbuild")
     current = dict(baseline, speedup=FLOOR * baseline["speedup"])
