@@ -71,6 +71,14 @@ GATES: dict[str, Rule] = {
                "audit_front_door_bytes")),
     "walk": Rule(true=("identical",), floor=("speedup",),
                  ceiling=("syscalls", "path_resolves", "unpack_gens")),
+    "deploy": Rule(
+        true=("mounted_equals_unpacked",),
+        exact=("blobs", *(f"{s}.{k}" for s in ("tree", "registry")
+                          for k in ("deploy_makespan",
+                                    "distribution_makespan",
+                                    "registry_egress_bytes",
+                                    "image_bytes"))),
+        ceiling=("syscalls_per_rank",)),
 }
 
 MISSING = object()

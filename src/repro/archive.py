@@ -19,11 +19,12 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Union
 
 from .errors import Errno, KernelError, ReproError
-from .kernel import FileType, Syscalls
+from .kernel import FileType, Filesystem, Syscalls
 from .kernel.mounts import DirFd
 from .sim import opts as _opts
 
-__all__ = ["TarMember", "TarArchive", "ArchiveError", "member_of"]
+__all__ = ["TarMember", "TarArchive", "ArchiveError", "member_of",
+           "pack_image", "decode_image"]
 
 
 class ArchiveError(ReproError):
@@ -383,6 +384,75 @@ class TarArchive:
             except (ValueError, KeyError) as exc:
                 raise ArchiveError(f"bad member {path!r}: {exc}") from exc
         return cls(members)
+
+
+#: The path an image blob (:func:`pack_image`) gives its root directory's
+#: member: :meth:`TarArchive.pack` leaves the root out.
+IMAGE_ROOT = "."
+
+
+def pack_image(sys: Syscalls, root: str, *, flatten: bool = False) -> bytes:
+    """ch-convert: the tree under *root*, as seen through *sys*, as one
+    single-file image blob to mount (:func:`decode_image`) instead of
+    unpacking.
+
+    The blob is a serialized archive: the root directory's own member
+    first (path :data:`IMAGE_ROOT`, so a mount gets its owner, mode and
+    xattrs), then :meth:`TarArchive.pack` of the tree.  With *flatten*
+    every member, the root's too, is :meth:`TarMember.flattened`: a
+    SIF."""
+    members = [member_of(sys, root, IMAGE_ROOT),
+               *TarArchive.pack(sys, root).members]
+    if flatten:
+        members = [m.flattened() for m in members]
+    return TarArchive(members).serialize()
+
+
+def decode_image(blob: bytes, *, label: str = "image") -> Filesystem:
+    """The read-only :class:`~repro.kernel.Filesystem` an image blob of
+    :func:`pack_image` holds: what squashfuse serves from a SquashFS
+    file or a SIF.
+
+    Each member becomes one inode, built with ``alloc`` and
+    ``link_child`` in one journal generation; its uid and gid become the
+    inode's kernel IDs (the packer's view from the initial user
+    namespace).  The filesystem is then frozen
+    (:meth:`~repro.kernel.Filesystem.freeze`), so every write to it
+    fails with EROFS.  Only a clean packed tree decodes: a blob whose
+    first member is not the root directory, a whiteout, a second member
+    at one path, or a member whose parent directory did not come before
+    it raises :class:`ArchiveError`."""
+    members = TarArchive.deserialize(blob).members
+    if not members or members[0].path != IMAGE_ROOT \
+            or members[0].ftype is not FileType.DIR:
+        raise ArchiveError(f"{label}: not an image: no root directory "
+                           f"member first")
+    top = members[0]
+    fs = Filesystem("squashfs", root_uid=top.uid, root_gid=top.gid,
+                    root_mode=top.mode, label=label)
+    fs.root.xattrs.update(top.xattrs)
+    inodes = {"": fs.root}
+    with fs.one_generation():
+        for m in members[1:]:
+            parent_path, _, name = m.path.rpartition("/")
+            parent = inodes.get(parent_path)
+            if m.is_whiteout:
+                raise ArchiveError(f"{label}: {m.path!r}: whiteout in an "
+                                   f"image")
+            if m.path in inodes:
+                raise ArchiveError(f"{label}: {m.path!r}: second member at "
+                                   f"one path")
+            if parent is None or not parent.is_dir or not _one_name(name):
+                raise ArchiveError(f"{label}: {m.path!r}: no parent "
+                                   f"directory before it")
+            node = fs.alloc(m.ftype, m.mode, m.uid, m.gid, data=m.data,
+                            target=m.target, rdev=m.rdev,
+                            exe_impl=m.exe_impl, exe_arch=m.exe_arch,
+                            exe_static=m.exe_static, xattrs=dict(m.xattrs))
+            fs.link_child(parent, name, node)
+            inodes[m.path] = node
+    fs.freeze()
+    return fs
 
 
 def _one_name(name: str) -> bool:

@@ -17,17 +17,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..archive import ArchiveError, pack_image
+from ..cas.store import CasError
 from ..containers.podman import Podman
+from ..containers.singularity import SifImage, Singularity
 from ..core.builder import ChImage
 from ..core.push import push_image
 from ..core.runtime import ChRun
 from ..errors import ReproError
+from ..kernel import Syscalls
 from ..sim import FaultPlan, RetryPolicy, SimEngine, Topology, retry_call
 from .broadcast import (
     DEPLOY_STRATEGIES,
     BroadcastReport,
+    distribute_blobs,
     distribute_cache,
-    distribute_image,
     make_deploy_topology,
 )
 from .machines import Machine, make_machine
@@ -194,6 +198,15 @@ def _fold_distribution_faults(report: WorkflowReport) -> None:
     report.degraded_nodes = sorted(set(dist.crashed) | set(dist.degraded))
 
 
+def _convert(login: Machine, user: str, ref: str, *, flatten: bool
+             ) -> bytes:
+    """ch-convert on *login* as *user*: ``ch-image pull`` *ref*, the
+    unpack every node used to repeat, then pack the tree into one image
+    blob (:func:`~repro.archive.pack_image`)."""
+    ch = ChImage(login, login.login(user))
+    return pack_image(ch.sys, ch.pull(ref), flatten=flatten)
+
+
 def run_pipeline(
     cluster: AstraCluster,
     user: str,
@@ -313,6 +326,20 @@ def run_pipeline(
     report.layer_count = manifest.layer_count
     report.phases.append(f"push {image_ref}{pushed}")
 
+    # Phase 2b (uncached): convert once, as ch-convert does.  The login
+    # node unpacks the pushed image through the one layer-apply path and
+    # packs the tree into one single-file image blob (ownership
+    # flattened for a SIF); the nodes mount that blob and none of them
+    # unpacks a layer.
+    if not cached:
+        flatten = runtime == "singularity"
+        image_blob = push("convert", lambda: registry.put_blob(
+            _convert(cluster.login, user, image_ref, flatten=flatten)))
+        report.phases.append(
+            f"convert {image_ref} on {cluster.login.hostname}: one "
+            f"{'SIF' if flatten else 'SquashFS'} image "
+            f"({registry.blob_size(image_blob)} B)")
+
     # Phase 3: distribute blobs first, then interleave rank events from
     # each node's ready time.
     def run_rank(node: Machine, rank: int, login) -> tuple[int, str]:
@@ -328,20 +355,22 @@ def run_pipeline(
             if not res.success:
                 return 1, res.text
             report.warm_hits.append(res.cache_hits)
-            path = nch.storage.path_of(tag)
-        elif runtime == "singularity":
-            from ..containers.oci import ImageRef
-            from ..containers.singularity import Singularity
-            ref = ImageRef.parse(image_ref)
-            _, layers = node.kernel.network.registry(ref.registry).pull(
-                ref, arch=node.arch, local_store=node.content_store)
-            sing = Singularity(node, login)
-            sif = sing.build_from_docker_archive(
-                f"/home/{user}/{tag}.sif", layers)
-            return sing.run(sif, app_argv, env=env)
-        else:
-            path = ChImage(node, login).pull(image_ref)
-        res = ChRun(node, login).run(path, app_argv, env=env)
+            res = ChRun(node, login).run(nch.storage.path_of(tag), app_argv,
+                                         env=env)
+            return res.status, res.output
+        try:
+            # this node's own copy, verified by its store, or no mount
+            blob = node.content_store.get(image_blob)
+            if runtime == "singularity":
+                sif = f"/home/{user}/{tag}.sif"
+                Syscalls(login).write_file(sif, blob)
+                return Singularity(node, login).run(
+                    SifImage(sif, node.arch), app_argv, env=env)
+            image = node.kernel.network.decoded_image(image_blob, blob)
+        except (CasError, ArchiveError) as err:
+            return 125, (f"[rank {rank}] {node.hostname}: cannot mount "
+                         f"{image_blob[:19]}...: {err}\n")
+        res = ChRun(node, login).run(image, app_argv, env=env)
         return res.status, res.output
 
     # The distributors are called through their module-global names, not
@@ -355,8 +384,8 @@ def run_pipeline(
             registry, cache_ref, targets, topo, **dist)
         label = "warm rebuild + run"
     else:
-        report.distribution = distribute_image(
-            registry, image_ref, targets, topo, arch=cluster.arch, **dist)
+        report.distribution = distribute_blobs(
+            registry, [image_blob], targets, topo, **dist)
         label = "deploy"
     _fold_distribution_faults(report)
     report.deploy = cluster.scheduler.srun(

@@ -16,7 +16,7 @@ from ..obs.trace import maybe_span
 
 __all__ = ["CiJob", "CiStage", "CiPipeline", "CiServer", "CiError",
            "BuildFarm", "FarmImage", "FarmReport", "farm_build_stage",
-           "policy_gate_stage", "warm_cache_stage"]
+           "policy_gate_stage"]
 
 
 class CiError(ReproError):
@@ -105,32 +105,6 @@ class CiPipeline:
                     return PipelineResult(self, False,
                                           failed_stage=stage.name)
             return PipelineResult(self, True)
-
-
-def warm_cache_stage(pipeline: CiPipeline, builders, registry, ref, *,
-                     name: str = "warm-cache") -> CiStage:
-    """Add a stage that pre-seeds every builder's build cache from a
-    registry cache export (the BuildKit ``cache-from`` pattern).
-
-    Each *builder* is a :class:`~repro.core.ChImage` with its cache
-    enabled; one job per builder imports the manifest pushed under *ref*,
-    so the build jobs of later stages hit on every unchanged instruction
-    instead of re-running it on the worker."""
-    stage = pipeline.stage(name)
-    for builder in builders:
-        host = builder.machine.hostname
-
-        def run(builder=builder, host=host):
-            if builder.cache is None:
-                return 1, f"{host}: build cache disabled"
-            try:
-                n = builder.cache.import_from_registry(registry, ref)
-            except ReproError as err:
-                return 1, f"{host}: cache import failed: {err}"
-            return 0, f"{host}: imported {n} cache records"
-
-        stage.jobs.append(CiJob(f"{name} {host}", run))
-    return stage
 
 
 @dataclass

@@ -449,7 +449,9 @@ class RegistryFleet(Registry):
         except KeyError:
             raise FleetError(f"{self.name}: unknown tenant {name!r}")
 
-    def _tenant_of(self, ref: ImageRef) -> Optional[Tenant]:
+    def _tenant_of(self, ref: Optional[ImageRef]) -> Optional[Tenant]:
+        if ref is None:
+            return None
         return self.tenants.get(ref.repository.split("/", 1)[0])
 
     def _admit(self, ref: ImageRef, token: Optional[str],
@@ -493,7 +495,8 @@ class RegistryFleet(Registry):
 
     # -- blob plane: placement ---------------------------------------------
 
-    def _put_blobs(self, ref: ImageRef, blobs: list[bytes]) -> list[str]:
+    def _put_blobs(self, ref: Optional[ImageRef],
+                   blobs: list[bytes]) -> list[str]:
         """Place one request's blobs all-or-nothing.
 
         The tenant's quota is checked first and charged only after every
@@ -729,12 +732,14 @@ class RegistryFleet(Registry):
     def rebalance(self) -> int:
         """Converge every known blob onto its current holder set: fill
         missing replicas shard-to-shard (grouped by origin so the tree
-        broadcast batches) and release copies on ex-holders.  Metadata
-        lives at the front door, so there is nothing else to backfill.
-        Returns the number of blob movements."""
+        broadcast batches), then release copies on ex-holders: a fill's
+        origin may be one of them.  Metadata lives at the front door, so
+        there is nothing else to backfill.  Returns the number of blob
+        movements."""
         now = self._now()
         moved = 0
         fills: dict[str, dict[str, list[str]]] = {}  # origin -> target -> d
+        released: list[tuple[RegistryShard, str]] = []
         for digest in sorted(self._known):
             holders = self.blob_holders(digest)
             holder_set = set(holders)
@@ -751,9 +756,8 @@ class RegistryFleet(Registry):
                     fills.setdefault(origin, {}).setdefault(
                         name, []).append(digest)
                     moved += 1
-            for shard in current:
-                if shard.name not in holder_set:
-                    shard.registry.drop_blob(digest)
+            released += [(shard, digest) for shard in current
+                         if shard.name not in holder_set]
         for origin, by_target in sorted(fills.items()):
             # batch: all targets missing the same digest set fill in one
             # tree; otherwise per-target
@@ -763,6 +767,8 @@ class RegistryFleet(Registry):
                     self._by_name[target])
             for digests, targets in by_digests.items():
                 self._fill(self._by_name[origin], list(digests), targets)
+        for shard, digest in released:
+            shard.registry.drop_blob(digest)
         return moved
 
     def repair(self) -> int:

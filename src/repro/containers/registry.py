@@ -130,9 +130,11 @@ class Registry:
             self.store.incref(digest)
         return digest
 
-    def _put_blobs(self, ref: ImageRef, blobs: list[bytes]) -> list[str]:
-        """Accept the blobs of one push request for *ref*; returns their
-        digests.  (A fleet places them on its ring instead.)"""
+    def _put_blobs(self, ref: Optional[ImageRef],
+                   blobs: list[bytes]) -> list[str]:
+        """Accept the blobs of one push request for *ref* (None: a raw
+        :meth:`put_blob`); returns their digests.  (A fleet places them
+        on its ring instead.)"""
         return [self._put_blob(blob) for blob in blobs]
 
     def _read(self, store: ContentStore, digest: str) -> bytes:
@@ -206,9 +208,11 @@ class Registry:
     # -- shard primitives: the blob plane of one fleet shard --------------------------
 
     def put_blob(self, blob: bytes) -> str:
-        """Accept one raw blob (a fleet shard receiving its placement);
-        counted like a layer push, dedup included."""
-        return self._put_blob(blob)
+        """Accept one raw blob outside any image push: a fleet shard
+        receiving its placement, or a converted single-file image a
+        deploy distributes.  Counted like a layer push, dedup included;
+        a fleet places it on its ring, charging no tenant."""
+        return self._put_blobs(None, [blob])[0]
 
     def adopt_blob(self, digest: str) -> None:
         """Register an already-resident blob as owned — the peer-to-peer

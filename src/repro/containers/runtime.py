@@ -14,11 +14,11 @@ and ch-run — what differs between them is exactly the paper's §2.2 table:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from ..errors import KernelError, ReproError
 from ..helpers import ShadowUtils
-from ..kernel import Process, Syscalls, make_procfs, make_sysfs
+from ..kernel import Filesystem, Process, Syscalls, make_procfs, make_sysfs
 from ..shell import ExecContext
 
 __all__ = ["ContainerError", "PRIVILEGE_TYPES", "enter_container",
@@ -35,7 +35,7 @@ class ContainerError(ReproError):
 
 def enter_container(
     parent: Process,
-    image_path: str,
+    image: Union[str, Filesystem],
     privilege: str,
     *,
     dev_fs=None,
@@ -50,7 +50,11 @@ def enter_container(
     read_only: bool = False,
     comm: str = "container",
 ) -> ExecContext:
-    """Fork from *parent* and enter a container rooted at *image_path*.
+    """Fork from *parent* and enter a container rooted at *image*: the
+    path of an unpacked image tree (pivoted to), or a single-file
+    image's read-only filesystem (mounted as the root,
+    :meth:`~repro.kernel.Syscalls.mount_image`; see
+    :func:`~repro.archive.decode_image`).
 
     Returns an :class:`ExecContext` whose process lives inside the
     container.  ``dev_fs`` is the host /dev to bind (device nodes cannot be
@@ -100,10 +104,12 @@ def enter_container(
         sys.unshare_uts()
         sys.sethostname(hostname)
     try:
-        sys.pivot_to(image_path)
+        if isinstance(image, Filesystem):
+            sys.mount_image(image)
+        else:
+            sys.pivot_to(image)
     except KernelError as err:
-        raise ContainerError(f"cannot enter image {image_path}: {err}") \
-            from err
+        raise ContainerError(f"cannot enter image {image}: {err}") from err
     if read_only:
         # Shifter-style: the image is a read-only loop mount; jobs cannot
         # modify it (writable scratch comes from bind mounts).
@@ -129,8 +135,12 @@ def enter_container(
     cenv.update(env or {})
     proc.environ = dict(cenv)
     if workdir != "/":
-        sys.mkdir_p(workdir)
-        sys.chdir(workdir)
+        try:
+            sys.mkdir_p(workdir)
+            sys.chdir(workdir)
+        except KernelError as err:
+            raise ContainerError(f"cannot enter workdir {workdir}: {err}") \
+                from err
     return ExecContext(proc, sys, env=cenv)
 
 

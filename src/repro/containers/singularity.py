@@ -18,9 +18,10 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from ..archive import TarArchive
-from ..errors import ReproError
-from ..kernel import Process, Syscalls
+from ..archive import ArchiveError, TarArchive, decode_image, pack_image
+from ..cas.store import blob_digest
+from ..errors import KernelError, ReproError
+from ..kernel import Filesystem, Process, Syscalls
 from ..shell import OutputSink, execute
 from .oci import ImageRef
 from .runtime import ContainerError, enter_container
@@ -34,7 +35,9 @@ class SingularityError(ReproError):
 
 @dataclass(frozen=True)
 class SifImage:
-    """A Singularity Image File: one flattened, read-only archive."""
+    """A Singularity Image File: one flattened, read-only image blob
+    (:func:`~repro.archive.pack_image`), mounted to run, never
+    unpacked."""
 
     path: str  # host path of the .sif file
     arch: str
@@ -102,7 +105,6 @@ class Singularity:
         user = user_proc.environ.get("USER", "user")
         self.cache_dir = f"/home/{user}/.singularity"
         self.sys.mkdir_p(self.cache_dir)
-        self._trees: dict[str, str] = {}  # sif path -> materialized tree
 
     # -- build ------------------------------------------------------------------
 
@@ -135,7 +137,7 @@ class Singularity:
             ref, arch=self.machine.arch)
         work = f"{self.cache_dir}/build-{sif_path.rsplit('/', 1)[-1]}"
         if self.sys.exists(work):
-            self._rm_tree(work)
+            self.sys.rm_tree(work)
         self.sys.mkdir_p(work)
 
         # Type II namespace for the %post script ("fakeroot" brand).
@@ -162,56 +164,52 @@ class Singularity:
                     f"%post failed with status {status}:\n{sink.text()}")
 
         # Flatten into the SIF (single file, ownership squashed like §6.2.5).
-        archive = TarArchive.pack(bsys, work, flatten=True)
-        if spec.runscript:
-            from .oci import ImageConfig  # noqa: F401  (doc cross-ref)
-        self.sys.write_file(sif_path, archive.serialize())
-        self._trees[sif_path] = work
+        self.sys.write_file(sif_path, pack_image(bsys, work, flatten=True))
         return SifImage(path=sif_path, arch=self.machine.arch)
 
     def build_from_docker_archive(self, sif_path: str,
                                   layers: list[TarArchive]) -> SifImage:
         """The §3.1 conversion path: an image built elsewhere (e.g. Docker)
-        converted into SIF."""
-        merged = TarArchive([m for layer in layers for m in layer])
-        self.sys.write_file(sif_path, TarArchive(
-            [m.flattened() for m in merged]).serialize())
+        converted into SIF.  The layers are unpacked in order (whiteouts
+        applied, later members replacing earlier ones) as unprivileged
+        tar does, and the tree is flattened into the SIF as
+        :meth:`build` flattens its own."""
+        work = f"{self.cache_dir}/convert-{sif_path.rsplit('/', 1)[-1]}"
+        if self.sys.exists(work):
+            self.sys.rm_tree(work)
+        self.sys.mkdir_p(work)
+        try:
+            TarArchive.extract_layers(layers, self.sys, work)
+            sif = pack_image(self.sys, work, flatten=True)
+        except KernelError as err:
+            raise SingularityError(f"cannot convert to SIF: {err}") from err
+        finally:
+            self.sys.rm_tree(work)
+        self.sys.write_file(sif_path, sif)
         return SifImage(path=sif_path, arch=self.machine.arch)
 
     # -- run --------------------------------------------------------------------
 
     def run(self, image: SifImage, argv: list[str],
             env: Optional[dict[str, str]] = None) -> tuple[int, str]:
-        """``singularity exec app.sif CMD`` — unprivileged (userns) run."""
-        tree = self._materialize(image)
+        """``singularity exec app.sif CMD`` — unprivileged (userns) run,
+        with the SIF mounted read-only as the container's root."""
         try:
-            ctx = enter_container(self.user_proc, tree, "type3",
-                                  dev_fs=self.machine.dev_fs, env=env,
-                                  comm="singularity-run")
-        except ContainerError as err:
+            ctx = enter_container(self.user_proc, self._mount(image),
+                                  "type3", dev_fs=self.machine.dev_fs,
+                                  env=env, comm="singularity-run")
+        except (ContainerError, ArchiveError, KernelError) as err:
             return 125, f"FATAL: {err}"
         sink = OutputSink()
         status = execute(ctx.child(stdout=sink, stderr=sink), argv)
         return status, sink.text()
 
-    def _materialize(self, image: SifImage) -> str:
-        cached = self._trees.get(image.path)
-        if cached is not None and self.sys.exists(cached):
-            return cached
+    def _mount(self, image: SifImage) -> Filesystem:
+        """The SIF's read-only filesystem, as squashfuse serves it: read
+        the file, hash it, and mount the world's shared decode of that
+        digest (a machine off any network decodes its own)."""
         blob = self.sys.read_file(image.path)
-        archive = TarArchive.deserialize(blob)
-        tree = f"{self.cache_dir}/rootfs-{image.path.rsplit('/', 1)[-1]}"
-        self.sys.mkdir_p(tree)
-        archive.extract(self.sys, tree, preserve_owner=False)
-        self._trees[image.path] = tree
-        return tree
-
-    def _rm_tree(self, path: str) -> None:
-        from ..kernel import FileType
-        st = self.sys.lstat(path)
-        if st.ftype is FileType.DIR:
-            for entry in self.sys.readdir(path):
-                self._rm_tree(f"{path}/{entry.name}")
-            self.sys.rmdir(path)
-        else:
-            self.sys.unlink(path)
+        net = self.machine.kernel.network
+        if net is None:
+            return decode_image(blob, label=image.path)
+        return net.decoded_image(blob_digest(blob), blob)

@@ -23,7 +23,7 @@ from ..archive import TarArchive
 from ..cas.diff import Snapshot, snapshot_and_diff, snapshot_tree
 from ..cas.store import ContentStore
 from ..errors import ReproError
-from ..kernel import FileType, Syscalls
+from ..kernel import Syscalls
 from ..obs.trace import kernel_span
 
 __all__ = ["DriverStats", "StorageDriver", "VfsDriver", "OverlayDriver",
@@ -171,17 +171,8 @@ class StorageDriver:
 
     def delete(self, name: str) -> None:
         path = self.image_path(name)
-        self._rm_tree(path)
+        self.sys.rm_tree(path)
         self._snapshots.pop(path, None)
-
-    def _rm_tree(self, path: str) -> None:
-        st = self.sys.lstat(path)
-        if st.ftype is FileType.DIR:
-            for entry in self.sys.readdir(path):
-                self._rm_tree(f"{path}/{entry.name}")
-            self.sys.rmdir(path)
-        else:
-            self.sys.unlink(path)
 
     def _copy_tree(self, src: str, dst: str) -> None:
         """Driver-level recursive copy preserving ownership (runs inside the
@@ -204,7 +195,7 @@ class VfsDriver(StorageDriver):
             src = self.image_path(base_name)
             dst = self.image_path(build_name)
             if self.sys.exists(dst):
-                self._rm_tree(dst)
+                self.sys.rm_tree(dst)
             self._copy_tree(src, dst)  # full duplication: the vfs tax
             self._snapshots[dst] = _snapshot(self.sys, dst)
         return dst
@@ -255,7 +246,7 @@ class OverlayDriver(StorageDriver):
             src = self.image_path(base_name)
             dst = self.image_path(build_name)
             if self.sys.exists(dst):
-                self._rm_tree(dst)
+                self.sys.rm_tree(dst)
             # A real overlay would mount lowerdir+upperdir; we materialize
             # once per build and charge only the (cheap) mount-like setup.
             self._copy_tree_uncharged(src, dst)

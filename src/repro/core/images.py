@@ -20,7 +20,7 @@ from ..cas.diff import (
     snapshot_tree,
 )
 from ..errors import BuildError, KernelError, RegistryError
-from ..kernel import FileType, Process, Syscalls
+from ..kernel import Process, Syscalls
 from ..containers.oci import ImageConfig, ImageRef
 from ..containers.registry import Registry
 from ..sim import opts as _opts
@@ -231,7 +231,7 @@ class ImageStorage:
     # -- delete ---------------------------------------------------------------------------
 
     def delete(self, name: str) -> None:
-        self._rm_tree(self.path_of(name))
+        self.sys.rm_tree(self.path_of(name))
         self._configs.pop(name, None)
         self._digests.pop(name, None)
         self._forget(name)
@@ -239,12 +239,3 @@ class ImageStorage:
     def _forget(self, name: str) -> None:
         self._snapshots.pop(name, None)
         self._clones.pop(name, None)
-
-    def _rm_tree(self, path: str) -> None:
-        st = self.sys.lstat(path)
-        if st.ftype is FileType.DIR:
-            for entry in self.sys.readdir(path):
-                self._rm_tree(f"{path}/{entry.name}")
-            self.sys.rmdir(path)
-        else:
-            self.sys.unlink(path)

@@ -10,11 +10,11 @@ no daemon, no helpers, ever.  Default inside-identity is the invoking user
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from ..containers.runtime import ContainerError, enter_container
 from ..errors import KernelError
-from ..kernel import Process, Syscalls
+from ..kernel import Filesystem, Process, Syscalls
 from ..shell import OutputSink, execute
 
 __all__ = ["ChRun", "ChRunResult"]
@@ -35,7 +35,7 @@ class ChRun:
 
     def run(
         self,
-        image_path: str,
+        image: Union[str, Filesystem],
         argv: Sequence[str],
         *,
         binds: Sequence[tuple[str, str]] = (),
@@ -43,10 +43,14 @@ class ChRun:
         uid: Optional[int] = None,
         workdir: str = "/",
     ) -> ChRunResult:
-        """``ch-run [-b SRC:DST] IMAGE -- CMD ...``"""
+        """``ch-run [-b SRC:DST] IMAGE -- CMD ...``
+
+        *image* is an unpacked image directory, or the read-only
+        filesystem of a single-file image (SquashFS), which ch-run
+        mounts as the container's root."""
         try:
             ctx = enter_container(
-                self.user_proc, image_path, "type3",
+                self.user_proc, image, "type3",
                 dev_fs=self.machine.dev_fs, env=env, workdir=workdir,
                 comm="ch-run")
         except ContainerError as err:

@@ -555,6 +555,16 @@ class Syscalls:
                              owning_userns=self.cred.userns)
         self.proc.cwd = "/"
 
+    def mount_image(self, fs: Filesystem) -> None:
+        """Mount the image filesystem *fs* read-only and make it the root
+        of this process's mount namespace: squashfuse plus pivot_root,
+        how ch-run and unprivileged Singularity enter a single-file
+        image instead of an unpacked tree."""
+        self._require_mount_cap("mount")
+        self.mnt_ns.set_root(fs, owning_userns=self.cred.userns,
+                             flags=MountFlags(read_only=True))
+        self.proc.cwd = "/"
+
     def umount(self, mountpoint: str) -> None:
         self._require_mount_cap("umount")
         self.mnt_ns.remove_mount(mountpoint)
@@ -713,6 +723,17 @@ class Syscalls:
             cur += "/" + part
             if not self.exists(cur):
                 self.mkdir(cur, mode)
+
+    def rm_tree(self, path: str) -> None:
+        """rm -r convenience (not a real syscall): depth first, an lstat
+        per entry, readdir and rmdir per directory, unlink per other
+        entry."""
+        if self.lstat(path).ftype is FileType.DIR:
+            for entry in self.readdir(path):
+                self.rm_tree(f"{path}/{entry.name}")
+            self.rmdir(path)
+        else:
+            self.unlink(path)
 
     def mknod(self, path: str, ftype: FileType, mode: int = 0o644,
               rdev: tuple[int, int] = (0, 0), *,

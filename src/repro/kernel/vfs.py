@@ -13,7 +13,7 @@ import enum
 import itertools
 import stat as _stat
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 from ..errors import Errno, KernelError
@@ -290,6 +290,14 @@ class Filesystem:
             yield
         finally:
             self._held = False
+
+    def freeze(self) -> None:
+        """Make this filesystem read-only for good, as a SquashFS image
+        is: every later mutation through the syscalls fails with EROFS
+        and :meth:`alloc` refuses.  Nothing can move its generations or
+        ``walk_gen`` after this, so one frozen filesystem can be mounted
+        in many kernels at once."""
+        self.features = replace(self.features, read_only=True)
 
     @staticmethod
     def check_link(parent: Inode, name: str) -> None:

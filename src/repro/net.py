@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from .archive import decode_image
 from .errors import PackageError, RegistryError
+from .kernel import Filesystem
 
 if TYPE_CHECKING:  # pragma: no cover
     from .containers.registry import Registry
@@ -30,12 +32,33 @@ class Network:
     but are unreachable from some vantage points — the §3.2 limitation of
     sandboxed build environments ("may not be able to access needed
     resources, such as private code or licenses").
+
+    One network serves one world, so it also holds the world's mounted
+    images (:meth:`decoded_image`): what every node that mounts an image
+    blob shares.
     """
 
     universe: Optional["PackageUniverse"] = None
     registries: dict[str, "Registry"] = field(default_factory=dict)
     online: bool = True
     blocked_repo_prefixes: tuple[str, ...] = ()
+    #: image blob digest -> the read-only filesystem decoded from it
+    images: dict[str, Filesystem] = field(default_factory=dict, repr=False,
+                                          compare=False)
+
+    def decoded_image(self, digest: str, blob: bytes) -> Filesystem:
+        """The read-only filesystem of image blob *blob*
+        (:func:`~repro.archive.decode_image`), decoded the first time a
+        machine on this network mounts it and shared by every later
+        mount, so a mount costs O(1) in the image's members.  The caller
+        must have verified that *blob* hashes to *digest* (a
+        :class:`~repro.cas.ContentStore` ``get`` does), so bytes that do
+        not match never enter the memo."""
+        fs = self.images.get(digest)
+        if fs is None:
+            fs = self.images[digest] = decode_image(
+                blob, label=f"squashfs:{digest[:19]}")
+        return fs
 
     def _check_reachable(self, repo_id: str) -> None:
         rid = repo_id.removeprefix("repo://")

@@ -29,7 +29,7 @@ PRIVILEGED_SYSCALLS = frozenset({
     "chown", "lchown", "mknod",
     "setuid", "seteuid", "setreuid", "setresuid",
     "setgid", "setegid", "setresgid", "setgroups",
-    "mount_fs", "bind_mount", "pivot_to", "umount",
+    "mount_fs", "bind_mount", "pivot_to", "mount_image", "umount",
     "sethostname", "unshare_uts",
     "write_uid_map", "write_gid_map",
     "setxattr", "removexattr",

@@ -61,7 +61,7 @@ TRACED_SYSCALLS = frozenset({
     "unshare_user", "unshare_mount", "unshare_uts", "sethostname",
     "deny_setgroups", "write_uid_map", "write_gid_map",
     # mounts
-    "mount_fs", "bind_mount", "pivot_to", "umount",
+    "mount_fs", "bind_mount", "pivot_to", "mount_image", "umount",
     # cwd / metadata
     "chdir", "stat", "lstat", "readlink", "readdir",
     # creation

@@ -83,7 +83,7 @@ def _apply(sys, root, op):
         elif kind == "unlink":
             sys.unlink(path)
         elif kind == "rmtree":
-            _rm_tree(sys, path)
+            sys.rm_tree(path)
         elif kind == "rename":
             sys.rename(path, f"{root}/{op[2]}")
         elif kind == "chmod":
@@ -104,16 +104,6 @@ def _apply(sys, root, op):
             sys.umount(path)
     except KernelError:
         pass
-
-
-def _rm_tree(sys, path):
-    st_ = sys.lstat(path)
-    if st_.ftype is FileType.DIR:
-        for entry in sys.readdir(path):
-            _rm_tree(sys, f"{path}/{entry.name}")
-        sys.rmdir(path)
-    else:
-        sys.unlink(path)
 
 
 def _seed(sys, root=ROOT):
@@ -354,6 +344,6 @@ class TestDigestMemoBound:
                 memo = diff_mod._memo_for(sys)[1]
                 live = sum(fs.live_inodes for fs in filesystems)
                 assert len(memo) <= 2 * live, cycle
-                _rm_tree(sys, "/copy")
+                sys.rm_tree("/copy")
         finally:
             set_optimizations(previous)

@@ -24,7 +24,10 @@ def test_deploy_with_singularity(astra):
 def test_deploy_with_charliecloud(astra):
     rep = astra_build_workflow(astra, "alice", ATSE, "atse", n_nodes=2,
                                runtime="charliecloud")
-    assert rep.success
+    assert rep.success, rep.phases
+    for rank, node in enumerate(astra.compute):
+        assert f"[rank {rank}] ATSE on {node.hostname} (aarch64)" \
+            in rep.deploy.rank_outputs[rank]
 
 
 def test_unknown_runtime_rejected(astra):

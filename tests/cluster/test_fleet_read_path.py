@@ -165,3 +165,37 @@ class TestRouteBlob:
                            match=rf"placement: \['{primary.name}', "
                                  rf"'{replica.name}'\]"):
             fleet.route_blob(digest)
+
+
+# -- growing the fleet ------------------------------------------------------
+
+
+def test_add_shard_moves_only_the_keys_a_fresh_ring_moves():
+    """4 -> 5 shards: the grown fleet's memoized ring places every blob
+    where a freshly built 5-shard ring does; only the blobs whose
+    holder set changed are filled (onto the new shard), and every
+    ex-holder releases its copy."""
+    fleet = RegistryFleet("site", n_shards=4, replicas=2)
+    fleet.push("app:v1", ImageConfig(), [
+        TarArchive([TarMember(f"f{i}", FileType.REG, 0o644, 0, 0,
+                              data=bytes([i]) * (i + 1))])
+        for i in range(40)])
+    digests = fleet.image_blob_digests("app:v1")
+    before = {d: set(fleet.blob_holders(d)) for d in digests}
+    filled = fleet.rebalance_blobs
+
+    new = fleet.add_shard()
+    fresh = HashRing([s.name for s in fleet.shards], vnodes=fleet.ring.vnodes)
+    moved = 0
+    for digest in digests:
+        holders = fresh.holders(digest, 2)
+        assert tuple(fleet.blob_holders(digest)) == holders
+        assert {s.name for s in fleet.shards
+                if s.registry.has_blob(digest)} == set(holders)
+        gained = set(holders) - before[digest]
+        assert gained <= {new.name}
+        moved += len(gained)
+    assert 0 < moved < len(digests)
+    assert fleet.rebalance_blobs - filled == moved
+    _, layers = fleet.pull("app:v1")
+    assert [layer.digest() for layer in layers] == digests

@@ -15,7 +15,8 @@ import pytest
 from repro.archive import TarArchive, TarMember
 from repro.cas import ContentStore
 from repro.cas.store import blob_digest
-from repro.cluster import (RegistryFleet, astra_cached_build_workflow,
+from repro.cluster import (RegistryFleet, astra_build_workflow,
+                           astra_cached_build_workflow,
                            make_astra, make_world)
 from repro.containers import ImageConfig, Registry
 from repro.kernel import FileType
@@ -149,3 +150,19 @@ def test_cached_workflow_deploys_through_a_fleet():
         n_nodes=3, registry_shards=3, registry_replicas=2)
     assert report.success, report.phases
     assert report.warm_hits == [1] * 3
+
+
+def test_deploy_places_the_converted_image_on_the_ring():
+    """The login node's converted image goes in by ``put_blob``: a fleet
+    places it on its ring with its replicas, as it places a pushed
+    layer, and the tree broadcast routes the one pull to a holder."""
+    astra = make_astra(make_world(arches=("aarch64",)), n_compute=3)
+    report = astra_build_workflow(
+        astra, "alice", "FROM centos:7\nRUN yum install -y atse\n", "atse",
+        n_nodes=3, registry_shards=3, registry_replicas=2)
+    assert report.success, report.phases
+    fleet = astra.world.site_registry
+    (digest,) = astra.world.network.images
+    assert {s.name for s in fleet.shards if s.registry.has_blob(digest)} \
+        == set(fleet.blob_holders(digest))
+    assert report.distribution.registry_blobs_pulled == 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.archive import TarArchive
+from repro.archive import TarArchive, TarMember
 from repro.containers import (
     DefinitionFile,
     Enroot,
@@ -12,6 +12,7 @@ from repro.containers import (
     SingularityError,
 )
 from repro.core import ChImage, push_image
+from repro.kernel import FileType
 
 SINGULARITY_DEF = """\
 Bootstrap: docker
@@ -93,6 +94,28 @@ class TestSingularity:
         image = sing.build_from_docker_archive("/home/alice/conv.sif", layers)
         status, out = sing.run(image, ["/opt/atse/bin/atse-info"])
         assert status == 0, out
+
+    def test_conversion_applies_the_layers_before_flattening(self, login,
+                                                              alice):
+        """The SIF is the unpacked stack, flattened: a whiteout deletes
+        its path and a later member replaces an earlier one, so the SIF
+        holds one member per path and no whiteout marker."""
+        layers = [
+            TarArchive([TarMember("etc", FileType.DIR, 0o755, 0, 0),
+                        TarMember("etc/old", FileType.REG, 0o644, 0, 0,
+                                  data=b"old"),
+                        TarMember("etc/app", FileType.REG, 0o4755, 0, 0,
+                                  data=b"v1")]),
+            TarArchive([TarMember("etc/old", FileType.CHR, 0, 0, 0),
+                        TarMember("etc/app", FileType.REG, 0o4755, 0, 0,
+                                  data=b"v2")])]
+        sing = Singularity(login, alice)
+        image = sing.build_from_docker_archive("/home/alice/s.sif", layers)
+        sif = TarArchive.deserialize(sing.sys.read_file(image.path))
+        assert [(m.path, m.uid, m.mode, m.data) for m in sif] == [
+            (".", 0, 0o755, b""), ("etc", 0, 0o755, b""),
+            ("etc/app", 0, 0o755, b"v2")]
+        assert not sing.sys.exists("/home/alice/.singularity/convert-s.sif")
 
 
 class TestShifter:

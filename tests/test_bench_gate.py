@@ -197,3 +197,32 @@ def test_walk_rule_lets_the_unpack_counts_only_shrink():
         f"{baseline['path_resolves'] + 1} > baseline "
         f"{baseline['path_resolves']}",
     ]
+
+
+def test_deploy_rule_gates_virtual_times_identity_and_rank_syscalls():
+    """The deploy artifact is all virtual time and counts: a makespan or
+    egress that moves by any amount fails, as does a mount that stops
+    showing ch-run the unpacked tree or a rank that issues one more
+    syscall; fewer syscalls pass."""
+    rule = GATES["deploy"]
+    assert rule.true == ("mounted_equals_unpacked",)
+    assert rule.ceiling == ("syscalls_per_rank",)
+    assert {"tree.deploy_makespan", "registry.deploy_makespan",
+            "tree.registry_egress_bytes"} <= set(rule.exact)
+    assert not rule.floor
+    baseline = committed("deploy")
+    fewer = dict(baseline, syscalls_per_rank=baseline["syscalls_per_rank"] - 1)
+    assert check("deploy", baseline, fewer) == []
+    drifted = copy.deepcopy(baseline)
+    drifted["tree"]["deploy_makespan"] += 1e-9
+    drifted["mounted_equals_unpacked"] = False
+    drifted["syscalls_per_rank"] += 1
+    assert check("deploy", baseline, drifted) == [
+        "BENCH_deploy.json: mounted_equals_unpacked is False, not true",
+        "BENCH_deploy.json: tree.deploy_makespan drifted from the baseline: "
+        f"{drifted['tree']['deploy_makespan']!r} != "
+        f"{baseline['tree']['deploy_makespan']!r}",
+        f"BENCH_deploy.json: syscalls_per_rank grew: "
+        f"{baseline['syscalls_per_rank'] + 1} > baseline "
+        f"{baseline['syscalls_per_rank']}",
+    ]
