@@ -30,12 +30,14 @@ from repro.cluster import RegistryFleet
 from repro.cluster.broadcast import distribute_blobs, make_deploy_topology
 from repro.containers import ImageConfig, Registry
 from repro.kernel import FileType
+from repro.obs.metrics import CounterRegistry
 from repro.sim import (
-    EngineProfile,
+    EVENT,
     SimEngine,
     WorkloadSpec,
     reference_engine,
     run_workload,
+    top_events,
 )
 
 from .conftest import report, write_bench
@@ -78,16 +80,16 @@ class _SimRegistry(Registry):
 
 
 def _broadcast(strategy: str, chunk_size: int, reference: bool):
-    """One 10k-node distribution; returns (wall, events, report,
-    profile, store digests)."""
+    """One 10k-node distribution; returns (wall, events, report, event
+    counters, store digests)."""
     nodes = [_SimNode(f"n{i:05d}") for i in range(N_NODES)]
     registry = _SimRegistry(BLOB)
     topo = make_deploy_topology(registry, nodes, chunk_size=chunk_size)
     digest = hashlib.sha256(BLOB).hexdigest()
-    profile = EngineProfile()
+    counters = CounterRegistry()
 
     def go():
-        engine = SimEngine(profile=profile)
+        engine = SimEngine(counters=counters)
         t0 = time.perf_counter()
         rep = distribute_blobs(registry, [digest], nodes, topo,
                                engine=engine, strategy=strategy)
@@ -100,7 +102,7 @@ def _broadcast(strategy: str, chunk_size: int, reference: bool):
         wall, events, rep = go()
     stores = {n.hostname: sorted(n.content_store.digests())
               for n in nodes}
-    return wall, events, rep, profile, stores
+    return wall, events, rep, counters, stores
 
 
 def _workload(reference: bool):
@@ -143,7 +145,7 @@ def test_engine_throughput_ablation():
     assert speedup >= 10.0, \
         f"pull storm only {speedup:.1f}x the reference engine"
     # the storm is one 10k-event same-timestamp bucket plus the start
-    assert sp_o.events["_BlobCast.pull"] == N_NODES
+    assert sp_o.get(EVENT + "_BlobCast.pull") == N_NODES
 
     # --- leg 2: the pipelined tree (identity + coalescing gate) -------
     tw_o, te_o, tr_o, tp_o, ts_o = _broadcast("tree", TREE_CHUNK,
@@ -188,7 +190,7 @@ def test_engine_throughput_ablation():
             "wall_seconds": round(tw_o, 6),
             "wall_seconds_reference": round(tw_r, 6),
             "makespan": round(tr_o.makespan, 9),
-            "profile_top": tp_o.top(3),
+            "profile_top": top_events(tp_o, 3),
         },
         "workload": {
             "events": we_o,

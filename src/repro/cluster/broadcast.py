@@ -42,8 +42,9 @@ from ..containers.oci import ImageRef
 from ..containers.registry import Registry
 from ..errors import RegistryError, ReproError, TransientError
 from ..obs.trace import maybe_span
-from ..sim import (FaultPlan, RetryPolicy, SimEngine, Topology,
-                   faulty_transmit, link_restore, link_snapshot, transmit)
+from ..sim import (NS_PER_S, FaultPlan, RetryPolicy, SimEngine, Topology,
+                   faulty_transmit, link_restore, link_snapshot, to_ns,
+                   transmit)
 from ..sim import opts as sim_opts
 from .machines import Machine
 
@@ -231,13 +232,13 @@ class _BlobCast:
         # hostname -> machines it still owes the blob to (mutable: repair
         # re-parents subtrees by moving entries between these lists)
         self.children: dict[str, list[Machine]] = {}
-        # hostname -> per-chunk arrival times (a pipelined relay) or a
-        # single float (every chunk available at once: a pre-existing
+        # hostname -> per-chunk arrival times in ns (a pipelined relay)
+        # or a single time (every chunk available at once: a pre-existing
         # holder, or a node whose transfer was coalesced)
-        self.chunk_avail: dict[str, Union[float, list[float]]] = {}
+        self.chunk_avail: dict[str, Union[int, list[int]]] = {}
         self.done: set[str] = set()           # hold the complete blob
         self.dead: set[str] = set()           # crashed, as seen by this cast
-        self.ready_at: dict[str, float] = {}  # when the blob landed
+        self.ready_at: dict[str, int] = {}    # when the blob landed (ns)
 
     # -- helpers -----------------------------------------------------------
 
@@ -294,10 +295,11 @@ class _BlobCast:
             # its own tree — a forest with the needy nodes interleaved
             # round-robin — and the registry is never touched for it
             self.blob = holders[0].content_store.get(self.digest)
+            t0_ns = to_ns(t0)
             for k, holder in enumerate(holders):
                 self.done.add(holder.hostname)
-                self.ready_at[holder.hostname] = t0
-                self.chunk_avail[holder.hostname] = t0
+                self.ready_at[holder.hostname] = t0_ns
+                self.chunk_avail[holder.hostname] = t0_ns
                 order = [holder] + needy[k::len(holders)]
                 self._plant_tree(order)
                 ctx.engine.at(t0, self.serve, holder)
@@ -344,7 +346,7 @@ class _BlobCast:
             # must not leave the pull counted in the source's stats
             timing = faulty_transmit(
                 ctx.plan, src_link, dst, self.size,
-                chunk_size=ctx.chunk, available=now, now=now,
+                chunk_size=ctx.chunk, available=to_ns(now), now=now,
                 attempt_timeout=timeout,
                 record_arrivals=self._observed(host))
             blob = ctx.registry.fetch_blob(self.digest)
@@ -418,7 +420,7 @@ class _BlobCast:
             self._transient("send", child, attempt, exc, sender=sender)
             return
         crash_t = plan.crash_time(shost)
-        if crash_t is not None and now < crash_t < timing.end:
+        if crash_t is not None and now < crash_t < timing.end / NS_PER_S:
             # the sender dies mid-transfer: the chunks never complete, so
             # roll the reservations and stats back and repair the tree
             link_restore(src, snap_src)
@@ -445,15 +447,17 @@ class _BlobCast:
         self.chunk_avail[host] = arrivals if arrivals is not None \
             else timing.end
         self.ready_at[host] = timing.end
+        end = timing.end / NS_PER_S
         self._r.node_ready[host] = max(
-            self._r.node_ready.get(host, self._r.started_at), timing.end)
+            self._r.node_ready.get(host, self._r.started_at), end)
         self._r.transfers.append(TransferRecord(
-            self.digest, self.size, src, host, timing.start, timing.end))
+            self.digest, self.size, src, host, timing.start / NS_PER_S, end))
         if self.strategy == "tree" and self._observed(host):
             # the node becomes a server as soon as its first chunk lands;
             # childless nodes on a clean run never serve, so their
             # no-op serve events coalesce away entirely
-            self.ctx.engine.at(timing.first_arrival, self.serve, node)
+            self.ctx.engine.at(timing.first_arrival / NS_PER_S, self.serve,
+                               node)
 
     # -- repair ------------------------------------------------------------
 

@@ -127,9 +127,14 @@ class StorageDriver:
             raise DriverError(f"image {name!r} already in storage")
         with self._span(f"unpack {name}", layers=len(layers)):
             self.sys.mkdir_p(path)
-            TarArchive.extract_layers(layers, self.sys, path,
-                                      preserve_owner=preserve_owner,
-                                      on_chown_error=on_chown_error)
+            try:
+                TarArchive.extract_layers(layers, self.sys, path,
+                                          preserve_owner=preserve_owner,
+                                          on_chown_error=on_chown_error)
+            except Exception:
+                # leave no partial image: a retry must meet the real error
+                self.sys.rm_tree(path)
+                raise
             for layer in layers:
                 self.stats.meta_ops += len(layer)
                 self.stats.bytes_copied += layer.total_bytes()

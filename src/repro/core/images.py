@@ -179,9 +179,14 @@ class ImageStorage:
             ref, arch=self.machine.arch,
             local_store=getattr(self.machine, "content_store", None))
         self.sys.mkdir_p(path)
-        # unprivileged tar semantics: no chown attempts at all
-        TarArchive.extract_layers(layers, self.sys, path,
-                                  preserve_owner=False)
+        try:
+            # unprivileged tar semantics: no chown attempts at all
+            TarArchive.extract_layers(layers, self.sys, path,
+                                      preserve_owner=False)
+        except Exception:
+            # a partial tree at *path* would pass for the image next time
+            self.sys.rm_tree(path)
+            raise
         self._configs[name] = config
         self._digests[name] = registry.manifest(
             ref, arch=self.machine.arch).digest()

@@ -20,15 +20,18 @@ from .faults import (
     retry_call,
 )
 from .opts import optimizations_enabled, reference_engine, set_optimizations
-from .profile import COUNTERS, EngineProfile, category_of
+from .profile import COUNTERS, EVENT, category_of, top_events
 from .topology import (
     DEFAULT_BANDWIDTH,
     DEFAULT_CHUNK_SIZE,
     DEFAULT_LATENCY,
+    NS_PER_S,
     LinkStats,
     NetLink,
     Topology,
     TopologyError,
+    to_ns,
+    wire_ns,
 )
 from .transfer import (
     TransferTiming,
@@ -52,8 +55,9 @@ __all__ = [
     "ReferenceEventQueue",
     "SimEngine",
     "SimError",
-    "EngineProfile",
+    "EVENT",
     "category_of",
+    "top_events",
     "COUNTERS",
     "optimizations_enabled",
     "reference_engine",
@@ -71,9 +75,12 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_LATENCY",
     "LinkStats",
+    "NS_PER_S",
     "NetLink",
     "Topology",
     "TopologyError",
+    "to_ns",
+    "wire_ns",
     "TransferTiming",
     "chunk_sizes",
     "transmit",

@@ -33,9 +33,10 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from ..errors import ReproError
+from ..obs.metrics import CounterRegistry
 from . import opts
 from .clock import SimClock
-from .profile import EngineProfile
+from .profile import EVENT, category_of
 
 __all__ = ["EventQueue", "ReferenceEventQueue", "SimEngine", "SimError"]
 
@@ -133,17 +134,17 @@ class ReferenceEventQueue:
 class SimEngine:
     """One simulation run: a clock plus its event queue.
 
-    Pass an :class:`~repro.sim.EngineProfile` as *profile* to count
-    events and attribute virtual time by callback category while the
-    engine runs (deterministic — it reads no wall clock).
+    Pass a :class:`~repro.obs.metrics.CounterRegistry` as *counters* to
+    count every event as ``sim.event.<category>`` while the engine runs
+    (deterministic — it reads no wall clock).
     """
 
     def __init__(self, clock: Optional[SimClock] = None, *,
-                 profile: Optional[EngineProfile] = None):
+                 counters: Optional[CounterRegistry] = None):
         self.clock = clock if clock is not None else SimClock()
         self.queue = EventQueue() if opts.ENABLED else ReferenceEventQueue()
         self.events_processed = 0
-        self.profile = profile
+        self.counters = counters
 
     @property
     def now(self) -> float:
@@ -164,7 +165,7 @@ class SimEngine:
         next event lies beyond *until*); returns the clock reading."""
         queue = self.queue
         clock = self.clock
-        profile = self.profile
+        counters = self.counters
         processed = 0
         try:
             while queue:
@@ -173,8 +174,8 @@ class SimEngine:
                         and next_time > until:
                     break
                 time, fn, args = queue.pop()
-                if profile is not None:
-                    profile.record(fn, time - clock.now)
+                if counters is not None:
+                    counters.count(EVENT + category_of(fn))
                 clock.advance_to(time)
                 processed += 1
                 fn(*args)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..errors import ReproError, TransientError, TransientRegistryError
-from .topology import NetLink
+from .topology import NS_PER_S, NetLink
 from .transfer import TransferTiming, transmit
 
 __all__ = [
@@ -363,8 +363,7 @@ def link_snapshot(link: NetLink) -> tuple:
     """Capture a link's reservation horizons and stats (for rollback)."""
     s = link.stats
     return (link.tx_free_at, link.rx_free_at, s.bytes_tx, s.bytes_rx,
-            s.chunks_tx, s.chunks_rx, s.busy_tx_seconds, s.busy_rx_seconds,
-            s.byte_seconds)
+            s.chunks_tx, s.chunks_rx, s.busy_tx_ns, s.busy_rx_ns, s.byte_ns)
 
 
 def link_restore(link: NetLink, snap: tuple) -> None:
@@ -372,21 +371,23 @@ def link_restore(link: NetLink, snap: tuple) -> None:
     (other code holds references to ``link.stats``)."""
     s = link.stats
     (link.tx_free_at, link.rx_free_at, s.bytes_tx, s.bytes_rx, s.chunks_tx,
-     s.chunks_rx, s.busy_tx_seconds, s.busy_rx_seconds, s.byte_seconds) = snap
+     s.chunks_rx, s.busy_tx_ns, s.busy_rx_ns, s.byte_ns) = snap
 
 
 def faulty_transmit(plan: Optional[FaultPlan], src: NetLink, dst: NetLink,
                     size: int, *, chunk_size: int,
-                    available: Union[float, Sequence[float]],
+                    available: Union[int, Sequence[int]],
                     now: float = 0.0,
                     attempt_timeout: Optional[float] = None,
                     record_arrivals: bool = True) -> TransferTiming:
     """:func:`transmit`, but aborting (with full rollback) under faults.
 
-    Checks, in order: slow-link degradation at *now* scales the effective
-    bandwidth for the whole transfer; a down window on either endpoint
-    overlapping the transfer's wire interval aborts it; an attempt that
-    would finish later than ``now + attempt_timeout`` aborts.  An aborted
+    *available* is in ns, as for :func:`transmit`; *now* and the plan's
+    windows are on the engine's clock, in seconds.  Checks, in order:
+    slow-link degradation at *now* scales the effective bandwidth for
+    the whole transfer; a down window on either endpoint overlapping the
+    transfer's wire interval aborts it; an attempt that would finish
+    later than ``now + attempt_timeout`` aborts.  An aborted
     transfer restores both links' reservation horizons *and* LinkStats to
     their pre-call values — a retry must not double-count bytes — and
     raises :class:`TransientTransferError` whose ``retry_at`` is the end
@@ -413,15 +414,16 @@ def faulty_transmit(plan: Optional[FaultPlan], src: NetLink, dst: NetLink,
         if scaled:
             src.bandwidth, dst.bandwidth = src_bw, dst_bw
 
-    window = (plan.down_window(src.name, timing.start, timing.end)
-              or plan.down_window(dst.name, timing.start, timing.end))
+    start, end = timing.start / NS_PER_S, timing.end / NS_PER_S
+    window = (plan.down_window(src.name, start, end)
+              or plan.down_window(dst.name, start, end))
     if window is not None:
         link_restore(src, src_snap)
         link_restore(dst, dst_snap)
         raise TransientTransferError(
             f"link down during transfer {src.name} -> {dst.name} "
             f"(window {window[0]:.3f}:{window[1]:.3f})", retry_at=window[1])
-    if attempt_timeout is not None and timing.end - now > attempt_timeout:
+    if attempt_timeout is not None and end - now > attempt_timeout:
         link_restore(src, src_snap)
         link_restore(dst, dst_snap)
         raise TransientTransferError(

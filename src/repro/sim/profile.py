@@ -1,20 +1,18 @@
-"""A deterministic profiler for the discrete-event engine.
+"""Deterministic event counts for the discrete-event engine.
 
 Wall-clock profilers can't explain a simulation: the interesting question
 is not "where did the CPU go" but "which *kind* of event dominates the
-schedule".  :class:`EngineProfile` hangs off a
-:class:`~repro.sim.SimEngine` and, for every event popped, counts it
-under its callback's category (the callable's ``__qualname__`` — e.g.
-``_BlobCast.send``) and attributes the **virtual time the event advanced
-the clock by** to that category.  Both numbers are pure functions of the
-schedule: profiling a run never changes it, and two runs of the same
-schedule profile identically — so profiles can be asserted in tests and
-diffed across optimization levels.
+schedule".  A :class:`~repro.sim.SimEngine` given a
+:class:`~repro.obs.metrics.CounterRegistry` counts every event it pops
+as ``sim.event.<category>``, the category being the callback's
+``__qualname__`` (e.g. ``_BlobCast.send``).  The counts are pure
+functions of the schedule: counting never changes a run, and two runs of
+the same schedule count identically, so they can be asserted in tests
+and diffed across optimization levels.
 
 Wall-clock throughput (events/sec) is deliberately *not* measured here;
 the fleet benchmark times :meth:`SimEngine.run` around the engine and
-divides by ``events_processed`` so the profiler itself stays
-deterministic.
+divides by ``events_processed``.
 """
 
 from __future__ import annotations
@@ -23,7 +21,10 @@ from typing import Callable
 
 from ..obs.metrics import CounterRegistry
 
-__all__ = ["EngineProfile", "category_of", "COUNTERS"]
+__all__ = ["COUNTERS", "EVENT", "category_of", "top_events"]
+
+#: The counter-name prefix of an engine event's category.
+EVENT = "sim.event."
 
 
 def category_of(fn: Callable) -> str:
@@ -39,51 +40,14 @@ def category_of(fn: Callable) -> str:
     return type(fn).__name__
 
 
-class EngineProfile:
-    """Per-category event counts and virtual-time attribution."""
-
-    __slots__ = ("events", "virtual_seconds", "total_events",
-                 "total_virtual_seconds")
-
-    def __init__(self):
-        self.events: dict[str, int] = {}
-        self.virtual_seconds: dict[str, float] = {}
-        self.total_events = 0
-        self.total_virtual_seconds = 0.0
-
-    def record(self, fn: Callable, dt: float) -> None:
-        """One event popped: *fn* fired after advancing the clock by
-        *dt* virtual seconds (clamped at zero — an event scheduled at or
-        before the current time advances nothing)."""
-        category = category_of(fn)
-        self.events[category] = self.events.get(category, 0) + 1
-        self.total_events += 1
-        if dt > 0.0:
-            self.virtual_seconds[category] = \
-                self.virtual_seconds.get(category, 0.0) + dt
-            self.total_virtual_seconds += dt
-
-    def top(self, n: int = 5) -> list[tuple[str, int]]:
-        """The *n* busiest categories by event count (count-desc, then
-        name — deterministic)."""
-        return sorted(self.events.items(),
-                      key=lambda kv: (-kv[1], kv[0]))[:n]
-
-    def as_dict(self) -> dict:
-        """JSON-friendly, sorted, rounded — safe to golden-test."""
-        return {
-            "total_events": self.total_events,
-            "total_virtual_seconds": round(self.total_virtual_seconds, 9),
-            "events": dict(sorted(self.events.items())),
-            "virtual_seconds": {k: round(v, 9)
-                                for k, v in sorted(
-                                    self.virtual_seconds.items())},
-        }
-
-    def __repr__(self) -> str:
-        busiest = ", ".join(f"{c}×{n}" for c, n in self.top(3))
-        return (f"EngineProfile(events={self.total_events}, "
-                f"vt={self.total_virtual_seconds:.6f}s, top: {busiest})")
+def top_events(counters: CounterRegistry,
+               n: int = 5) -> list[tuple[str, int]]:
+    """The *n* busiest event categories in *counters* by count
+    (count-desc, then name — deterministic)."""
+    events = [(name[len(EVENT):], count)
+              for name, count in counters.snapshot().items()
+              if name.startswith(EVENT)]
+    return sorted(events, key=lambda kv: (-kv[1], kv[0]))[:n]
 
 
 #: Process-global registry (mirrors how ``opts.ENABLED`` is one switch):

@@ -12,6 +12,15 @@ over N links and turns deploy makespan into O(log N).
 
 There is no daemon anywhere in this model — links belong to endpoints, and
 transfers are initiated by the job processes themselves (§3.1).
+
+Link time is exact: a link's latency, its reservation horizons and its
+:class:`LinkStats` are integer nanoseconds (byte·ns for the congestion
+integral), so sums do not depend on their order and equal times are
+equal.  Bandwidth stays a rate in bytes/second; :func:`wire_ns` turns a
+chunk into nanoseconds on the wire and is the one place a duration is
+rounded.  The engine's clock stays in float seconds: a caller converts
+where a transfer starts (:func:`to_ns`) and schedules its events at
+``ns / NS_PER_S``.
 """
 
 from __future__ import annotations
@@ -22,18 +31,33 @@ from typing import Optional
 from ..errors import ReproError
 
 __all__ = ["DEFAULT_BANDWIDTH", "DEFAULT_CHUNK_SIZE", "DEFAULT_LATENCY",
-           "LinkStats", "NetLink", "Topology", "TopologyError"]
+           "LinkStats", "NS_PER_S", "NetLink", "Topology", "TopologyError",
+           "to_ns", "wire_ns"]
+
+NS_PER_S = 1_000_000_000
 
 #: Defaults sized so the simulated KB-scale images take tens of
 #: milliseconds per transfer — far above the per-hop latency, so the
 #: asymptotic story (O(N) vs O(log N)) dominates the constants.
 DEFAULT_BANDWIDTH = 256 * 1024      # bytes/second, each direction
-DEFAULT_LATENCY = 1e-4              # seconds, one-way per endpoint
+DEFAULT_LATENCY = 100_000           # ns (0.1 ms), one-way per endpoint
 DEFAULT_CHUNK_SIZE = 1024           # bytes per pipelined chunk
 
 
 class TopologyError(ReproError):
     """Unknown endpoint or bad link parameters."""
+
+
+def to_ns(seconds: float) -> int:
+    """A virtual time in float seconds (the engine's clock) as integer
+    nanoseconds."""
+    return round(seconds * NS_PER_S)
+
+
+def wire_ns(nbytes: int, bandwidth: float) -> int:
+    """Nanoseconds *nbytes* take on the wire at *bandwidth* bytes/second,
+    rounded to the nearest ns."""
+    return round(nbytes * NS_PER_S / bandwidth)
 
 
 @dataclass(slots=True)
@@ -50,22 +74,23 @@ class LinkStats:
     bytes_rx: int = 0
     chunks_tx: int = 0
     chunks_rx: int = 0
-    busy_tx_seconds: float = 0.0     # wire time the transmit side was busy
-    busy_rx_seconds: float = 0.0
+    busy_tx_ns: int = 0              # wire time the transmit side was busy
+    busy_rx_ns: int = 0
     #: Σ chunk_bytes × (arrival − available): bytes weighted by their total
     #: time in flight *including queueing* — the congestion integral the
     #: ablation reports as bytes·seconds.
-    byte_seconds: float = 0.0
+    byte_ns: int = 0
 
     def as_dict(self) -> dict:
+        """JSON-friendly, in seconds."""
         return {
             "bytes_tx": self.bytes_tx,
             "bytes_rx": self.bytes_rx,
             "chunks_tx": self.chunks_tx,
             "chunks_rx": self.chunks_rx,
-            "busy_tx_seconds": round(self.busy_tx_seconds, 9),
-            "busy_rx_seconds": round(self.busy_rx_seconds, 9),
-            "byte_seconds": round(self.byte_seconds, 9),
+            "busy_tx_seconds": round(self.busy_tx_ns / NS_PER_S, 9),
+            "busy_rx_seconds": round(self.busy_rx_ns / NS_PER_S, 9),
+            "byte_seconds": round(self.byte_ns / NS_PER_S, 9),
         }
 
 
@@ -74,32 +99,35 @@ class NetLink:
     """One endpoint's full-duplex uplink into the fabric.
 
     ``tx_free_at`` / ``rx_free_at`` are the FIFO reservation horizons: the
-    earliest virtual time the next chunk may start in that direction.
-    Slotted for the same hot-path reason as :class:`LinkStats`.
+    earliest virtual time (ns) the next chunk may start in that direction.
+    ``latency`` is one-way, in ns.  Slotted for the same hot-path reason as
+    :class:`LinkStats`.
     """
 
     name: str
     bandwidth: float = DEFAULT_BANDWIDTH
-    latency: float = DEFAULT_LATENCY
-    tx_free_at: float = 0.0
-    rx_free_at: float = 0.0
+    latency: int = DEFAULT_LATENCY
+    tx_free_at: int = 0
+    rx_free_at: int = 0
     stats: LinkStats = field(default_factory=LinkStats)
 
     def __post_init__(self):
         if self.bandwidth <= 0:
             raise TopologyError(f"{self.name}: bandwidth must be positive")
-        if self.latency < 0:
-            raise TopologyError(f"{self.name}: latency cannot be negative")
+        if not isinstance(self.latency, int) or self.latency < 0:
+            raise TopologyError(f"{self.name}: latency must be a "
+                                f"non-negative integer of ns: "
+                                f"{self.latency!r}")
 
     @property
-    def utilization_window(self) -> float:
-        """The horizon this link's reservations currently extend to."""
+    def utilization_window(self) -> int:
+        """The horizon (ns) this link's reservations currently extend to."""
         return max(self.tx_free_at, self.rx_free_at)
 
     def reset_time(self) -> None:
         """Forget reservations (stats survive) — new simulation epoch."""
-        self.tx_free_at = 0.0
-        self.rx_free_at = 0.0
+        self.tx_free_at = 0
+        self.rx_free_at = 0
 
 
 class Topology:
@@ -111,7 +139,7 @@ class Topology:
     """
 
     def __init__(self, *, bandwidth: float = DEFAULT_BANDWIDTH,
-                 latency: float = DEFAULT_LATENCY,
+                 latency: int = DEFAULT_LATENCY,
                  chunk_size: int = DEFAULT_CHUNK_SIZE):
         if chunk_size <= 0:
             raise TopologyError(f"chunk_size must be positive: {chunk_size}")
@@ -121,7 +149,7 @@ class Topology:
         self._links: dict[str, NetLink] = {}
 
     def add(self, name: str, *, bandwidth: Optional[float] = None,
-            latency: Optional[float] = None) -> NetLink:
+            latency: Optional[int] = None) -> NetLink:
         """Register an endpoint (idempotent) and return its link."""
         link = self._links.get(name)
         if link is None:
@@ -136,7 +164,7 @@ class Topology:
 
     def attach(self, obj, name: Optional[str] = None, *,
                bandwidth: Optional[float] = None,
-               latency: Optional[float] = None) -> NetLink:
+               latency: Optional[int] = None) -> NetLink:
         """Register *obj* (a Machine, a Registry, ...) as an endpoint and
         set ``obj.netlink``.  The name defaults to ``obj.hostname`` or
         ``obj.name``."""

@@ -3,34 +3,24 @@
 A transfer moves ``size`` bytes from one endpoint's link to another's in
 ``chunk_size`` pieces.  Each chunk independently reserves the sender's
 transmit side and the receiver's receive side (FIFO — ``free_at``
-horizons), takes ``chunk/min(bandwidths)`` of wire time, and lands after
-both endpoints' one-way latencies.  Because chunk *c*'s start time is
-``max(available[c], tx_free, rx_free)``, a relay that is still receiving a
-blob can already re-serve the chunks it has — that is the pipelining the
-tree broadcast leans on, and it falls out of the cost model rather than
-being special-cased.
+horizons), takes :func:`~repro.sim.topology.wire_ns` of ``min(bandwidths)``
+on the wire, and lands after both endpoints' one-way latencies.  Because
+chunk *c*'s start time is ``max(available[c], tx_free, rx_free)``, a relay
+that is still receiving a blob can already re-serve the chunks it has —
+that is the pipelining the tree broadcast leans on, and it falls out of
+the cost model rather than being special-cased.
 
-Two implementations share one arithmetic contract:
+Every time here is an integer of nanoseconds, so the two implementations
+agree exactly:
 
 * the **reference chunk loop** (:func:`transmit_reference`) walks every
   chunk — required when ``available`` is a per-chunk sequence, i.e. the
   source is itself mid-receive;
 * the **closed-form bulk path** handles scalar ``available`` (a registry,
-  or a relay that already holds the whole blob).  Back-to-back equal-rate
-  chunks make every per-chunk quantity an affine function of the *exact
-  integer* byte count, so the start/end/arrival schedule and the
-  :class:`~repro.sim.LinkStats` increments are computed analytically —
-  O(1) stat mutations, no per-chunk heap traffic — with **bit-identical
-  floats** to the loop (the property tests in
-  ``tests/sim/test_transfer_property.py`` pin this down).
-
-Bit-identity works because both paths evaluate the *same float
-expressions*: within one busy period starting at ``base`` after ``b0``
-bytes, chunk *c* ends at ``base + (B_c - b0)/rate`` where ``B_c`` is an
-exact int; the byte·seconds congestion integral is decomposed into
-``Σ nbytes·cum / rate + bytes·(base + hop_latency) - bytes·ready`` whose
-first numerator is an exact integer with a closed form
-(``chunk² · n(n+1)/2 + rem·size`` for a scalar-available transfer).
+  or a relay that already holds the whole blob): the chunks go out back
+  to back, so the schedule and the :class:`~repro.sim.LinkStats`
+  increments are sums in closed form — O(1) stat mutations, no per-chunk
+  work unless the arrival list is asked for.
 """
 
 from __future__ import annotations
@@ -39,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from . import opts
-from .topology import NetLink
+from .topology import NetLink, wire_ns
 
 __all__ = ["TransferTiming", "chunk_sizes", "transmit", "transmit_reference"]
 
@@ -54,7 +44,7 @@ def chunk_sizes(size: int, chunk_size: int) -> list[int]:
 
 @dataclass(slots=True)
 class TransferTiming:
-    """When one blob's chunks arrived at the receiver.
+    """When one blob's chunks arrived at the receiver, in ns.
 
     ``chunk_arrivals`` is ``None`` for a coalesced transfer
     (``record_arrivals=False``): nobody observes the intermediate chunks,
@@ -63,205 +53,138 @@ class TransferTiming:
     """
 
     size: int
-    start: float                     # first chunk's wire start
-    end: float                       # last chunk's arrival
-    first_arrival: float = 0.0       # first chunk's arrival
-    chunk_arrivals: Optional[list[float]] = field(default=None)
+    start: int                       # first chunk's wire start
+    end: int                         # last chunk's arrival
+    first_arrival: int = 0           # first chunk's arrival
+    chunk_arrivals: Optional[list[int]] = field(default=None)
 
     @property
-    def duration(self) -> float:
+    def duration(self) -> int:
         return self.end - self.start
 
 
 def _zero_size(src: NetLink, dst: NetLink,
-               available: Union[float, Sequence[float]]) -> TransferTiming:
+               available: Union[int, Sequence[int]]) -> TransferTiming:
     # A zero-size transfer still cannot complete before its data exists
     # (with a per-chunk sequence the source finishes receiving at
     # max(available)) *nor* before both FIFO horizons are free — an empty
     # blob queues behind in-flight traffic like any other send.
-    if isinstance(available, (int, float)):
-        ready = float(available)
-    else:
-        ready = max((float(a) for a in available), default=0.0)
+    ready = available if isinstance(available, int) \
+        else max(available, default=0)
     t = max(ready, src.tx_free_at, dst.rx_free_at)
     return TransferTiming(size=0, start=t, end=t, first_arrival=t,
                           chunk_arrivals=[])
 
 
 def transmit(src: NetLink, dst: NetLink, size: int, *, chunk_size: int,
-             available: Union[float, Sequence[float]],
+             available: Union[int, Sequence[int]],
              record_arrivals: bool = True) -> TransferTiming:
     """Move *size* bytes ``src -> dst``; returns the chunk arrival times.
 
-    *available* is either a single time (all bytes ready at the source —
-    a registry or a node that already holds the blob) or a per-chunk
-    sequence (the source is itself still receiving — pipelined relay).
+    *available* is either a single time in ns (all bytes ready at the
+    source — a registry or a node that already holds the blob) or a
+    per-chunk sequence (the source is itself still receiving — pipelined
+    relay).
 
     With ``record_arrivals=False`` the per-chunk arrival list is not
     materialized (``chunk_arrivals is None``); use it for transfers whose
     intermediate chunks nobody observes.  All timings and LinkStats are
     identical either way.
     """
-    if size <= 0:
-        return _zero_size(src, dst, available)
-    if isinstance(available, (int, float)):
-        if opts.ENABLED:
-            return _transmit_bulk(src, dst, size, chunk_size,
-                                  float(available), record_arrivals)
-        n_full, rem = divmod(size, chunk_size)
-        avail = [float(available)] * (n_full + (1 if rem else 0))
-    else:
-        avail = [float(a) for a in available]
-    return _transmit_chunked(src, dst, size, chunk_size, avail,
-                             record_arrivals)
+    if isinstance(available, int) and opts.ENABLED and size > 0:
+        return _transmit_bulk(src, dst, size, chunk_size, available,
+                              record_arrivals)
+    return transmit_reference(src, dst, size, chunk_size=chunk_size,
+                              available=available,
+                              record_arrivals=record_arrivals)
 
 
 def transmit_reference(src: NetLink, dst: NetLink, size: int, *,
                        chunk_size: int,
-                       available: Union[float, Sequence[float]],
+                       available: Union[int, Sequence[int]],
                        record_arrivals: bool = True) -> TransferTiming:
     """:func:`transmit` forced down the per-chunk reference loop, even
-    for scalar availability.  The bulk path must be bit-identical to
-    this — it is the oracle the property tests compare against."""
+    for scalar availability.  The bulk path must equal this exactly — it
+    is the oracle the property tests compare against.  It is also the
+    only path able to model a pipelined relay, where each chunk has its
+    own availability time."""
     if size <= 0:
         return _zero_size(src, dst, available)
-    if isinstance(available, (int, float)):
-        n_full, rem = divmod(size, chunk_size)
-        avail = [float(available)] * (n_full + (1 if rem else 0))
-    else:
-        avail = [float(a) for a in available]
-    return _transmit_chunked(src, dst, size, chunk_size, avail,
-                             record_arrivals)
-
-
-def _transmit_chunked(src: NetLink, dst: NetLink, size: int,
-                      chunk_size: int, avail: list[float],
-                      record_arrivals: bool) -> TransferTiming:
-    """The reference per-chunk loop (and the only path able to model a
-    pipelined relay, where each chunk has its own availability time)."""
     chunks = chunk_sizes(size, chunk_size)
-    if len(avail) != len(chunks):
+    if isinstance(available, int):
+        available = [available] * len(chunks)
+    elif len(available) != len(chunks):
         raise ValueError(
-            f"have {len(avail)} chunk availability times for "
+            f"have {len(available)} chunk availability times for "
             f"{len(chunks)} chunks")
 
     rate = min(src.bandwidth, dst.bandwidth)
     hop_latency = src.latency + dst.latency
-    tx_free = src.tx_free_at
-    rx_free = dst.rx_free_at
-    arrivals: Optional[list[float]] = [] if record_arrivals else None
+    # every chunk but the last is full
+    wires = [wire_ns(chunk_size, rate)] * (len(chunks) - 1) \
+        + [wire_ns(chunks[-1], rate)]
+    free = max(src.tx_free_at, dst.rx_free_at)
+    start = max(available[0], free)
+    arrivals = []
+    byte_ns = 0
+    for nbytes, wire, ready in zip(chunks, wires, available):
+        # max(ready, free), without the call: this loop is the relay hot path
+        free = (ready if ready > free else free) + wire
+        arrival = free + hop_latency
+        arrivals.append(arrival)
+        byte_ns += nbytes * (arrival - ready)
 
-    # Busy periods: while chunks go out back-to-back, chunk ends are
-    # ``base_start + exact_bytes/rate`` — one rounding per chunk instead
-    # of an accumulated sum, and the same expression the bulk path uses.
-    first_start = first_arrival = 0.0
-    base_start = 0.0
-    end = None
-    sent = 0                          # cumulative bytes (exact)
-    base_sent = 0                     # bytes sent before this busy period
-    # byte·seconds decomposition: Σ nbytes·(arrival − ready) ==
-    #   Σ_periods [Σ nbytes·cum / rate + period_bytes·(base + latency)]
-    #   − Σ_ready-groups group_bytes·ready
-    bs_pos = 0.0
-    ibs = 0                           # Σ nbytes·cum this period (exact)
-    period_bytes = 0
-    bs_neg = 0.0
-    group_ready: Optional[float] = None
-    group_bytes = 0
-
-    for nbytes, ready in zip(chunks, avail):
-        start = max(ready, tx_free, rx_free)
-        if end is None or start > end:
-            if period_bytes:
-                bs_pos += (ibs / rate) + (period_bytes
-                                          * (base_start + hop_latency))
-            base_start = start
-            base_sent = sent
-            ibs = 0
-            period_bytes = 0
-        sent += nbytes
-        cum = sent - base_sent
-        end = base_start + cum / rate
-        tx_free = rx_free = end
-        ibs += nbytes * cum
-        period_bytes += nbytes
-        if ready != group_ready:
-            if group_bytes:
-                bs_neg += group_bytes * group_ready
-            group_ready = ready
-            group_bytes = 0
-        group_bytes += nbytes
-        arrival = end + hop_latency
-        if arrivals is not None:
-            arrivals.append(arrival)
-        if sent == nbytes:            # first chunk
-            first_start = start
-            first_arrival = arrival
-    bs_pos += (ibs / rate) + (period_bytes * (base_start + hop_latency))
-    bs_neg += group_bytes * group_ready
-    last_arrival = end + hop_latency
-
-    src.tx_free_at = end
-    dst.rx_free_at = end
-    _flush_stats(src, dst, size, len(chunks), size / rate, bs_pos - bs_neg)
-    return TransferTiming(size=size, start=first_start, end=last_arrival,
-                          first_arrival=first_arrival,
-                          chunk_arrivals=arrivals)
+    _flush(src, dst, free, size, len(chunks), sum(wires), byte_ns)
+    return TransferTiming(size=size, start=start, end=arrivals[-1],
+                          first_arrival=arrivals[0],
+                          chunk_arrivals=arrivals if record_arrivals
+                          else None)
 
 
 def _transmit_bulk(src: NetLink, dst: NetLink, size: int, chunk_size: int,
-                   ready: float, record_arrivals: bool) -> TransferTiming:
+                   ready: int, record_arrivals: bool) -> TransferTiming:
     """Closed-form transfer for scalar availability.
 
-    Every byte is ready at ``ready``, so chunk starts never wait on data
-    after the first: the whole transfer is one busy period and chunk *k*
-    ends at ``start + (k·chunk_size)/rate`` — the identical float the
-    reference loop computes.  LinkStats are aggregated with O(1)
-    mutations; the byte·seconds numerator ``Σ nbytes·cum`` collapses to
-    ``chunk² · n(n+1)/2 + rem·size`` (exact integers).
+    Every byte is ready at ``ready``, so after the first chunk none waits
+    on data: the ``n`` full chunks end at ``start + k·wire`` and the
+    remainder ``rem_wire`` after them, and each chunk's
+    ``nbytes·(arrival − ready)`` sums in closed form.
     """
     rate = min(src.bandwidth, dst.bandwidth)
     hop_latency = src.latency + dst.latency
     start = max(ready, src.tx_free_at, dst.rx_free_at)
-    n_full, rem = divmod(size, chunk_size)
-    n_chunks = n_full + (1 if rem else 0)
-
-    end = start + size / rate
-    first_bytes = chunk_size if n_full else rem
-    first_arrival = (start + first_bytes / rate) + hop_latency
-    last_arrival = end + hop_latency
-    arrivals: Optional[list[float]] = None
+    n, rem = divmod(size, chunk_size)
+    wire = wire_ns(chunk_size, rate)
+    rem_wire = wire_ns(rem, rate) if rem else 0
+    busy = n * wire + rem_wire
+    end = start + busy
+    lag = start + hop_latency - ready      # full chunk k: lag + k·wire
+    byte_ns = (chunk_size * (n * lag + wire * (n * (n + 1) // 2))
+               + rem * (end + hop_latency - ready))
+    arrivals = None
     if record_arrivals:
-        arrivals = [(start + (k * chunk_size) / rate) + hop_latency
-                    for k in range(1, n_full + 1)]
+        arrivals = [start + k * wire + hop_latency for k in range(1, n + 1)]
         if rem:
-            arrivals.append(last_arrival)
+            arrivals.append(end + hop_latency)
 
-    ibs = chunk_size * chunk_size * (n_full * (n_full + 1) // 2)
-    if rem:
-        ibs += rem * size
-    byte_seconds = ((ibs / rate) + (size * (start + hop_latency))
-                    - (size * ready))
-
-    src.tx_free_at = end
-    dst.rx_free_at = end
-    _flush_stats(src, dst, size, n_chunks, size / rate, byte_seconds)
-    return TransferTiming(size=size, start=start, end=last_arrival,
-                          first_arrival=first_arrival,
+    _flush(src, dst, end, size, n + (1 if rem else 0), busy, byte_ns)
+    return TransferTiming(size=size, start=start, end=end + hop_latency,
+                          first_arrival=start + (wire if n else rem_wire)
+                          + hop_latency,
                           chunk_arrivals=arrivals)
 
 
-def _flush_stats(src: NetLink, dst: NetLink, size: int, n_chunks: int,
-                 wire: float, byte_seconds: float) -> None:
-    """One aggregated LinkStats update per transfer, identical on both
-    implementation paths (same expressions, same order)."""
+def _flush(src: NetLink, dst: NetLink, free: int, size: int, n_chunks: int,
+           busy: int, byte_ns: int) -> None:
+    """Both horizons move to *free*; one LinkStats update per transfer."""
+    src.tx_free_at = dst.rx_free_at = free
     ss = src.stats
     ss.bytes_tx += size
     ss.chunks_tx += n_chunks
-    ss.busy_tx_seconds += wire
-    ss.byte_seconds += byte_seconds
+    ss.busy_tx_ns += busy
+    ss.byte_ns += byte_ns
     ds = dst.stats
     ds.bytes_rx += size
     ds.chunks_rx += n_chunks
-    ds.busy_rx_seconds += wire
-    ds.byte_seconds += byte_seconds
+    ds.busy_rx_ns += busy
+    ds.byte_ns += byte_ns

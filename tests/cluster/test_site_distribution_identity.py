@@ -3,11 +3,17 @@
 A seeded 8-shard, 2-replica fleet takes pushes from two tenants, plays an
 open-loop Zipf pull tape (:func:`~repro.sim.run_workload`), and then
 tree-broadcasts the hottest image to 64 stub nodes.  Every virtual-time
-output of that path — the tape and tree reports, each pull latency's
-``repr``, every transfer, every link's and every shard's accounting — is
-folded into one sha256 and compared with a value recorded before the
-fleet's read path was memoized.  Any change to routing, admission or the
-broadcast's reservations shows up here as a different digest.
+output of that path is pinned, one sha256 per part, so a drift names the
+part that moved:
+
+* ``tape``, ``latencies``: the tape report and each pull latency's
+  ``repr``;
+* ``tree``, ``transfers``: the tree report and every transfer;
+* ``links``: every link's accounting;
+* ``shards``, ``fleet``: every shard's and the fleet's accounting.
+
+Any change to routing, admission or the broadcast's reservations shows up
+here as a different digest of the part it touched.
 """
 
 import hashlib
@@ -22,15 +28,48 @@ from repro.containers import ImageConfig
 from repro.kernel import FileType
 from repro.sim import WorkloadSpec, run_workload
 
-#: (seed, shard queue_limit) -> sha256 of the fingerprint below, recorded
-#: on the unmemoized ring, the list-comprehension admission queue and the
-#: always-snapshot broadcast hop.  The bounded queue drives the tape
-#: through thousands of overload 503s and retries.
+PARTS = ("tape", "latencies", "tree", "transfers", "links", "shards",
+         "fleet")
+
+#: (seed, shard queue_limit) -> part -> sha256 of that part's ``repr``.
+#: The tape, latency, shard and fleet parts were recorded on the
+#: unmemoized ring, the list-comprehension admission queue and the
+#: always-snapshot broadcast hop; the tree, transfer and link parts on
+#: integer-ns link time.  The bounded queue drives the tape through
+#: thousands of overload 503s and retries.
 PINNED = {
-    (0, None):
-        "f066b9f15219dc58688c9266c7e12789b9f0f492bb80b2a1cb78b58de95f2aaf",
-    (1, 2):
-        "7685ecae03a4df3d2074a0d88756590ea900257f5873af2ffe605287c4015847",
+    (0, None): {
+        "tape":
+            "041197937fbdae4a0e73a8038a71d8ac8482b21b1388a4f3a471f4a1eefa6e2e",
+        "latencies":
+            "92592c4a2f0b71a759e4b5e3446f44097328f4c8457297bce5b78bff818317a1",
+        "tree":
+            "d5e3ff5f7fe2ffd5ba95483dc21484ec0bd0d6a72f8cb6e9778a435e6e0c737b",
+        "transfers":
+            "c8211a6f9f0b4ef89ac7da9df068d713b52e9559376e7040dd3f2a9e30834c87",
+        "links":
+            "09f5c28b71d82060e86a63908f7343cae22e7610e6ff2298bf5524d1218ec3e9",
+        "shards":
+            "523365f534e8bf5f15ae183d2c147719fb7ba77eae67d9d93dc9f0b161e3ae46",
+        "fleet":
+            "873b0d00d1ee801a974624c98f1378278a02ed823c92ae6430bd7a3db948f5e0",
+    },
+    (1, 2): {
+        "tape":
+            "f614ba9a9671e53bd71dc69de71aa2201f64a52a18c3029b45e6b20029b2968d",
+        "latencies":
+            "fe9a665d8c63e7699bc51ef1173e495d166154ff6580d4db1e7d5e22cf3430fc",
+        "tree":
+            "d5e3ff5f7fe2ffd5ba95483dc21484ec0bd0d6a72f8cb6e9778a435e6e0c737b",
+        "transfers":
+            "ebb5b0cd346d302385db65f1495c20a1fcd05d930cf7cdd1eb9d12a192b9a9c7",
+        "links":
+            "82b5372d612c11c8b102040e6e5eb0f35de1de9d11a7c48403cb1eb30a11f960",
+        "shards":
+            "0e09fff8f90609830ce5ad451c50f31279d790a6d256dcd5c4c5870c13feb4ce",
+        "fleet":
+            "3d8cec964ae5c2cdf14589dc1a42188ea34eb5e92748c9002761badbf456b210",
+    },
 }
 
 
@@ -47,7 +86,7 @@ def _layer(rng: random.Random, name: str, size: int) -> TarArchive:
                                  data=rng.randbytes(size))])
 
 
-def site_distribution_fingerprint(seed: int, queue_limit) -> str:
+def site_distribution_fingerprint(seed: int, queue_limit) -> dict[str, str]:
     rng = random.Random(seed)
     fleet = RegistryFleet("site", n_shards=8, replicas=2,
                           queue_limit=queue_limit)
@@ -81,7 +120,8 @@ def site_distribution_fingerprint(seed: int, queue_limit) -> str:
         repr([(s.name, s.stats) for s in fleet.shards]),
         repr(sorted(fleet.report()["stats"].items())),
     ]
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    return {name: hashlib.sha256(part.encode()).hexdigest()
+            for name, part in zip(PARTS, parts)}
 
 
 @pytest.mark.parametrize("seed,queue_limit", sorted(PINNED, key=repr))

@@ -8,6 +8,7 @@ from repro.errors import ReproError, TransientError
 from repro.sim import (
     FaultPlan,
     FaultPlanError,
+    NS_PER_S,
     NetLink,
     RetryPolicy,
     SimClock,
@@ -20,7 +21,7 @@ from repro.sim import (
 )
 
 
-def links(n, *, bandwidth=100.0, latency=0.0):
+def links(n, *, bandwidth=100.0, latency=0):
     return [NetLink(f"l{i}", bandwidth=bandwidth, latency=latency)
             for i in range(n)]
 
@@ -117,9 +118,9 @@ class TestFaultyTransmit:
     def test_no_plan_matches_plain_transmit(self):
         a1, b1 = links(2)
         a2, b2 = links(2)
-        t1 = transmit(a1, b1, 500, chunk_size=100, available=0.0)
+        t1 = transmit(a1, b1, 500, chunk_size=100, available=0)
         t2 = faulty_transmit(None, a2, b2, 500, chunk_size=100,
-                             available=0.0)
+                             available=0)
         assert (t1.start, t1.end) == (t2.start, t2.end)
         assert link_snapshot(a1) == link_snapshot(a2)
 
@@ -128,7 +129,7 @@ class TestFaultyTransmit:
         before_a, before_b = link_snapshot(a), link_snapshot(b)
         plan = FaultPlan().add_link_down("l1", 0.0, 10.0)
         with pytest.raises(TransientTransferError) as exc:
-            faulty_transmit(plan, a, b, 500, chunk_size=100, available=0.0)
+            faulty_transmit(plan, a, b, 500, chunk_size=100, available=0)
         assert exc.value.retry_at == 10.0
         # a retry must not see the aborted attempt's bytes or reservations
         assert link_snapshot(a) == before_a
@@ -137,16 +138,16 @@ class TestFaultyTransmit:
     def test_transfer_outside_window_succeeds(self):
         a, b = links(2)
         plan = FaultPlan().add_link_down("l1", 50.0, 60.0)
-        t = faulty_transmit(plan, a, b, 500, chunk_size=100, available=0.0)
-        assert t.end == pytest.approx(5.0)
+        t = faulty_transmit(plan, a, b, 500, chunk_size=100, available=0)
+        assert t.end == 5 * NS_PER_S
         assert a.stats.bytes_tx == 500
 
     def test_slow_window_stretches_the_transfer(self):
         a, b = links(2)
         plan = FaultPlan().add_slow_link("l0", 0.0, 100.0, 0.5)
         t = faulty_transmit(plan, a, b, 500, chunk_size=100,
-                            available=0.0, now=0.0)
-        assert t.end == pytest.approx(10.0)  # half bandwidth, double time
+                            available=0, now=0.0)
+        assert t.end == 10 * NS_PER_S  # half bandwidth, double time
         # the degradation is transient: bandwidth itself is restored
         assert a.bandwidth == 100.0
 
@@ -156,14 +157,14 @@ class TestFaultyTransmit:
         plan = FaultPlan().add_slow_link("l0", 0.0, 100.0, 0.1)
         with pytest.raises(TransientTransferError):
             faulty_transmit(plan, a, b, 500, chunk_size=100,
-                            available=0.0, now=0.0, attempt_timeout=20.0)
+                            available=0, now=0.0, attempt_timeout=20.0)
         assert link_snapshot(a) == before
 
     def test_link_restore_round_trip(self):
         a, b = links(2)
         snap = link_snapshot(a)
         stats = a.stats
-        transmit(a, b, 300, chunk_size=100, available=0.0)
+        transmit(a, b, 300, chunk_size=100, available=0)
         assert a.stats.bytes_tx == 300
         link_restore(a, snap)
         assert a.stats.bytes_tx == 0

@@ -1,9 +1,11 @@
-"""The deterministic engine profiler: category counts and virtual-time
-attribution that replay identically and never perturb the schedule."""
+"""The engine's event counts: ``sim.event.<category>`` counters that
+replay identically and never perturb the schedule."""
 
 import functools
+import json
 
-from repro.sim import EngineProfile, SimEngine, category_of
+from repro.obs.metrics import CounterRegistry
+from repro.sim import EVENT, SimEngine, category_of, top_events
 
 
 class TestCategoryOf:
@@ -32,66 +34,53 @@ class TestCategoryOf:
         assert category_of(Ticker()) == "Ticker"
 
 
-class TestEngineProfile:
-    def test_counts_and_virtual_time_by_category(self):
-        p = EngineProfile()
+def _counted(*fns):
+    """A registry holding one ``sim.event.<category>`` count per call."""
+    counters = CounterRegistry()
+    for fn in fns:
+        counters.count(EVENT + category_of(fn))
+    return counters
 
+
+class TestEngineProfile:
+    def test_counts_by_category(self):
         def a():
             pass
 
         def b():
             pass
-        p.record(a, 1.5)
-        p.record(a, 0.5)
-        p.record(b, 3.0)
-        cat_a, cat_b = category_of(a), category_of(b)
-        assert p.events == {cat_a: 2, cat_b: 1}
-        assert p.total_events == 3
-        assert p.virtual_seconds[cat_a] == 2.0
-        assert p.total_virtual_seconds == 5.0
-
-    def test_non_advancing_events_count_but_attribute_no_time(self):
-        p = EngineProfile()
-
-        def a():
-            pass
-        p.record(a, 0.0)
-        p.record(a, -1e-9)   # scheduled at-or-before now: clamp to zero
-        assert p.total_events == 2
-        assert p.total_virtual_seconds == 0.0
-        assert category_of(a) not in p.virtual_seconds
+        counters = _counted(a, a, b)
+        assert counters.snapshot() == {EVENT + category_of(a): 2,
+                                       EVENT + category_of(b): 1}
+        assert top_events(counters) == [(category_of(a), 2),
+                                        (category_of(b), 1)]
 
     def test_top_is_deterministic(self):
-        p = EngineProfile()
+        counters = CounterRegistry()
         for name in ("beta", "alpha", "gamma", "alpha", "beta"):
-            p.events[name] = p.events.get(name, 0) + 1
-            p.total_events += 1
+            counters.count(EVENT + name)
+        counters.count("cache.hit", 9)   # not an engine event
         # count-desc, then name: the tie between alpha and beta sorts
         # alphabetically every run
-        assert p.top(2) == [("alpha", 2), ("beta", 2)]
-        assert p.top() == [("alpha", 2), ("beta", 2), ("gamma", 1)]
+        assert top_events(counters, 2) == [("alpha", 2), ("beta", 2)]
+        assert top_events(counters) == [("alpha", 2), ("beta", 2),
+                                         ("gamma", 1)]
 
     def test_as_dict_is_sorted_and_json_friendly(self):
-        p = EngineProfile()
-
         def z():
             pass
 
         def a():
             pass
-        p.record(z, 0.1)
-        p.record(a, 0.2)
-        d = p.as_dict()
-        assert list(d["events"]) == sorted(d["events"])
-        assert d["total_events"] == 2
-        assert d["total_virtual_seconds"] == round(0.1 + 0.2, 9)
-        assert "EngineProfile" in repr(p)
+        snap = _counted(z, a).snapshot()
+        assert list(snap) == sorted(snap)
+        assert json.loads(json.dumps(snap)) == snap
 
 
 class TestEngineIntegration:
     def test_profile_rides_the_run_loop(self):
-        profile = EngineProfile()
-        engine = SimEngine(profile=profile)
+        counters = CounterRegistry()
+        engine = SimEngine(counters=counters)
         seen = []
 
         class Job:
@@ -102,20 +91,17 @@ class TestEngineIntegration:
 
         job = Job()
         engine.at(1.0, job.tick, 1)
-        engine.at(1.0, job.tick, 3)   # same-timestamp: advances nothing
+        engine.at(1.0, job.tick, 3)   # same-timestamp: counted all the same
         engine.run()
         assert seen == [1, 3, 2, 3]
-        assert profile.events == {"TestEngineIntegration."
-                                  "test_profile_rides_the_run_loop."
-                                  "<locals>.Job.tick": 4}
-        # 0->1 advance + the two after(2.0) hops; the equal-time event
-        # contributes no virtual time
-        assert profile.total_virtual_seconds == 5.0
-        assert profile.total_events == engine.events_processed == 4
+        assert counters.snapshot() == {
+            "sim.event.TestEngineIntegration."
+            "test_profile_rides_the_run_loop.<locals>.Job.tick": 4}
+        assert engine.events_processed == 4
 
     def test_profiling_does_not_change_the_schedule(self):
-        def run(profile):
-            engine = SimEngine(profile=profile)
+        def run(counters):
+            engine = SimEngine(counters=counters)
             order = []
             engine.at(2.0, order.append, "b")
             engine.at(1.0, order.append, "a")
@@ -124,5 +110,6 @@ class TestEngineIntegration:
             return order, end
 
         bare = run(None)
-        profiled = run(EngineProfile())
-        assert bare == profiled
+        counters = CounterRegistry()
+        assert run(counters) == bare
+        assert top_events(counters) == [("list.append", 3)]

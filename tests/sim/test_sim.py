@@ -8,6 +8,7 @@ from repro.sim import (
     DEFAULT_BANDWIDTH,
     DEFAULT_LATENCY,
     EventQueue,
+    NS_PER_S,
     LinkStats,
     NetLink,
     ReferenceEventQueue,
@@ -22,6 +23,7 @@ from repro.sim import (
     reference_engine,
     set_optimizations,
     transmit,
+    wire_ns,
 )
 
 
@@ -181,63 +183,76 @@ class TestChunkSizes:
         assert chunk_sizes(size, chunk) == expect
 
 
-def links(n, *, bandwidth=100.0, latency=0.0):
+S = NS_PER_S                     # link times are integer ns
+
+
+def links(n, *, bandwidth=100.0, latency=0):
     return [NetLink(f"l{i}", bandwidth=bandwidth, latency=latency)
             for i in range(n)]
 
 
 class TestTransmit:
     def test_duration_is_wire_time_plus_latencies(self):
-        a, b = links(2, bandwidth=100.0, latency=0.05)
-        t = transmit(a, b, 1000, chunk_size=100, available=0.0)
+        a, b = links(2, bandwidth=100.0, latency=S // 20)
+        t = transmit(a, b, 1000, chunk_size=100, available=0)
         # 10 chunks x 1 s wire, plus one-way latency at each endpoint
-        assert t.end == pytest.approx(10.0 + 0.1)
-        assert t.start == 0.0
-        assert t.chunk_arrivals == pytest.approx(
-            [i + 1 + 0.1 for i in range(10)])
-        assert t.duration == pytest.approx(t.end - t.start)
+        assert t.end == 10 * S + S // 10
+        assert t.start == 0
+        assert t.chunk_arrivals == [(i + 1) * S + S // 10 for i in range(10)]
+        assert t.duration == t.end - t.start
 
     def test_sender_serializes_fifo(self):
         a, b, c = links(3)
-        t1 = transmit(a, b, 500, chunk_size=100, available=0.0)
-        t2 = transmit(a, c, 500, chunk_size=100, available=0.0)
-        assert t1.end == pytest.approx(5.0)
+        t1 = transmit(a, b, 500, chunk_size=100, available=0)
+        t2 = transmit(a, c, 500, chunk_size=100, available=0)
+        assert t1.end == 5 * S
         # a's transmit side was busy until t=5, so the second transfer queues
-        assert t2.start == pytest.approx(5.0)
-        assert t2.end == pytest.approx(10.0)
+        assert t2.start == 5 * S
+        assert t2.end == 10 * S
 
     def test_full_duplex_directions_do_not_contend(self):
         a, b = links(2)
-        t1 = transmit(a, b, 500, chunk_size=100, available=0.0)
-        t2 = transmit(b, a, 500, chunk_size=100, available=0.0)
-        assert t1.end == pytest.approx(5.0)
-        assert t2.end == pytest.approx(5.0)  # the reverse path was idle
+        t1 = transmit(a, b, 500, chunk_size=100, available=0)
+        t2 = transmit(b, a, 500, chunk_size=100, available=0)
+        assert t1.end == 5 * S
+        assert t2.end == 5 * S  # the reverse path was idle
 
     def test_pipelined_relay_overlaps_receive_and_resend(self):
         a, b, c = links(3)
-        t1 = transmit(a, b, 1000, chunk_size=100, available=0.0)
+        t1 = transmit(a, b, 1000, chunk_size=100, available=0)
         # b re-serves each chunk as it lands: one chunk of extra makespan,
         # not a full store-and-forward copy (which would end at 20 s)
         t2 = transmit(b, c, 1000, chunk_size=100,
                       available=t1.chunk_arrivals)
-        assert t1.end == pytest.approx(10.0)
-        assert t2.end == pytest.approx(11.0)
+        assert t1.end == 10 * S
+        assert t2.end == 11 * S
 
     def test_rate_is_bottleneck_of_both_ends(self):
         a, b = links(2)
         b.bandwidth = 50.0
-        t = transmit(a, b, 500, chunk_size=100, available=0.0)
-        assert t.end == pytest.approx(10.0)  # 500 B at 50 B/s
+        t = transmit(a, b, 500, chunk_size=100, available=0)
+        assert t.end == 10 * S  # 500 B at 50 B/s
+
+    def test_wire_time_rounds_to_the_nearest_ns(self):
+        assert wire_ns(100, 100.0) == S
+        assert wire_ns(1, 3.0) == 333_333_333
+        assert wire_ns(2, 3.0) == 666_666_667
+        a, b = links(2, bandwidth=3.0)
+        t = transmit(a, b, 5, chunk_size=2, available=0)
+        # each chunk is rounded once; the schedule adds exact integers
+        assert t.chunk_arrivals == [666_666_667, 1_333_333_334,
+                                    1_666_666_667]
+        assert a.stats.busy_tx_ns == 1_666_666_667
 
     def test_availability_length_must_match_chunks(self):
         a, b = links(2)
         with pytest.raises(ValueError):
-            transmit(a, b, 500, chunk_size=100, available=[0.0, 0.0])
+            transmit(a, b, 500, chunk_size=100, available=[0, 0])
 
     def test_zero_size_is_a_no_op(self):
         a, b = links(2)
-        t = transmit(a, b, 0, chunk_size=100, available=3.0)
-        assert t.size == 0 and t.start == t.end == 3.0
+        t = transmit(a, b, 0, chunk_size=100, available=3 * S)
+        assert t.size == 0 and t.start == t.end == 3 * S
         assert a.stats.bytes_tx == 0
 
     def test_zero_size_waits_for_busy_links(self):
@@ -245,39 +260,39 @@ class TestTransmit:
         was still busy with in-flight traffic — zero-size sends must
         queue behind the FIFO horizons like any other transfer."""
         a, b = links(2)
-        transmit(a, b, 500, chunk_size=100, available=0.0)  # busy to t=5
-        t = transmit(a, b, 0, chunk_size=100, available=0.0)
-        assert t.start == t.end == 5.0
+        transmit(a, b, 500, chunk_size=100, available=0)  # busy to t=5
+        t = transmit(a, b, 0, chunk_size=100, available=0)
+        assert t.start == t.end == 5 * S
         # the receive horizon alone also delays it
         c, d = links(2)
-        d.rx_free_at = 7.0
-        t = transmit(c, d, 0, chunk_size=100, available=2.0)
-        assert t.start == t.end == 7.0
+        d.rx_free_at = 7 * S
+        t = transmit(c, d, 0, chunk_size=100, available=2 * S)
+        assert t.start == t.end == 7 * S
         assert t.chunk_arrivals == []
 
     def test_zero_size_with_sequence_availability(self):
         """Regression: a relayed zero-size hop used to report itself done
         at t=0 even though its source data only existed at max(avail)."""
         a, b = links(2)
-        t = transmit(a, b, 0, chunk_size=100, available=[2.0, 5.0, 1.0])
-        assert t.size == 0 and t.start == t.end == 5.0
+        t = transmit(a, b, 0, chunk_size=100, available=[2 * S, 5 * S, S])
+        assert t.size == 0 and t.start == t.end == 5 * S
         t = transmit(a, b, 0, chunk_size=100, available=[])
-        assert t.start == t.end == 0.0
+        assert t.start == t.end == 0
 
     def test_first_arrival_is_first_chunk_landing(self):
-        a, b = links(2, bandwidth=100.0, latency=0.05)
-        t = transmit(a, b, 1000, chunk_size=100, available=0.0)
-        assert t.first_arrival == t.chunk_arrivals[0] == pytest.approx(1.1)
+        a, b = links(2, bandwidth=100.0, latency=S // 20)
+        t = transmit(a, b, 1000, chunk_size=100, available=0)
+        assert t.first_arrival == t.chunk_arrivals[0] == S + S // 10
         # and for a sub-chunk blob the only chunk is both first and last
-        t = transmit(a, b, 50, chunk_size=100, available=0.0)
+        t = transmit(a, b, 50, chunk_size=100, available=0)
         assert t.first_arrival == t.end == t.chunk_arrivals[0]
 
     def test_coalesced_transfer_skips_the_arrival_list(self):
         """record_arrivals=False must change nothing but chunk_arrivals."""
-        a, b = links(2, latency=0.01)
-        c, d = links(2, latency=0.01)
-        full = transmit(a, b, 950, chunk_size=100, available=2.0)
-        lean = transmit(c, d, 950, chunk_size=100, available=2.0,
+        a, b = links(2, latency=S // 100)
+        c, d = links(2, latency=S // 100)
+        full = transmit(a, b, 950, chunk_size=100, available=2 * S)
+        lean = transmit(c, d, 950, chunk_size=100, available=2 * S,
                         record_arrivals=False)
         assert lean.chunk_arrivals is None
         assert full.chunk_arrivals is not None
@@ -287,38 +302,42 @@ class TestTransmit:
         assert isinstance(full, TransferTiming)
 
     def test_bulk_path_matches_reference_loop(self):
-        """Smoke-level bit-identity (the Hypothesis suite in
+        """Smoke-level identity (the Hypothesis suite in
         test_transfer_property.py covers the full input space)."""
         prev = set_optimizations(True)       # force the bulk path
         try:
             assert optimizations_enabled()
-            a, b = links(2, bandwidth=77.0, latency=0.003)
+            a, b = links(2, bandwidth=77.0, latency=3_000_000)
             b.bandwidth = 31.0
-            fast = transmit(a, b, 12345, chunk_size=1000, available=1.5)
+            fast = transmit(a, b, 12345, chunk_size=1000,
+                            available=1_500_000_000)
         finally:
             set_optimizations(prev)
         with reference_engine():
-            c, d = links(2, bandwidth=77.0, latency=0.003)
+            c, d = links(2, bandwidth=77.0, latency=3_000_000)
             d.bandwidth = 31.0
             assert not optimizations_enabled()
-            slow = transmit(c, d, 12345, chunk_size=1000, available=1.5)
+            slow = transmit(c, d, 12345, chunk_size=1000,
+                            available=1_500_000_000)
         assert fast == slow                  # dataclass: field-exact
         assert a.stats == c.stats == LinkStats(
             bytes_tx=12345, chunks_tx=13,
-            busy_tx_seconds=a.stats.busy_tx_seconds,
-            byte_seconds=a.stats.byte_seconds)
+            busy_tx_ns=12 * wire_ns(1000, 31.0) + wire_ns(345, 31.0),
+            byte_ns=a.stats.byte_ns)
         assert b.stats == d.stats
         assert (a.tx_free_at, b.rx_free_at) == (c.tx_free_at, d.rx_free_at)
 
     def test_stats_account_both_sides(self):
-        a, b = links(2, latency=0.05)
-        transmit(a, b, 250, chunk_size=100, available=0.0)
+        a, b = links(2, latency=S // 20)
+        transmit(a, b, 250, chunk_size=100, available=0)
         assert a.stats.bytes_tx == 250 and a.stats.chunks_tx == 3
         assert b.stats.bytes_rx == 250 and b.stats.chunks_rx == 3
-        assert a.stats.busy_tx_seconds == pytest.approx(2.5)
-        assert b.stats.busy_rx_seconds == pytest.approx(2.5)
-        assert a.stats.byte_seconds > 0
-        assert a.stats.as_dict()["bytes_tx"] == 250
+        assert a.stats.busy_tx_ns == b.stats.busy_rx_ns == 5 * S // 2
+        # arrivals at 1.1, 2.1 and 2.6 s, every byte ready at 0
+        assert a.stats.byte_ns == 100 * (11 + 21) * S // 10 + 50 * 26 * S // 10
+        d = a.stats.as_dict()
+        assert d["bytes_tx"] == 250
+        assert (d["busy_tx_seconds"], d["byte_seconds"]) == (2.5, 450.0)
 
 
 class TestNetLink:
@@ -326,14 +345,16 @@ class TestNetLink:
         with pytest.raises(TopologyError):
             NetLink("x", bandwidth=0)
         with pytest.raises(TopologyError):
-            NetLink("x", latency=-1.0)
+            NetLink("x", latency=-1)
+        with pytest.raises(TopologyError):   # seconds, not ns
+            NetLink("x", latency=1e-4)
 
     def test_reset_time_keeps_stats(self):
         a, b = links(2)
-        transmit(a, b, 100, chunk_size=100, available=0.0)
+        transmit(a, b, 100, chunk_size=100, available=0)
         assert a.tx_free_at > 0 and a.utilization_window > 0
         a.reset_time()
-        assert a.tx_free_at == 0.0 and a.rx_free_at == 0.0
+        assert a.tx_free_at == 0 and a.rx_free_at == 0
         assert a.stats.bytes_tx == 100  # traffic accounting survives
 
 
@@ -377,18 +398,18 @@ class TestTopology:
             Topology(chunk_size=0)
 
     def test_utilization_is_sorted_and_json_friendly(self):
-        topo = Topology(bandwidth=100.0, latency=0.0)
+        topo = Topology(bandwidth=100.0, latency=0)
         b = topo.add("b")
         a = topo.add("a")
-        transmit(a, b, 100, chunk_size=100, available=0.0)
+        transmit(a, b, 100, chunk_size=100, available=0)
         util = topo.utilization()
         assert list(util) == ["a", "b"]
         assert util["a"]["bytes_tx"] == 100
         assert util["b"]["bytes_rx"] == 100
 
     def test_reset_time_covers_all_links(self):
-        topo = Topology(bandwidth=100.0, latency=0.0)
+        topo = Topology(bandwidth=100.0, latency=0)
         a, b = topo.add("a"), topo.add("b")
-        transmit(a, b, 100, chunk_size=100, available=0.0)
+        transmit(a, b, 100, chunk_size=100, available=0)
         topo.reset_time()
-        assert a.tx_free_at == 0.0 and b.rx_free_at == 0.0
+        assert a.tx_free_at == 0 and b.rx_free_at == 0
