@@ -28,7 +28,6 @@ import time
 from repro.cas.diff import snapshot_digest, snapshot_tree
 from repro.cluster import make_machine, make_world
 from repro.core import ChImage
-from repro.sim import reference_engine
 from repro.sim.profile import COUNTERS
 
 from .conftest import report, write_bench
@@ -93,13 +92,13 @@ def _build(ch, nonce: str = ""):
     return seconds, snapshot_digest(snap), len(snap), counts
 
 
-def _cold_builds():
-    """One fresh world: a cold cache-enabled build, then a second cold
-    build on the same base.  Returns the builder, the first build's
-    seconds, digest, size and counts, and the second's digest, counts
-    and cache keys."""
+def _cold_builds(fast):
+    """One fresh world with a fast or a reference login kernel: a cold
+    cache-enabled build, then a second cold build on the same base.
+    Returns the builder, the first build's seconds, digest, size and
+    counts, and the second's digest, counts and cache keys."""
     world = make_world(arches=("x86_64",))
-    login = make_machine("login1", network=world.network)
+    login = make_machine("login1", network=world.network, fast=fast)
     alice = login.login("alice")
     ch = ChImage(login, alice, cache=True)
     _make_base(ch.storage)
@@ -113,10 +112,9 @@ def _cold_builds():
 class TestColdBuildScaling:
     def test_journal_walker_vs_reference(self):
         ch_opt, opt_seconds, opt_digest, members, opt_counts, opt_re = \
-            _cold_builds()
-        with reference_engine():
-            ch_ref, ref_seconds, ref_digest, _m, ref_counts, ref_re = \
-                _cold_builds()
+            _cold_builds(fast=True)
+        ch_ref, ref_seconds, ref_digest, _m, ref_counts, ref_re = \
+            _cold_builds(fast=False)
 
         # identity first: the speedup is meaningless if the results drift
         assert opt_digest == ref_digest

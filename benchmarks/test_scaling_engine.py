@@ -35,7 +35,6 @@ from repro.sim import (
     EVENT,
     SimEngine,
     WorkloadSpec,
-    reference_engine,
     run_workload,
     top_events,
 )
@@ -88,18 +87,11 @@ def _broadcast(strategy: str, chunk_size: int, reference: bool):
     digest = hashlib.sha256(BLOB).hexdigest()
     counters = CounterRegistry()
 
-    def go():
-        engine = SimEngine(counters=counters)
-        t0 = time.perf_counter()
-        rep = distribute_blobs(registry, [digest], nodes, topo,
-                               engine=engine, strategy=strategy)
-        return time.perf_counter() - t0, engine.events_processed, rep
-
-    if reference:
-        with reference_engine():
-            wall, events, rep = go()
-    else:
-        wall, events, rep = go()
+    engine = SimEngine(counters=counters, fast=not reference)
+    t0 = time.perf_counter()
+    rep = distribute_blobs(registry, [digest], nodes, topo,
+                           engine=engine, strategy=strategy)
+    wall, events = time.perf_counter() - t0, engine.events_processed
     stores = {n.hostname: sorted(n.content_store.digests())
               for n in nodes}
     return wall, events, rep, counters, stores
@@ -113,16 +105,10 @@ def _workload(reference: bool):
                                           0, 0,
                                           data=bytes([i % 251]) * 3000)])])
 
-    def go():
-        engine = SimEngine()
-        t0 = time.perf_counter()
-        rep = run_workload(fleet, SPEC, engine=engine)
-        return time.perf_counter() - t0, engine.events_processed, rep
-
-    if reference:
-        with reference_engine():
-            return go()
-    return go()
+    engine = SimEngine(fast=not reference)
+    t0 = time.perf_counter()
+    rep = run_workload(fleet, SPEC, engine=engine)
+    return time.perf_counter() - t0, engine.events_processed, rep
 
 
 def test_engine_throughput_ablation():

@@ -38,7 +38,6 @@ from repro.cluster import astra_build_workflow, make_astra, make_machine
 from repro.cluster import make_world
 from repro.kernel import Syscalls
 from repro.obs import attach_tracer
-from repro.sim import reference_engine
 from tests.conftest import ATSE_DOCKERFILE
 
 from .conftest import report, write_bench
@@ -71,10 +70,11 @@ def _count_resolves(ns) -> dict:
     return counts
 
 
-def _node_sys(world, node_id: int) -> Syscalls:
-    """alice's syscalls on a freshly booted aarch64 node."""
+def _node_sys(world, node_id: int, fast: bool) -> Syscalls:
+    """alice's syscalls on a freshly booted aarch64 node with a fast or a
+    reference kernel."""
     node = make_machine(f"walk-cn{node_id:03d}", arch="aarch64",
-                        network=world.network)
+                        network=world.network, fast=fast)
     sys = Syscalls(node.login("alice"))
     sys.mkdir_p(DEST)
     return sys
@@ -90,10 +90,10 @@ def _unpack(targets, layers) -> float:
     return time.perf_counter() - t0
 
 
-def _traced_unpack(world, layers, node_id: int):
+def _traced_unpack(world, layers, node_id: int, fast: bool):
     """One traced extraction: the tree digest, the traced syscall counts,
     the path-walk counts and the journal generations stamped."""
-    sys = _node_sys(world, node_id)
+    sys = _node_sys(world, node_id, fast)
     tracer = attach_tracer(sys.kernel)
     tracer.metrics.clear()
     resolves = _count_resolves(sys.mnt_ns)
@@ -107,32 +107,23 @@ def _traced_unpack(world, layers, node_id: int):
 
 def test_scaling_walk_cache_vs_reference():
     world, layers = _atse_layers()
-    cached_digest, cached_counts = _traced_unpack(world, layers, 1)
-    with reference_engine():
-        ref_digest, ref_counts = _traced_unpack(world, layers, 2)
-
-    def reference(targets):
-        with reference_engine():
-            return _unpack(targets, layers)
-
-    def cached(targets):
-        return _unpack(targets, layers)
+    cached_digest, cached_counts = _traced_unpack(world, layers, 1, True)
+    ref_digest, ref_counts = _traced_unpack(world, layers, 2, False)
 
     node_ids = iter(range(3, 3 + 2 * ROUNDS * NODES))
-    times = {reference: [], cached: []}
+    times = {False: [], True: []}          # by fast: reference, cached
     for r in range(ROUNDS):
-        for side in (reference, cached) if r % 2 == 0 else (cached,
-                                                             reference):
-            targets = [_node_sys(world, next(node_ids))
+        for fast in (False, True) if r % 2 == 0 else (True, False):
+            targets = [_node_sys(world, next(node_ids), fast)
                        for _ in range(NODES)]
-            times[side].append(side(targets))
+            times[fast].append(_unpack(targets, layers))
             assert {TarArchive.pack(sys, DEST).digest()
                     for sys in targets} == {ref_digest}
 
-    ref_s = statistics.median(times[reference])
-    cached_s = statistics.median(times[cached])
+    ref_s = statistics.median(times[False])
+    cached_s = statistics.median(times[True])
     speedup = statistics.median(
-        r / c for r, c in zip(times[reference], times[cached]))
+        r / c for r, c in zip(times[False], times[True]))
     identical = cached_digest == ref_digest and \
         cached_counts["syscalls"] == ref_counts["syscalls"]
     members = sum(len(layer) for layer in layers)

@@ -21,7 +21,6 @@ from typing import Iterable, Optional, Union
 from .errors import Errno, KernelError, ReproError
 from .kernel import FileType, Filesystem, Syscalls
 from .kernel.mounts import DirFd
-from .sim import opts as _opts
 
 __all__ = ["TarMember", "TarArchive", "ArchiveError", "member_of",
            "pack_image", "decode_image"]
@@ -464,13 +463,12 @@ class _Dirs:
     """The directories one unpack has opened beneath *dest*, by
     member-relative path.
 
-    :attr:`top` is *dest*, opened once.  With the engine fast paths on
-    (:mod:`repro.sim.opts`) every directory a member's parent path names
-    is opened once, one entry from its own parent, and kept: a member
-    below it costs no walk.  The kernel walks a kept directory again
-    when a ``walk_gen`` it depends on has moved (a directory chmod-ed,
-    deleted or replaced), so search permission holds as for a walk
-    from *dest*.  The reference engine keeps nothing: every call walks
+    :attr:`top` is *dest*, opened once.  On a fast kernel
+    (``Kernel.fast``) every directory a member's parent path names is
+    opened once, one entry from its own parent, and kept: a member below
+    it costs no walk.  The kernel walks a kept directory again when a
+    ``walk_gen`` it depends on has moved (a directory chmod-ed, deleted
+    or replaced), so search permission holds as for a walk from *dest*.  A reference kernel keeps nothing: every call walks
     its member's whole path from *dest*, the loop the cache is checked
     against."""
 
@@ -478,7 +476,7 @@ class _Dirs:
         self.sys = sys
         self.top = sys.open_dir(dest)
         self._open: Optional[dict[str, DirFd]] = \
-            {} if _opts.ENABLED else None
+            {} if sys.kernel.fast else None
 
     def open(self, rel: str) -> DirFd:
         """The directory at *rel* beneath :attr:`top`; raises the walk's

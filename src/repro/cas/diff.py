@@ -12,8 +12,9 @@ Two implementations produce every snapshot and diff:
 
 * The **reference oracle** — pack the whole tree, hash every member
   (:func:`diff_against_snapshot` over :meth:`TarArchive.pack`).  O(tree)
-  per instruction boundary; always correct; selected by
-  ``REPRO_SIM_REFERENCE=1`` / :func:`repro.sim.opts.reference_engine`.
+  per instruction boundary; always correct; taken when the view's
+  kernel is a reference one (``Kernel(fast=False)``, or built under
+  ``REPRO_SIM_REFERENCE=1``).
 
 * The **incremental walker** — consult the VFS change journal
   (:class:`~repro.kernel.vfs.Filesystem` generation counters) and walk
@@ -41,7 +42,6 @@ from weakref import WeakKeyDictionary
 from ..archive import TarArchive, TarMember, member_of
 from ..errors import KernelError
 from ..kernel import FileType, Syscalls
-from ..sim import opts as _opts
 from ..sim.profile import COUNTERS
 
 __all__ = [
@@ -354,12 +354,12 @@ def _drop_freed(memo: dict, fs_by_dev: dict) -> None:
 def snapshot_tree(sys: Syscalls, root: str, prev=None):
     """Digest the tree under *root* as seen through *sys*.
 
-    Reference mode packs and hashes everything.  Otherwise the journal
+    A reference kernel packs and hashes everything.  Otherwise the journal
     walker runs against *prev* when it is a journal-capable
     :class:`Snapshot` of this tree from the same view (re-reading only
     what changed since), or with an empty baseline (a full walk, but
     memoized and producing a journal-capable :class:`Snapshot`)."""
-    if not _opts.optimizations_enabled():
+    if not sys.kernel.fast:
         _count(sys, "snapshot.walk_full")
         return snapshot_of_archive(TarArchive.pack(sys, root))
     jprev = _journal_capable(sys, prev)
@@ -428,7 +428,7 @@ def snapshot_and_diff(sys: Syscalls, root: str, prev=None
     *prev* is a journal-capable :class:`Snapshot` from the same view.
     """
     prev_map = prev if prev is not None else {}
-    if not _opts.optimizations_enabled():
+    if not sys.kernel.fast:
         full = TarArchive.pack(sys, root)
         _count(sys, "snapshot.walk_full")
         diff, cur = diff_against_snapshot(prev_map, full)

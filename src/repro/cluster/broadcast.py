@@ -45,7 +45,6 @@ from ..obs.trace import maybe_span
 from ..sim import (NS_PER_S, FaultPlan, RetryPolicy, SimEngine, Topology,
                    faulty_transmit, link_restore, link_snapshot, to_ns,
                    transmit)
-from ..sim import opts as sim_opts
 from .machines import Machine
 
 __all__ = ["BroadcastError", "BroadcastReport", "DEPLOY_STRATEGIES",
@@ -187,8 +186,7 @@ class _CastContext:
         # rewired mid-flight: under a live fault plan a leaf may later be
         # promoted to a relay (re-parenting) or probed for crashes by its
         # serve event, so every transfer keeps its chunk schedule there.
-        self.coalesce = ((plan is None or plan.empty)
-                         and sim_opts.ENABLED)
+        self.coalesce = (plan is None or plan.empty) and engine.fast
 
     def blob_source(self, digest: str) -> tuple[str, object]:
         """``(name, link)`` of the endpoint serving *digest*.
@@ -348,7 +346,7 @@ class _BlobCast:
                 ctx.plan, src_link, dst, self.size,
                 chunk_size=ctx.chunk, available=to_ns(now), now=now,
                 attempt_timeout=timeout,
-                record_arrivals=self._observed(host))
+                record_arrivals=self._observed(host), fast=ctx.engine.fast)
             blob = ctx.registry.fetch_blob(self.digest)
         except TransientError as exc:
             link_restore(src_link, snap_src)
@@ -406,7 +404,8 @@ class _BlobCast:
             # roll back and no snapshot to take
             timing = transmit(src, dst, self.size, chunk_size=ctx.chunk,
                               available=self.chunk_avail[shost],
-                              record_arrivals=self._observed(chost))
+                              record_arrivals=self._observed(chost),
+                              fast=ctx.engine.fast)
             self._landed(child, timing, src=shost, peer=True)
             return
         snap_src, snap_dst = link_snapshot(src), link_snapshot(dst)
@@ -415,7 +414,8 @@ class _BlobCast:
                 plan, src, dst, self.size, chunk_size=ctx.chunk,
                 available=self.chunk_avail[shost], now=now,
                 attempt_timeout=ctx.policy.attempt_timeout,
-                record_arrivals=self._observed(chost))
+                record_arrivals=self._observed(chost),
+                fast=ctx.engine.fast)
         except TransientError as exc:
             self._transient("send", child, attempt, exc, sender=sender)
             return

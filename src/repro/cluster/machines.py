@@ -71,11 +71,14 @@ def make_machine(
     subids: bool = True,
     kernel_version: tuple[int, int] = (5, 10),
     userns_enabled: bool = True,
+    fast: Optional[bool] = None,
 ) -> Machine:
-    """Boot a node: root fs layout, /dev nodes, user accounts, subid grants."""
+    """Boot a node: root fs layout, /dev nodes, user accounts, subid grants.
+    *fast* is the node kernel's fast-or-reference choice (see
+    :class:`~repro.kernel.Kernel`)."""
     kernel = Kernel(make_ext4(f"{hostname}-root"), arch=arch,
                     hostname=hostname, kernel_version=kernel_version,
-                    userns_enabled=userns_enabled)
+                    userns_enabled=userns_enabled, fast=fast)
     kernel.network = network
     sys0 = Syscalls(kernel.init_process)
     for d in ("/etc", "/home", "/tmp", "/var/tmp", "/root", "/dev", "/proc",

@@ -23,7 +23,6 @@ from ..errors import BuildError, KernelError, RegistryError
 from ..kernel import Process, Syscalls
 from ..containers.oci import ImageConfig, ImageRef
 from ..containers.registry import Registry
-from ..sim import opts as _opts
 
 __all__ = ["ImageStorage", "DEFAULT_HUB"]
 
@@ -102,8 +101,8 @@ class ImageStorage:
         The walk is incremental from the last snapshot taken of this
         image.  An image cloned by :meth:`copy` that has none yet starts
         from its source's snapshot, re-anchored onto the clone, so only
-        what changed since the clone is re-read.  The reference engine
-        packs the whole tree every time."""
+        what changed since the clone is re-read.  A reference kernel
+        (``Kernel(fast=False)``) packs the whole tree every time."""
         path = self.path_of(name)
         root = self._root_of(path)
         prev = None
@@ -112,7 +111,7 @@ class ImageStorage:
             prev = last[1]
         clone = self._clones.pop(name, None)
         if prev is None and clone is not None and clone.root == root \
-                and _opts.optimizations_enabled():
+                and self.sys.kernel.fast:
             prev = self._inherited(clone)
         snap = snapshot_tree(self.sys, path, prev)
         self._snapshots[name] = (root, snap)

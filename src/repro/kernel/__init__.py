@@ -7,7 +7,7 @@ capabilities, and a syscall layer with faithful errno behaviour.
 
 from .capabilities import Cap, EMPTY_CAP_SET, FULL_CAP_SET, cap_set
 from .cred import Credentials
-from .filesystem import make_ext4, make_gpfs, make_lustre, make_nfs, make_tmpfs
+from .filesystem import make_ext4, make_lustre, make_nfs, make_tmpfs
 from .idmap import IDENTITY_MAP, IdMap, IdMapEntry
 from .kernel import Kernel
 from .mounts import MountFlags, MountNamespace, normpath
@@ -33,7 +33,6 @@ __all__ = [
     "cap_set",
     "Credentials",
     "make_ext4",
-    "make_gpfs",
     "make_lustre",
     "make_nfs",
     "make_tmpfs",

@@ -22,7 +22,6 @@ __all__ = [
     "make_tmpfs",
     "make_nfs",
     "make_lustre",
-    "make_gpfs",
     "FS_PARAMS",
 ]
 
@@ -76,16 +75,6 @@ def make_lustre(
     """
     return Filesystem(
         "lustre",
-        features=FsFeatures(user_xattrs=xattr_support, remote_id_enforcement=True),
-        label=label,
-    )
-
-
-def make_gpfs(label: str = "gpfs", *, xattr_support: bool = False) -> Filesystem:
-    """GPFS/Spectrum Scale; xattr behaviour "not evaluated" in the paper, so
-    default to unsupported (conservative)."""
-    return Filesystem(
-        "gpfs",
         features=FsFeatures(user_xattrs=xattr_support, remote_id_enforcement=True),
         label=label,
     )

@@ -12,6 +12,7 @@ import os
 from typing import Optional
 
 from ..errors import Errno, KernelError
+from ..sim.opts import default_fast
 from .cred import Credentials
 from .mounts import MountNamespace
 from .process import Process
@@ -36,6 +37,11 @@ class Kernel:
     kernel_version:
         Feature-gates version-dependent behaviour (user namespaces need
         >= (3, 8); paper §3.1).
+    fast:
+        Take the fast paths — cached path walks, kept unpack directories,
+        the journal snapshot walker — or their reference loops (``False``);
+        fixed for the kernel's life.  Default:
+        :func:`~repro.sim.opts.default_fast`.
     """
 
     def __init__(
@@ -46,8 +52,10 @@ class Kernel:
         hostname: str = "localhost",
         kernel_version: tuple[int, int] = (5, 10),
         userns_enabled: bool = True,
+        fast: Optional[bool] = None,
     ):
         self.arch = arch
+        self.fast = default_fast() if fast is None else fast
         self.hostname = hostname
         self.kernel_version = kernel_version
         self.root_fs = root_fs
@@ -75,7 +83,8 @@ class Kernel:
             from ..obs.trace import attach_tracer
             attach_tracer(self)
 
-        init_mnt = MountNamespace(root_fs, owning_userns=self.init_userns)
+        init_mnt = MountNamespace(root_fs, owning_userns=self.init_userns,
+                                  fast=self.fast)
         self.init_process = Process(
             self, next(self._pids), 0, Credentials.root(self.init_userns), init_mnt,
             comm="init",

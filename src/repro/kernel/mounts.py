@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import Errno, KernelError
-from ..sim import opts as _opts
 from .cred import Credentials
 from .userns import UserNamespace
 from .vfs import FileType, Filesystem, Inode, may_access
@@ -150,12 +149,18 @@ class ResolvedParent:
 
 
 class MountNamespace:
-    """A mount table plus the path-walking machinery."""
+    """A mount table plus the path-walking machinery.
+
+    *fast* chooses the cached path walk or the reference loop (see
+    :meth:`_walk_prefix`); the kernel passes its own choice, and clones
+    keep it."""
 
     def __init__(self, root_fs: Filesystem, *,
                  root_flags: MountFlags = MountFlags(),
-                 owning_userns: Optional[UserNamespace] = None):
-        self._dentries: dict[tuple, tuple] = {}
+                 owning_userns: Optional[UserNamespace] = None,
+                 fast: bool = True):
+        #: the dentry cache; None on a reference namespace
+        self._dentries: Optional[dict[tuple, tuple]] = {} if fast else None
         self._mounts: dict[str, Mount] = {}
         self._mounts["/"] = Mount("/", root_fs, root_fs.root_ino, root_flags,
                                   owning_userns)
@@ -166,10 +171,14 @@ class MountNamespace:
     def mounts(self) -> dict[str, Mount]:
         return dict(self._mounts)
 
-    def clone(self) -> "MountNamespace":
-        """CLONE_NEWNS: a copy of the mount table (filesystems shared)."""
+    def clone(self, *, fast: Optional[bool] = None) -> "MountNamespace":
+        """CLONE_NEWNS: a copy of the mount table (filesystems shared),
+        with this namespace's fast-or-reference choice unless *fast*
+        gives one."""
+        if fast is None:
+            fast = self._dentries is not None
         dup = MountNamespace.__new__(MountNamespace)
-        dup._dentries = {}
+        dup._dentries = {} if fast else None
         dup._mounts = {
             p: Mount(m.mountpoint, m.fs, m.root_ino, m.flags, m.owning_userns)
             for p, m in self._mounts.items()
@@ -189,7 +198,8 @@ class MountNamespace:
         mount = Mount(mp, fs, fs.root_ino if root_ino is None else root_ino,
                       flags, owning_userns)
         self._mounts[mp] = mount
-        self._dentries.clear()
+        if self._dentries:
+            self._dentries.clear()
         return mount
 
     def remove_mount(self, mountpoint: str) -> None:
@@ -199,7 +209,8 @@ class MountNamespace:
         if mp not in self._mounts:
             raise KernelError(Errno.EINVAL, f"not a mountpoint: {mp}")
         del self._mounts[mp]
-        self._dentries.clear()
+        if self._dentries:
+            self._dentries.clear()
 
     def set_root(self, fs: Filesystem, root_ino: int | None = None, *,
                  owning_userns: Optional[UserNamespace] = None,
@@ -209,7 +220,8 @@ class MountNamespace:
             "/": Mount("/", fs, fs.root_ino if root_ino is None else root_ino,
                        flags, owning_userns)
         }
-        self._dentries.clear()
+        if self._dentries:
+            self._dentries.clear()
 
     # -- path walking --------------------------------------------------------------
 
@@ -383,7 +395,7 @@ class MountNamespace:
         (the ELOOP budget carries over to the final step).  Filesystems
         the walk enters (a cached one included) are added to *crossed*.
 
-        With the engine fast paths on (:mod:`repro.sim.opts`), a path of
+        On a fast namespace (the kernel's ``fast``), a path of
         two or more components and no ``..`` goes through the dentry
         cache.  Its key is the credential values :func:`may_access` reads
         plus the prefix; only walks that end on a directory are stored,
@@ -394,14 +406,16 @@ class MountNamespace:
         the unlink of a directory or symlink (rmdir, unlink, rename), the
         mutations that can change a successful walk.  ID-map writes need
         no bump: a map is written once, so it can only add mapped IDs,
-        which can only widen ``CAP_DAC_OVERRIDE``.  The reference engine
-        runs the uncached loop; it is the oracle for the cache.
+        which can only widen ``CAP_DAC_OVERRIDE``.  A reference namespace
+        (``fast=False``) runs the uncached loop; it is the oracle for the
+        cache.
         """
+        dentries = self._dentries
         key = None
-        if _opts.ENABLED and len(comps) > 1 and ".." not in comps:
+        if dentries is not None and len(comps) > 1 and ".." not in comps:
             key = (cred.fsuid, cred.fsgid, cred.groups, cred.caps,
                    cred.userns, *comps[:-1])
-            entry = self._dentries.get(key)
+            entry = dentries.get(key)
             if entry is not None:
                 for fs, gen in entry[4]:
                     if fs.walk_gen != gen:
@@ -416,9 +430,9 @@ class MountNamespace:
             comps[-2::-1], cred, True, root, root.fs.inode(root.root_ino),
             "", 0, seen)
         if key is not None and inode.is_dir:
-            if len(self._dentries) >= _DENTRY_LIMIT:
-                self._dentries.clear()
-            self._dentries[key] = (
+            if len(dentries) >= _DENTRY_LIMIT:
+                dentries.clear()
+            dentries[key] = (
                 mount, inode, canon, links,
                 tuple((fs, fs.walk_gen) for fs in seen))
         if crossed is not None:

@@ -19,7 +19,7 @@ from .faults import (
     link_snapshot,
     retry_call,
 )
-from .opts import optimizations_enabled, reference_engine, set_optimizations
+from .opts import default_fast
 from .profile import COUNTERS, EVENT, category_of, top_events
 from .topology import (
     DEFAULT_BANDWIDTH,
@@ -59,9 +59,7 @@ __all__ = [
     "category_of",
     "top_events",
     "COUNTERS",
-    "optimizations_enabled",
-    "reference_engine",
-    "set_optimizations",
+    "default_fast",
     "FaultPlan",
     "FaultPlanError",
     "RegistryFaultInjector",

@@ -34,8 +34,8 @@ from typing import Any, Callable, Optional
 
 from ..errors import ReproError
 from ..obs.metrics import CounterRegistry
-from . import opts
 from .clock import SimClock
+from .opts import default_fast
 from .profile import EVENT, category_of
 
 __all__ = ["EventQueue", "ReferenceEventQueue", "SimEngine", "SimError"]
@@ -137,12 +137,19 @@ class SimEngine:
     Pass a :class:`~repro.obs.metrics.CounterRegistry` as *counters* to
     count every event as ``sim.event.<category>`` while the engine runs
     (deterministic — it reads no wall clock).
+
+    *fast* (default: :func:`~repro.sim.opts.default_fast`) is fixed for
+    the engine's life.  ``False`` runs the reference engine: the plain
+    heap queue here, and in the transfers and casts run on this engine
+    the per-chunk transmit loop and no event coalescing.
     """
 
     def __init__(self, clock: Optional[SimClock] = None, *,
-                 counters: Optional[CounterRegistry] = None):
+                 counters: Optional[CounterRegistry] = None,
+                 fast: Optional[bool] = None):
         self.clock = clock if clock is not None else SimClock()
-        self.queue = EventQueue() if opts.ENABLED else ReferenceEventQueue()
+        self.fast = default_fast() if fast is None else fast
+        self.queue = EventQueue() if self.fast else ReferenceEventQueue()
         self.events_processed = 0
         self.counters = counters
 

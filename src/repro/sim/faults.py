@@ -379,11 +379,12 @@ def faulty_transmit(plan: Optional[FaultPlan], src: NetLink, dst: NetLink,
                     available: Union[int, Sequence[int]],
                     now: float = 0.0,
                     attempt_timeout: Optional[float] = None,
-                    record_arrivals: bool = True) -> TransferTiming:
+                    record_arrivals: bool = True,
+                    fast: bool = True) -> TransferTiming:
     """:func:`transmit`, but aborting (with full rollback) under faults.
 
-    *available* is in ns, as for :func:`transmit`; *now* and the plan's
-    windows are on the engine's clock, in seconds.  Checks, in order:
+    *available* (in ns) and *fast* are as for :func:`transmit`; *now*
+    and the plan's windows are on the engine's clock, in seconds.  Checks, in order:
     slow-link degradation at *now* scales the effective bandwidth for
     the whole transfer; a down window on either endpoint overlapping the
     transfer's wire interval aborts it; an attempt that would finish
@@ -396,7 +397,7 @@ def faulty_transmit(plan: Optional[FaultPlan], src: NetLink, dst: NetLink,
     if plan is None or plan.empty:
         return transmit(src, dst, size, chunk_size=chunk_size,
                         available=available,
-                        record_arrivals=record_arrivals)
+                        record_arrivals=record_arrivals, fast=fast)
     src_snap = link_snapshot(src)
     dst_snap = link_snapshot(dst)
     factor = min(plan.bandwidth_factor(src.name, now),
@@ -409,7 +410,7 @@ def faulty_transmit(plan: Optional[FaultPlan], src: NetLink, dst: NetLink,
     try:
         timing = transmit(src, dst, size, chunk_size=chunk_size,
                           available=available,
-                          record_arrivals=record_arrivals)
+                          record_arrivals=record_arrivals, fast=fast)
     finally:
         if scaled:
             src.bandwidth, dst.bandwidth = src_bw, dst_bw

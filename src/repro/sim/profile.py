@@ -50,7 +50,7 @@ def top_events(counters: CounterRegistry,
     return sorted(events, key=lambda kv: (-kv[1], kv[0]))[:n]
 
 
-#: Process-global registry (mirrors how ``opts.ENABLED`` is one switch):
-#: the snapshot fast path counts here regardless of which kernel ran it;
-#: per-kernel attribution lives in each tracer's ``metrics.counters``.
+#: Process-global registry: the snapshot walker counts here whichever
+#: kernel ran it, fast or reference; per-kernel attribution lives in each
+#: tracer's ``metrics.counters``.
 COUNTERS = CounterRegistry()

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from . import opts
 from .topology import NetLink, wire_ns
 
 __all__ = ["TransferTiming", "chunk_sizes", "transmit", "transmit_reference"]
@@ -78,7 +77,8 @@ def _zero_size(src: NetLink, dst: NetLink,
 
 def transmit(src: NetLink, dst: NetLink, size: int, *, chunk_size: int,
              available: Union[int, Sequence[int]],
-             record_arrivals: bool = True) -> TransferTiming:
+             record_arrivals: bool = True,
+             fast: bool = True) -> TransferTiming:
     """Move *size* bytes ``src -> dst``; returns the chunk arrival times.
 
     *available* is either a single time in ns (all bytes ready at the
@@ -89,9 +89,11 @@ def transmit(src: NetLink, dst: NetLink, size: int, *, chunk_size: int,
     With ``record_arrivals=False`` the per-chunk arrival list is not
     materialized (``chunk_arrivals is None``); use it for transfers whose
     intermediate chunks nobody observes.  All timings and LinkStats are
-    identical either way.
+    identical either way.  With ``fast=False`` (the reference engine's
+    choice, :attr:`~repro.sim.SimEngine.fast`) every transfer takes the
+    per-chunk loop.
     """
-    if isinstance(available, int) and opts.ENABLED and size > 0:
+    if fast and isinstance(available, int) and size > 0:
         return _transmit_bulk(src, dst, size, chunk_size, available,
                               record_arrivals)
     return transmit_reference(src, dst, size, chunk_size=chunk_size,

@@ -9,6 +9,9 @@ fresh full walk and the reference pack — mapping, ``snapshot_digest``
 and the next serialized diff — whatever happened to the source before
 the clone, to the clone after it, or to the source after it (which must
 fall back to the full walk), with or without a mount under the source.
+Clone inheritance is a fast path, so every kernel here is built fast
+(whatever ``REPRO_SIM_REFERENCE`` says) unless a test asks for a
+reference one; the oracle is called directly.
 """
 
 from types import SimpleNamespace
@@ -18,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cas.diff import (
+    diff_against_snapshot,
     snapshot_and_diff,
     snapshot_digest,
     snapshot_of_archive,
@@ -27,21 +31,11 @@ from repro.archive import TarArchive
 from repro.core.images import ImageStorage
 from repro.errors import KernelError
 from repro.kernel import Kernel, Syscalls, make_ext4, make_tmpfs
-from repro.sim.opts import reference_engine, set_optimizations
 from repro.sim.profile import COUNTERS
 
 from .test_incremental_property import _apply, _seed, ops
 
 batch = st.lists(ops, max_size=6)
-
-
-@pytest.fixture(autouse=True)
-def fast_paths():
-    """Clone inheritance is a fast path: run with it on even under
-    ``REPRO_SIM_REFERENCE=1`` (each check scopes its own oracle)."""
-    previous = set_optimizations(True)
-    yield
-    set_optimizations(previous)
 
 
 def _storage(proc, storage_dir="/store"):
@@ -50,8 +44,8 @@ def _storage(proc, storage_dir="/store"):
 
 
 def _reference(sys, path):
-    with reference_engine():
-        return snapshot_of_archive(TarArchive.pack(sys, path))
+    """The oracle: pack the whole tree and hash every member."""
+    return snapshot_of_archive(TarArchive.pack(sys, path))
 
 
 def _full_walks(fn):
@@ -94,7 +88,7 @@ class TestCloneInheritsSnapshot:
     def test_matches_fresh_walk_and_reference(
             self, src_snapshotted, mount, before_clone, clone_batch,
             source_after, next_batch):
-        kernel = Kernel(make_ext4(), hostname="h")
+        kernel = Kernel(make_ext4(), hostname="h", fast=True)
         storage = _storage(kernel.init_process)
         sys = storage.sys
         src, dst = storage.path_of("src"), storage.path_of("clone")
@@ -128,15 +122,15 @@ class TestCloneInheritsSnapshot:
         for op in next_batch:
             _apply(sys, dst, op)
         diff, cur = snapshot_and_diff(sys, dst, snap)
-        with reference_engine():
-            diff_ref, cur_ref = snapshot_and_diff(sys, dst, ref)
+        diff_ref, cur_ref = diff_against_snapshot(ref,
+                                                  TarArchive.pack(sys, dst))
         assert dict(cur) == dict(cur_ref)
         assert diff.serialize() == diff_ref.serialize()
 
 
 class TestCloneEdges:
-    def _pair(self):
-        kernel = Kernel(make_ext4(), hostname="h")
+    def _pair(self, fast=True):
+        kernel = Kernel(make_ext4(), hostname="h", fast=fast)
         storage = _storage(kernel.init_process)
         sys = storage.sys
         src = storage.path_of("src")
@@ -178,7 +172,7 @@ class TestCloneEdges:
         """A tree renamed into the source's place after the clone has an
         old tree generation and the same paths; only the root inode
         recorded at clone time tells it apart."""
-        kernel = Kernel(make_ext4(), hostname="h")
+        kernel = Kernel(make_ext4(), hostname="h", fast=True)
         storage = _storage(kernel.init_process)
         sys = storage.sys
         src = storage.path_of("src")
@@ -205,7 +199,7 @@ class TestCloneEdges:
     def test_unreadable_source_file_names_the_clone_path(self):
         """The source's snapshot fails; the clone's full walk then fails
         on the clone's own path, exactly as without inheritance."""
-        kernel = Kernel(make_ext4(), hostname="h")
+        kernel = Kernel(make_ext4(), hostname="h", fast=True)
         root = Syscalls(kernel.init_process)
         root.mkdir("/home", 0o755)
         root.mkdir("/home/alice", 0o755)
@@ -225,9 +219,8 @@ class TestCloneEdges:
         assert str(inherited.value) == str(direct.value)
         assert f"{dst}/a/secret" in str(inherited.value)
 
-    def test_reference_engine_packs_the_clone(self):
-        storage, sys, src, dst = self._pair()
-        with reference_engine():
-            snap, walks = _full_walks(lambda: storage.snapshot("clone"))
+    def test_reference_kernel_packs_the_clone(self):
+        storage, sys, src, dst = self._pair(fast=False)
+        snap, walks = _full_walks(lambda: storage.snapshot("clone"))
         assert walks == 1
         assert snap == _reference(sys, dst)

@@ -10,7 +10,9 @@ covering writes, renames, deletions (whiteouts), hardlinks, mode/owner
 changes, xattrs, mounts and umounts, fakeroot ownership lies, and
 batches that change nothing at all.  If the journal ever misses a
 mutation or a splice goes stale, these tests — not a golden transcript
-three layers up — are what fails.
+three layers up — are what fails.  The walker runs on a fast kernel and
+the oracle on a reference one (``Kernel(fast=False)``), each holding a
+twin of the same tree that takes the same mutations.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -23,12 +25,12 @@ from repro.cas.diff import (
     apply_diff_to_snapshot,
     snapshot_and_diff,
     snapshot_digest,
+    snapshot_of_archive,
     snapshot_tree,
 )
 from repro.errors import KernelError
 from repro.fakeroot import PSEUDO, FakerootSyscalls
 from repro.kernel import FileType, Kernel, Syscalls, make_ext4, make_tmpfs
-from repro.sim.opts import reference_engine, set_optimizations
 from repro.sim.profile import COUNTERS
 
 ROOT = "/img"
@@ -115,17 +117,27 @@ def _seed(sys, root=ROOT):
     sys.symlink("a/x", f"{root}/c")
 
 
-def _check_batches(sys, batch_list, root=ROOT):
-    """Replay mutation batches, comparing the journal walker against the
-    reference oracle at every boundary."""
+def _plain(fast):
+    """Root's view of a seeded tree on a fresh fast or reference kernel."""
+    kernel = Kernel(make_ext4(), hostname="h", fast=fast)
+    sys = Syscalls(kernel.init_process)
+    _seed(sys)
+    return sys
+
+
+def _check_batches(pair, batch_list, root=ROOT):
+    """Replay mutation batches on both views of *pair* — a fast and a
+    reference kernel's twin trees — comparing the journal walker against
+    the reference oracle at every boundary."""
+    sys, ref = pair
     prev_inc = {}
     prev_ref = {}
     for batch in batch_list:
         for op in batch:
             _apply(sys, root, op)
+            _apply(ref, root, op)
         diff_inc, cur_inc = snapshot_and_diff(sys, root, prev_inc)
-        with reference_engine():
-            diff_ref, cur_ref = snapshot_and_diff(sys, root, prev_ref)
+        diff_ref, cur_ref = snapshot_and_diff(ref, root, prev_ref)
         assert dict(cur_inc) == dict(cur_ref)
         assert snapshot_digest(cur_inc) == snapshot_digest(dict(cur_ref))
         assert diff_inc.serialize() == diff_ref.serialize()
@@ -142,10 +154,7 @@ class TestJournalWalkerParity:
     @given(batch_list=batches)
     def test_plain_kernel(self, batch_list):
         """Random mutation sequences through the raw kernel interface."""
-        kernel = Kernel(make_ext4(), hostname="h")
-        sys = Syscalls(kernel.init_process)
-        _seed(sys)
-        _check_batches(sys, batch_list)
+        _check_batches((_plain(True), _plain(False)), batch_list)
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -153,74 +162,63 @@ class TestJournalWalkerParity:
     def test_fakeroot_lies(self, batch_list):
         """The same sequences through a fakeroot wrapper: chown/mknod
         mutate only the lie database, yet must dirty the journal."""
-        kernel = Kernel(make_ext4(), hostname="h")
-        root_sys = Syscalls(kernel.init_process)
-        root_sys.mkdir("/home", 0o755)
-        root_sys.mkdir("/home/alice", 0o755)
-        root_sys.chown("/home/alice", 1000, 1000)
-        alice = kernel.login(1000, 1000, user="alice", home="/home/alice")
-        sys = FakerootSyscalls(Syscalls(alice), PSEUDO)
         root = "/home/alice/img"  # writable by alice
-        _seed(sys, root)
-        _check_batches(sys, batch_list, root)
+
+        def alice(fast):
+            kernel = Kernel(make_ext4(), hostname="h", fast=fast)
+            root_sys = Syscalls(kernel.init_process)
+            root_sys.mkdir("/home", 0o755)
+            root_sys.mkdir("/home/alice", 0o755)
+            root_sys.chown("/home/alice", 1000, 1000)
+            proc = kernel.login(1000, 1000, user="alice", home="/home/alice")
+            sys = FakerootSyscalls(Syscalls(proc), PSEUDO)
+            _seed(sys, root)
+            return sys
+
+        _check_batches((alice(True), alice(False)), batch_list, root)
 
 
 class TestJournalWalkerEdges:
-    def _fresh(self):
-        kernel = Kernel(make_ext4(), hostname="h")
-        sys = Syscalls(kernel.init_process)
-        _seed(sys)
-        return sys
-
     def test_empty_batch_is_empty_diff(self):
         """No mutations => empty diff and the early-exit reuses the
         previous snapshot object outright."""
-        sys = self._fresh()
-        previous = set_optimizations(True)  # the early exit is a fast path
-        try:
-            _, snap = snapshot_and_diff(sys, ROOT, {})
-            diff, cur = snapshot_and_diff(sys, ROOT, snap)
-        finally:
-            set_optimizations(previous)
+        sys = _plain(True)  # the early exit is a fast path
+        _, snap = snapshot_and_diff(sys, ROOT, {})
+        diff, cur = snapshot_and_diff(sys, ROOT, snap)
         assert len(diff) == 0
         assert cur is snap
 
     def test_view_mismatch_falls_back(self):
         """A snapshot from one view never splices into another: digests
         still agree with the oracle after switching interfaces."""
-        sys = self._fresh()
-        _, snap = snapshot_and_diff(sys, ROOT, {})
-        other = FakerootSyscalls(
-            Syscalls(sys.kernel.init_process.fork(comm="fr")), PSEUDO)
-        assert other.digest_view_key() != sys.digest_view_key()
-        diff, cur = snapshot_and_diff(other, ROOT, snap)
-        with reference_engine():
-            diff_ref, cur_ref = snapshot_and_diff(other, ROOT, dict(snap))
-        assert dict(cur) == dict(cur_ref)
-        assert diff.serialize() == diff_ref.serialize()
+        seen = []
+        for fast in (True, False):
+            sys = _plain(fast)
+            _, snap = snapshot_and_diff(sys, ROOT, {})
+            other = FakerootSyscalls(
+                Syscalls(sys.kernel.init_process.fork(comm="fr")), PSEUDO)
+            assert other.digest_view_key() != sys.digest_view_key()
+            diff, cur = snapshot_and_diff(other, ROOT, snap)
+            seen.append((dict(cur), diff.serialize()))
+        assert seen[0] == seen[1]
 
     def test_umount_under_root_is_seen(self):
         """A file inside a mount under the root must leave the snapshot
         once the mount is gone, though the umount touches no inode."""
-        sys = self._fresh()
+        sys = _plain(True)  # the early exit is a fast path
         sys.mkdir(f"{ROOT}/m", 0o755)
         sys.mount_fs(make_tmpfs(), f"{ROOT}/m")
         sys.write_file(f"{ROOT}/m/inner", b"x")
         sys.mkdir(f"{ROOT}/a/m", 0o755)  # and one a level down
         sys.mount_fs(make_tmpfs(), f"{ROOT}/a/m")
         sys.write_file(f"{ROOT}/a/m/inner", b"y")
-        previous = set_optimizations(True)  # the early exit is a fast path
-        try:
-            prev = snapshot_tree(sys, ROOT)
-            assert prev.mounts == {"m", "a/m"}
-            sys.umount(f"{ROOT}/m")
-            sys.umount(f"{ROOT}/a/m")
-            cur = snapshot_tree(sys, ROOT, prev)
-            diff, _ = snapshot_and_diff(sys, ROOT, prev)
-        finally:
-            set_optimizations(previous)
-        with reference_engine():
-            ref = snapshot_tree(sys, ROOT)
+        prev = snapshot_tree(sys, ROOT)
+        assert prev.mounts == {"m", "a/m"}
+        sys.umount(f"{ROOT}/m")
+        sys.umount(f"{ROOT}/a/m")
+        cur = snapshot_tree(sys, ROOT, prev)
+        diff, _ = snapshot_and_diff(sys, ROOT, prev)
+        ref = snapshot_of_archive(TarArchive.pack(sys, ROOT))  # the oracle
         assert sorted(cur) == sorted(ref)
         assert "m/inner" not in cur and "a/m/inner" not in cur
         assert sorted(m.path for m in diff) == ["a/m", "a/m/inner", "m",
@@ -229,12 +227,11 @@ class TestJournalWalkerEdges:
 
     def test_reference_snapshot_never_splices(self):
         """A reference-produced Snapshot has no view key and seeds a diff
-        but not the fast path."""
-        sys = self._fresh()
-        with reference_engine():
-            _, snap = snapshot_and_diff(sys, ROOT, {})
+        but not the fast path (here a fast kernel's twin tree)."""
+        _, snap = snapshot_and_diff(_plain(False), ROOT, {})
         assert isinstance(snap, Snapshot)
         assert snap.view_key is None
+        sys = _plain(True)
         sys.write_file(f"{ROOT}/new", b"x")
         diff, cur = snapshot_and_diff(sys, ROOT, snap)
         assert [m.path for m in diff] == ["new"]
@@ -247,10 +244,7 @@ def _memo_counts(batch_list, slack):
     diff_mod._MEMO_SLACK = slack
     before = COUNTERS.snapshot()
     try:
-        kernel = Kernel(make_ext4(), hostname="h")
-        sys = Syscalls(kernel.init_process)
-        _seed(sys)
-        _check_batches(sys, batch_list)
+        _check_batches((_plain(True), _plain(False)), batch_list)
     finally:
         diff_mod._MEMO_SLACK = saved
     delta = COUNTERS.delta(before)
@@ -283,15 +277,12 @@ class TestUnpackJournal:
         """A layer unpack journals as one generation (every mutation it
         makes stamps the same one): the incremental walker, run on a tree
         snapshotted before the unpack, still equals the full walk."""
-        kernel = Kernel(make_ext4(), hostname="h")
-        sys = Syscalls(kernel.init_process)
-        _seed(sys)
-        fs = kernel.root_fs
-        previous = set_optimizations(True)
-        try:
-            _, prev_inc = snapshot_and_diff(sys, ROOT, {})
-            prev_ref = prev_inc
-            for members in layers:
+        pair = (_plain(True), _plain(False))
+        _, prev_inc = snapshot_and_diff(pair[0], ROOT, {})
+        prev_ref = prev_inc
+        for members in layers:
+            for sys in pair:
+                fs = sys.kernel.root_fs
                 gen = fs.gen
                 try:
                     if as_diff:
@@ -301,15 +292,11 @@ class TestUnpackJournal:
                 except KernelError:
                     pass
                 assert fs.gen == gen + 1
-                diff_inc, cur_inc = snapshot_and_diff(sys, ROOT, prev_inc)
-                with reference_engine():
-                    diff_ref, cur_ref = snapshot_and_diff(sys, ROOT,
-                                                          prev_ref)
-                assert dict(cur_inc) == dict(cur_ref)
-                assert diff_inc.serialize() == diff_ref.serialize()
-                prev_inc, prev_ref = cur_inc, cur_ref
-        finally:
-            set_optimizations(previous)
+            diff_inc, cur_inc = snapshot_and_diff(pair[0], ROOT, prev_inc)
+            diff_ref, cur_ref = snapshot_and_diff(pair[1], ROOT, prev_ref)
+            assert dict(cur_inc) == dict(cur_ref)
+            assert diff_inc.serialize() == diff_ref.serialize()
+            prev_inc, prev_ref = cur_inc, cur_ref
 
 
 class TestDigestMemoBound:
@@ -320,30 +307,20 @@ class TestDigestMemoBound:
               suppress_health_check=[HealthCheck.too_slow])
     @given(batch_list=batches)
     def test_dropping_freed_entries_changes_no_hit_or_miss(self, batch_list):
-        previous = set_optimizations(True)  # the memo is a fast path
-        try:
-            assert _memo_counts(batch_list, 0) \
-                == _memo_counts(batch_list, float("inf"))
-        finally:
-            set_optimizations(previous)
+        assert _memo_counts(batch_list, 0) \
+            == _memo_counts(batch_list, float("inf"))
 
     def test_clone_snapshot_delete_cycles_keep_the_memo_bounded(self):
-        kernel = Kernel(make_ext4(), hostname="h")
-        sys = Syscalls(kernel.init_process)
-        _seed(sys)
+        sys = _plain(True)  # the memo is a fast path
         for d in range(4):
             sys.mkdir(f"{ROOT}/d{d}", 0o755)
             for f in range(25):
                 sys.write_file(f"{ROOT}/d{d}/f{f}", f"{d}/{f}".encode())
         filesystems = {m.fs for m in sys.mnt_ns.mounts.values()}
-        previous = set_optimizations(True)
-        try:
-            for cycle in range(8):
-                sys.clone_tree(ROOT, "/copy")
-                snapshot_tree(sys, "/copy")  # every inode is new: all miss
-                memo = diff_mod._memo_for(sys)[1]
-                live = sum(fs.live_inodes for fs in filesystems)
-                assert len(memo) <= 2 * live, cycle
-                sys.rm_tree("/copy")
-        finally:
-            set_optimizations(previous)
+        for cycle in range(8):
+            sys.clone_tree(ROOT, "/copy")
+            snapshot_tree(sys, "/copy")  # every inode is new: all miss
+            memo = diff_mod._memo_for(sys)[1]
+            live = sum(fs.live_inodes for fs in filesystems)
+            assert len(memo) <= 2 * live, cycle
+            sys.rm_tree("/copy")

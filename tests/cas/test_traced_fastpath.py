@@ -10,18 +10,18 @@ a 1 000-file base with 8 RUN instructions.
 from repro.cluster import make_machine, make_world
 from repro.core import ChImage
 from repro.obs import attach_tracer
-from repro.sim import reference_engine, set_optimizations
 
 N_DIRS, PER_DIR, N_RUNS = 40, 25, 8
 DOCKERFILE = "FROM bigbase:1\n" + "".join(
     f"RUN echo step-{i} > /out{i}.txt\n" for i in range(N_RUNS))
 
 
-def traced_build():
-    """Build DOCKERFILE on a fresh 1 000-file base; the tracer's metrics
-    cover the build only."""
+def traced_build(fast):
+    """Build DOCKERFILE on a fresh 1 000-file base, on a fast or a
+    reference login node; the tracer's metrics cover the build only."""
     login = make_machine(
-        "login1", network=make_world(arches=("x86_64",)).network)
+        "login1", network=make_world(arches=("x86_64",)).network,
+        fast=fast)
     ch = ChImage(login, login.login("alice"), cache=True)
     ch.storage.pull("centos:7")
     ch.storage.copy("centos:7", "bigbase:1")
@@ -39,13 +39,8 @@ def traced_build():
 
 
 def test_traced_walker_build_stays_on_the_fast_path():
-    previous = set_optimizations(True)
-    try:
-        walker = traced_build()
-    finally:
-        set_optimizations(previous)
-    with reference_engine():
-        reference = traced_build()
+    walker = traced_build(fast=True)
+    reference = traced_build(fast=False)
     # one full walk of the base, then only dirty directories; the
     # reference re-walks the whole tree at every boundary
     assert walker.counters.get("snapshot.walk_full") == 1

@@ -18,24 +18,16 @@ from repro.cas.diff import (
     snapshot_digest,
 )
 from repro.kernel import FileType, Kernel, Syscalls, make_ext4
-from repro.sim.opts import reference_engine
 
 ROOT = "/img"
 
 
 @pytest.fixture(params=["optimized", "reference"])
-def mode(request):
-    """Run every case through both the journal walker and the oracle."""
-    if request.param == "reference":
-        with reference_engine():
-            yield request.param
-    else:
-        yield request.param
-
-
-@pytest.fixture
-def sys(mode):
-    kernel = Kernel(make_ext4(), hostname="h")
+def sys(request):
+    """Run every case through both the journal walker (a fast kernel)
+    and the oracle (a reference kernel)."""
+    kernel = Kernel(make_ext4(), hostname="h",
+                    fast=request.param == "optimized")
     s = Syscalls(kernel.init_process)
     s.mkdir(ROOT, 0o755)
     s.mkdir(f"{ROOT}/d", 0o755)

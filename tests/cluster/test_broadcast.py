@@ -18,8 +18,7 @@ from repro.cluster import (
 from repro.containers import ImageConfig, Registry
 from repro.kernel import FileType, Syscalls
 from repro.obs import attach_tracer
-from repro.sim import (FaultPlan, SimEngine, optimizations_enabled,
-                       reference_engine, set_optimizations)
+from repro.sim import FaultPlan, SimEngine
 
 
 def layer(name, data=b"payload"):
@@ -222,9 +221,10 @@ class TestDistributeBlobs:
 class TestOptimizationParity:
     """The engine fast paths (bulk transmit, bucket queue, leaf-event
     coalescing) must be invisible: identical reports — every float —
-    and digest-identical node stores with optimizations on vs off."""
+    and digest-identical node stores on a fast and a reference engine
+    (each built with its choice, whatever ``REPRO_SIM_REFERENCE`` says)."""
 
-    def _run(self, strategy, *, holders=0, plan=None):
+    def _run(self, strategy, *, fast, holders=0, plan=None):
         r = Registry("site")
         r.push("app:v1", ImageConfig(),
                [layer("bin", b"b" * 4000), layer("lib", b"l" * 2000)])
@@ -234,31 +234,20 @@ class TestOptimizationParity:
             nodes[k].content_store.put(r.fetch_blob(ds[0]))
         topo = make_deploy_topology(r, nodes)
         rep = distribute_blobs(r, ds, nodes, topo, strategy=strategy,
-                               fault_plan=plan)
+                               fault_plan=plan, engine=SimEngine(fast=fast))
         stores = {n.hostname: sorted(n.content_store.digests())
                   for n in nodes}
         return rep.as_dict(), rep.node_ready, stores
 
-    @pytest.fixture(autouse=True)
-    def _force_optimizations(self):
-        """Run the 'opt' side with the fast paths on even under
-        REPRO_SIM_REFERENCE=1, so parity is always opt-vs-reference."""
-        prev = set_optimizations(True)
-        yield
-        set_optimizations(prev)
-
     @pytest.mark.parametrize("strategy", ["tree", "registry"])
     def test_clean_run_parity(self, strategy):
-        assert optimizations_enabled()
-        opt = self._run(strategy)
-        with reference_engine():
-            ref = self._run(strategy)
+        opt = self._run(strategy, fast=True)
+        ref = self._run(strategy, fast=False)
         assert opt == ref     # dict equality: exact floats, not approx
 
     def test_holder_forest_parity(self):
-        opt = self._run("tree", holders=3)
-        with reference_engine():
-            ref = self._run("tree", holders=3)
+        opt = self._run("tree", fast=True, holders=3)
+        ref = self._run("tree", fast=False, holders=3)
         assert opt == ref
 
     def test_fault_plan_disables_coalescing_but_stays_identical(self):
@@ -269,9 +258,8 @@ class TestOptimizationParity:
         def plan():
             return FaultPlan(seed=7).add_node_crash("cn1", 1e-6)
 
-        opt = self._run("tree", plan=plan())
-        with reference_engine():
-            ref = self._run("tree", plan=plan())
+        opt = self._run("tree", fast=True, plan=plan())
+        ref = self._run("tree", fast=False, plan=plan())
         assert opt == ref
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.archive import TarArchive
+from repro.cluster import make_machine
 from repro.containers import ImageRef
 from repro.core import (
     ChImage,
@@ -167,6 +168,33 @@ class TestCli:
                  "/home/alice/centos7.dockerfile", "."])
         assert status == 0
         assert "grown in 3 instructions: foo" in out
+
+    def test_build_profile_prints_the_walker_table(self, world):
+        """``--profile`` appends the snapshot walker's counters for this
+        build: a cold cached build walks the base once in full and hashes
+        every member (the journal walker is a fast path, so the node is
+        built fast whatever ``REPRO_SIM_REFERENCE`` says)."""
+        login = make_machine("login1", network=world.network, fast=True)
+        alice = login.login("alice")
+        Syscalls(alice).write_file(
+            "/home/alice/Dockerfile",
+            b"FROM centos:7\nRUN echo a > /a\nRUN echo b > /b\n")
+        status, out = ch_image_cli(
+            ChImage(login, alice, cache=True),
+            ["build", "--profile", "-t", "foo", "-f",
+             "/home/alice/Dockerfile", "."])
+        assert status == 0
+        assert "grown in 3 instructions: foo" in out
+        table = out[out.index("build profile\n"):].splitlines()
+        assert table[1].split() == ["category", "event", "count"]
+        rows = {tuple(line.split()[:2]): int(line.split()[2])
+                for line in table[2:-1]}
+        assert rows[("snapshot", "walk_full")] == 1
+        assert rows[("snapshot", "walk_dirty")] == 2
+        misses = rows[("digest", "memo_miss")]
+        assert ("digest", "memo_hit") not in rows
+        assert table[-1] == (f"  digest memo hit rate: 0.0% "
+                             f"(0 hit / {misses} miss)")
 
     def test_build_failure_status(self, ch, alice):
         Syscalls(alice).write_file("/home/alice/centos7.dockerfile",

@@ -3,9 +3,10 @@
 Every step below mutates a small tree through syscalls (or writes
 credentials directly, as other tests do), then resolves a fixed set of
 probe paths for every process and mount namespace twice: through the
-cache, and under :func:`repro.sim.reference_engine`, which runs the
-uncached loop.  Both must return the same ``(mount, inode, canon)``, or
-fail with the same errno and message.
+cache, and through a reference clone of the namespace
+(``clone(fast=False)``), which runs the uncached loop on the same mount
+table.  Both must return the same ``(mount, inode, canon)``, or fail
+with the same errno and message.
 """
 
 import itertools
@@ -23,7 +24,6 @@ from repro.kernel import (
     make_ext4,
     make_tmpfs,
 )
-from repro.sim import reference_engine, set_optimizations
 
 NAMES = ("a", "b", "l")
 #: Mutations touch the top two levels, so probes one level deeper walk
@@ -42,22 +42,14 @@ WHO = ("root", "alice", "bob", "worker", "child")
 MUTATORS = ("root", "root") + WHO
 
 
-@pytest.fixture(autouse=True, scope="module")
-def walk_cache_on():
-    """The cached side runs with the fast paths on, whatever the
-    environment says."""
-    previous = set_optimizations(True)
-    yield
-    set_optimizations(previous)
-
-
 class World:
     """A host with alice and bob, a root-forked *worker* whose
     credentials the set*id steps change, and alice's *child* in a fresh
     user and mount namespace whose ID maps start unwritten."""
 
     def __init__(self):
-        self.kernel = k = Kernel(make_ext4(), hostname="walk")
+        # the cached side runs fast, whatever the environment says
+        self.kernel = k = Kernel(make_ext4(), hostname="walk", fast=True)
         root = Syscalls(k.init_process)
         root.mkdir("/home", 0o755)
         for path in ("/a", "/a/b", "/a/b/a", "/b"):
@@ -93,10 +85,12 @@ def _outcome(fn):
         res = fn()
     except KernelError as err:
         return ("error", err.errno, str(err))
+    # a clone copies each Mount, so a mount is named by what it holds
+    mount = (res.mount.mountpoint, id(res.mount.fs), res.mount.root_ino,
+             res.mount.flags, res.mount.owning_userns)
     if hasattr(res, "dir_inode"):
-        return ("ok", id(res.mount), id(res.dir_inode), res.name,
-                res.dir_path)
-    return ("ok", id(res.mount), id(res.inode), res.path)
+        return ("ok", mount, id(res.dir_inode), res.name, res.dir_path)
+    return ("ok", mount, id(res.inode), res.path)
 
 
 def walks(ns, cred, path):
@@ -112,8 +106,7 @@ def assert_cache_matches_reference(world):
     for ns, cred in world.probers():
         for path in PROBES:
             cached = walks(ns, cred, path)
-            with reference_engine():
-                reference = walks(ns, cred, path)
+            reference = walks(ns.clone(fast=False), cred, path)
             assert cached == reference, (path, cred)
 
 
@@ -232,21 +225,24 @@ def test_symlink_budget_carries_across_the_cached_prefix():
     """/a/s1 reaches /a/d through 40 symlinks, the kernel's limit; one
     more symlink after the cached prefix must raise ELOOP, as it does on
     the uncached walk."""
-    k = Kernel(make_ext4(), hostname="eloop")
-    root = Syscalls(k.init_process)
-    root.mkdir_p("/a/d")
-    root.write_file("/a/d/t", b"t")
-    root.symlink("/a/d/t", "/a/d/f")
-    for i in range(1, 40):
-        root.symlink(f"/a/s{i + 1}", f"/a/s{i}")
-    root.symlink("/a/d", "/a/s40")
-    ns, cred = k.init_process.mnt_ns, k.init_process.cred
-    assert ns.resolve("/a/s1/t", cred).path == "/a/d/t"  # caches /a/s1
-    for walk in (lambda: ns.resolve("/a/s1/f", cred),
-                 lambda: root.read_file("/a/s1/f")):
-        with pytest.raises(KernelError) as cached:
-            walk()
-        with reference_engine(), pytest.raises(KernelError) as reference:
-            walk()
-        assert cached.value.errno == reference.value.errno == Errno.ELOOP
-        assert str(cached.value) == str(reference.value)
+    errors = {}
+    for fast in (True, False):
+        k = Kernel(make_ext4(), hostname="eloop", fast=fast)
+        root = Syscalls(k.init_process)
+        root.mkdir_p("/a/d")
+        root.write_file("/a/d/t", b"t")
+        root.symlink("/a/d/t", "/a/d/f")
+        for i in range(1, 40):
+            root.symlink(f"/a/s{i + 1}", f"/a/s{i}")
+        root.symlink("/a/d", "/a/s40")
+        ns, cred = k.init_process.mnt_ns, k.init_process.cred
+        assert ns.resolve("/a/s1/t", cred).path == "/a/d/t"  # caches /a/s1
+        assert bool(ns._dentries) is fast
+        for walk in (lambda: ns.resolve("/a/s1/f", cred),
+                     lambda: root.read_file("/a/s1/f")):
+            with pytest.raises(KernelError) as err:
+                walk()
+            errors.setdefault(fast, []).append(
+                (err.value.errno, str(err.value)))
+    assert errors[True] == errors[False]
+    assert {errno for errno, _ in errors[True]} == {Errno.ELOOP}

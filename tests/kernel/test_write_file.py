@@ -26,14 +26,6 @@ from repro.kernel import (
     make_tmpfs,
 )
 from repro.kernel.vfs import may_access
-from repro.sim import set_optimizations
-
-
-@pytest.fixture(autouse=True, scope="module")
-def walk_cache_on():
-    previous = set_optimizations(True)
-    yield
-    set_optimizations(previous)
 
 
 def old_write_file(sys, path, data, *, append=False, mode=0o666, exe=None):
@@ -76,7 +68,7 @@ class World:
     ``/file`` is a regular file, so ``/file/x`` has a file for parent."""
 
     def __init__(self):
-        self.kernel = k = Kernel(make_ext4(), hostname="open")
+        self.kernel = k = Kernel(make_ext4(), hostname="open", fast=True)
         root = Syscalls(k.init_process)
         for path, mode in (("/d", 0o777), ("/d/sub", 0o777),
                            ("/nox", 0o666), ("/now", 0o555),

@@ -19,9 +19,6 @@ from repro.sim import (
     TopologyError,
     TransferTiming,
     chunk_sizes,
-    optimizations_enabled,
-    reference_engine,
-    set_optimizations,
     transmit,
     wire_ns,
 )
@@ -304,21 +301,14 @@ class TestTransmit:
     def test_bulk_path_matches_reference_loop(self):
         """Smoke-level identity (the Hypothesis suite in
         test_transfer_property.py covers the full input space)."""
-        prev = set_optimizations(True)       # force the bulk path
-        try:
-            assert optimizations_enabled()
-            a, b = links(2, bandwidth=77.0, latency=3_000_000)
-            b.bandwidth = 31.0
-            fast = transmit(a, b, 12345, chunk_size=1000,
-                            available=1_500_000_000)
-        finally:
-            set_optimizations(prev)
-        with reference_engine():
-            c, d = links(2, bandwidth=77.0, latency=3_000_000)
-            d.bandwidth = 31.0
-            assert not optimizations_enabled()
-            slow = transmit(c, d, 12345, chunk_size=1000,
-                            available=1_500_000_000)
+        a, b = links(2, bandwidth=77.0, latency=3_000_000)
+        b.bandwidth = 31.0
+        fast = transmit(a, b, 12345, chunk_size=1000,
+                        available=1_500_000_000, fast=True)
+        c, d = links(2, bandwidth=77.0, latency=3_000_000)
+        d.bandwidth = 31.0
+        slow = transmit(c, d, 12345, chunk_size=1000,
+                        available=1_500_000_000, fast=False)
         assert fast == slow                  # dataclass: field-exact
         assert a.stats == c.stats == LinkStats(
             bytes_tx=12345, chunks_tx=13,

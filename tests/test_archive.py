@@ -11,7 +11,6 @@ from repro.errors import Errno, KernelError
 from repro.fakeroot import FAKEROOT_CLASSIC, PSEUDO, FakerootSyscalls
 from repro.kernel import FileType, Kernel, Syscalls, make_ext4
 from repro.obs import attach_tracer
-from repro.sim.opts import set_optimizations
 
 
 @pytest.fixture
@@ -613,9 +612,9 @@ _WRAPPERS = {
 def _unpack_stack(layers, wrapper, how, fast):
     """Unpack *layers* onto a fresh alice-owned image, one call per layer
     (*how* ``"extract"`` or ``"apply_diff"``) or the whole stack in one
-    ``extract_layers`` call, with the engine fast paths on (*fast*) or
-    off; what the unpack did."""
-    kernel = Kernel(make_ext4())
+    ``extract_layers`` call, on a fast kernel (*fast*) or a reference
+    one; what the unpack did."""
+    kernel = Kernel(make_ext4(), fast=fast)
     root = Syscalls(kernel.init_process)
     root.mkdir_p("/home/alice/img")
     root.chown("/home/alice", 1000, 1000)
@@ -624,7 +623,6 @@ def _unpack_stack(layers, wrapper, how, fast):
     tracer = attach_tracer(kernel)
     tracer.clear()
     ticks = kernel.ticks
-    previous = set_optimizations(fast)
     error = None
     try:
         if how == "extract_layers":
@@ -634,8 +632,6 @@ def _unpack_stack(layers, wrapper, how, fast):
                 getattr(layer, how)(sys, "/home/alice/img")
     except KernelError as err:
         error = err.errno
-    finally:
-        set_optimizations(previous)
     calls = [(e.name, e.errno, e.depth) for e in tracer.events]
     ticks = kernel.ticks - ticks
     lies = sorted(((ino, repr(lie)) for (_, ino), lie in sys.db)
