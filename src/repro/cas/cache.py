@@ -397,13 +397,10 @@ class BuildCache:
         self.stats.imports += installed
         return installed
 
-    def import_from_registry(self, registry, ref, *,
-                             local_store=None) -> int:
+    def import_from_registry(self, registry, ref) -> int:
         """Pull a cache manifest pushed by :meth:`export_to_registry` and
-        install it; returns records installed.  *local_store* (the node's
-        CAS) lets pre-seeded blobs skip the wire transfer."""
-        manifest_bytes, fetch = registry.pull_cache(
-            ref, local_store=local_store)
+        install it; returns records installed."""
+        manifest_bytes, fetch = registry.pull_cache(ref)
         return self.import_manifest(json.loads(manifest_bytes), fetch)
 
 

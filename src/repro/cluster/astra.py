@@ -31,7 +31,6 @@ from .broadcast import (
     DEPLOY_STRATEGIES,
     BroadcastReport,
     distribute_blobs,
-    distribute_cache,
     make_deploy_topology,
 )
 from .machines import Machine, make_machine
@@ -87,7 +86,6 @@ class WorkflowReport:
     deploy: Optional[JobResult] = None
     phases: list[str] = field(default_factory=list)
     cache_records: int = 0             # records exported with the image
-    warm_hits: list[int] = field(default_factory=list)  # per-node hits
     deploy_strategy: str = "tree"      # one of DEPLOY_STRATEGIES
     distribution: Optional[BroadcastReport] = None
     link_utilization: dict = field(default_factory=dict)
@@ -232,16 +230,18 @@ def run_pipeline(
 
     1. Build on *builder* (the login node by default) as *user*, with no
        privilege: rootless ``podman build``, or with *cached* a
-       ``ch-image`` build with its §6.2.2 build cache on.
+       ``ch-image`` build with its §6.2.2 build cache on.  This is the
+       only phase *cached* changes.
     2. Push the image to the site registry; the cache backend exports its
-       instruction cache beside it.
-    3. Distribute blobs to the first *n_nodes* compute nodes per
-       *deploy_strategy* — ``"tree"`` broadcasts them peer-to-peer after
+       instruction cache beside it, for the next builder to seed from.
+       Then convert the pushed image once on the login node into one
+       image blob (a SIF for ``singularity``), as ``ch-convert`` does.
+    3. Distribute that one blob to the first *n_nodes* compute nodes per
+       *deploy_strategy* — ``"tree"`` broadcasts it peer-to-peer after
        one registry pull, ``"registry"`` lets every node pull (the O(N)
        storm) — then run one rank per node under the scheduler, each from
-       its node's ready time on the sim clock.  A Podman-built image is
-       pulled and run with *runtime*; a cached build is distributed as its
-       cache export, rebuilt warm on each node and run with ``ch-run``.
+       its node's ready time on the sim clock, on a read-only mount of
+       the image with *runtime*.  No compute node builds or unpacks.
 
     The build phases stay strictly sequential and every job process
     descends from the user's shell (§3.1).  A *fault_plan* injects its
@@ -255,9 +255,6 @@ def run_pipeline(
                             f"{n_compute} compute nodes)")
     if runtime not in ("charliecloud", "singularity"):
         raise WorkflowError(f"unsupported HPC runtime {runtime!r}")
-    if cached and runtime != "charliecloud":
-        raise WorkflowError(f"the cached workflow rebuilds and runs with "
-                            f"charliecloud, not {runtime!r}")
     if build_parallelism > 1 and not cached:
         raise WorkflowError("build parallelism needs the cached workflow "
                             "(--cached): podman has no parallel build engine")
@@ -326,38 +323,24 @@ def run_pipeline(
     report.layer_count = manifest.layer_count
     report.phases.append(f"push {image_ref}{pushed}")
 
-    # Phase 2b (uncached): convert once, as ch-convert does.  The login
-    # node unpacks the pushed image through the one layer-apply path and
-    # packs the tree into one single-file image blob (ownership
-    # flattened for a SIF); the nodes mount that blob and none of them
-    # unpacks a layer.
-    if not cached:
-        flatten = runtime == "singularity"
-        image_blob = push("convert", lambda: registry.put_blob(
-            _convert(cluster.login, user, image_ref, flatten=flatten)))
-        report.phases.append(
-            f"convert {image_ref} on {cluster.login.hostname}: one "
-            f"{'SIF' if flatten else 'SquashFS'} image "
-            f"({registry.blob_size(image_blob)} B)")
+    # Phase 2b: convert once, as ch-convert does.  The login node
+    # unpacks the pushed image through the one layer-apply path and packs
+    # the tree into one single-file image blob (ownership flattened for a
+    # SIF); the nodes mount that blob and none of them unpacks a layer or
+    # builds.
+    flatten = runtime == "singularity"
+    image_blob = push("convert", lambda: registry.put_blob(
+        _convert(cluster.login, user, image_ref, flatten=flatten)))
+    report.phases.append(
+        f"convert {image_ref} on {cluster.login.hostname}: one "
+        f"{'SIF' if flatten else 'SquashFS'} image "
+        f"({registry.blob_size(image_blob)} B)")
 
-    # Phase 3: distribute blobs first, then interleave rank events from
-    # each node's ready time.
+    # Phase 3: distribute the image blob first, then interleave rank
+    # events from each node's ready time.
     def run_rank(node: Machine, rank: int, login) -> tuple[int, str]:
         env = {"OMPI_COMM_WORLD_RANK": str(rank),
                "PATH": "/opt/atse/bin:/usr/bin:/bin"}
-        if cached:
-            # pre-seed the node's cache from the export, rebuild warm
-            nch = ChImage(node, login, cache=True)
-            nch.cache.import_from_registry(
-                node.kernel.network.registry(SITE_REGISTRY), cache_ref,
-                local_store=node.content_store)
-            res = nch.build(tag=tag, dockerfile=dockerfile, force=force)
-            if not res.success:
-                return 1, res.text
-            report.warm_hits.append(res.cache_hits)
-            res = ChRun(node, login).run(nch.storage.path_of(tag), app_argv,
-                                         env=env)
-            return res.status, res.output
         try:
             # this node's own copy, verified by its store, or no mount
             blob = node.content_store.get(image_blob)
@@ -373,20 +356,13 @@ def run_pipeline(
         res = ChRun(node, login).run(image, app_argv, env=env)
         return res.status, res.output
 
-    # The distributors are called through their module-global names, not
-    # a table built at import, so tools that rebind those globals (the
+    # The distributor is called through its module-global name, not a
+    # reference taken at import, so tools that rebind that global (the
     # tracing ledger does) see every call.
-    dist = dict(strategy=deploy_strategy, engine=engine,
-                tracer=cluster.login.kernel.tracer,
-                fault_plan=fault_plan, retry_policy=retry_policy)
-    if cached:
-        report.distribution = distribute_cache(
-            registry, cache_ref, targets, topo, **dist)
-        label = "warm rebuild + run"
-    else:
-        report.distribution = distribute_blobs(
-            registry, [image_blob], targets, topo, **dist)
-        label = "deploy"
+    report.distribution = distribute_blobs(
+        registry, [image_blob], targets, topo, strategy=deploy_strategy,
+        engine=engine, tracer=cluster.login.kernel.tracer,
+        fault_plan=fault_plan, retry_policy=retry_policy)
     _fold_distribution_faults(report)
     report.deploy = cluster.scheduler.srun(
         user, n_nodes, run_rank, sim=engine,
@@ -399,7 +375,7 @@ def run_pipeline(
                   + (f", skipped {len(report.deploy.skipped)} node(s)"
                      if report.deploy.skipped else ""))
     report.phases.append(
-        f"{label} on {n_nodes} nodes [{deploy_strategy}]: "
+        f"deploy on {n_nodes} nodes [{deploy_strategy}]: "
         f"{'ok' if report.deploy.success else 'FAILED'} "
         f"(makespan {(report.deploy_makespan or 0.0) * 1e3:.1f} ms, "
         f"registry egress {report.distribution.registry_egress_bytes} B"
@@ -459,14 +435,16 @@ def astra_cached_build_workflow(
 ) -> WorkflowReport:
     """Figure 6 with the §6.2.2 build cache in the loop.
 
-    ch-image builds on the login node, then pushes *two* artifacts to the
-    site registry: the image, and a BuildKit-style export of its
-    instruction cache.  What gets distributed is the cache export — tree
-    mode pulls it from the registry once and re-serves it peer-to-peer —
-    and every compute node pre-seeds its own cache from it before
-    rebuilding locally, so the per-node rebuild hits on every unchanged
-    instruction instead of re-running it (the re-execution cost §6.1
-    calls out as Charliecloud's missing cache).  See :func:`run_pipeline`.
+    ch-image builds on the login node with its build cache on, then
+    pushes *two* artifacts to the site registry: the image, and a
+    BuildKit-style export of its instruction cache, from which a fresh
+    builder seeds its cache and hits on every unchanged instruction
+    (:meth:`~repro.cas.cache.BuildCache.import_from_registry`).  The
+    deploy is the uncached one: the pushed image is converted once on
+    the login node and every compute node mounts that one image with
+    ``ch-run`` (``run_pipeline(..., cached=True, runtime="singularity")``
+    or ``astra-deploy --cached --runtime singularity`` runs it under
+    Singularity).  See :func:`run_pipeline`.
     """
     return run_pipeline(
         cluster, user, dockerfile, tag, cached=True, n_nodes=n_nodes,

@@ -656,8 +656,10 @@ def distribute_cache(
     fault_plan: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
 ) -> BroadcastReport:
-    """Distribute a build-cache export's blobs (diffs + manifest) so each
-    node's cache import is served from its local store."""
+    """Distribute a build-cache export's blobs (diffs + manifest) to
+    *nodes*.  Nothing in the deploy calls this (nodes mount the one
+    converted image; see :func:`distribute_blobs`); the benchmark's
+    tracer still wraps it by name."""
     digests = registry.cache_blob_digests(ref)
     return distribute_blobs(registry, digests, nodes, topology,
                             strategy=strategy, engine=engine, tracer=tracer,

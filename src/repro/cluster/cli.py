@@ -12,9 +12,12 @@ needs it benchmarked::
                  -t TAG -f DOCKERFILE USER
 
 Every deploy is distributed and timed on the sim clock
-(:func:`~repro.cluster.astra.run_pipeline`).  ``--cached`` swaps the
-rootless Podman build for ch-image with its build cache, which deploys
-with Charliecloud only.  ``--fault-plan`` takes a :meth:`repro.sim.FaultPlan.parse` spec (e.g.
+(:func:`~repro.cluster.astra.run_pipeline`).  ``--cached`` builds with
+ch-image and its build cache instead of rootless Podman and pushes the
+cache export beside the image; the deploy is the same either way (one
+image, converted on the login node, mounted on every node, with either
+runtime).  ``--fault-plan`` takes a :meth:`repro.sim.FaultPlan.parse`
+spec (e.g.
 ``seed=7,link-loss=0.1,flake=0:0.05``); ``--retries`` caps the retry
 budget per transient failure.  Returns ``(exit_status, output_text)``
 like the other CLI shims.

@@ -661,12 +661,12 @@ class RegistryFleet(Registry):
         self._admit(ref, token, "push")
         return self._push_cache(ref, manifest, list(blobs))
 
-    def pull_cache(self, ref: ImageRef | str, *, local_store=None,
+    def pull_cache(self, ref: ImageRef | str, *,
                    token: Optional[str] = None
                    ) -> tuple[bytes, Callable[[str], bytes]]:
         ref = as_ref(ref)
         self._admit(ref, token, "pull")
-        return self._pull_cache(ref, local_store)
+        return self._pull_cache(ref)
 
     def timed_pull(self, ref: ImageRef | str, *,
                    now: Optional[float] = None, arch: Optional[str] = None,

@@ -430,28 +430,21 @@ class Registry:
             self._cache_manifests[(ref.repository, ref.tag)] = digest
         return digest
 
-    def pull_cache(self, ref: ImageRef | str, *,
-                   local_store: Optional[ContentStore] = None
+    def pull_cache(self, ref: ImageRef | str
                    ) -> tuple[bytes, Callable[[str], bytes]]:
         """Fetch a cache manifest pushed by :meth:`push_cache`; returns
         ``(manifest_bytes, fetch)`` where *fetch* retrieves diff blobs by
-        digest (and counts them as pulled, or as pull-skips when
-        *local_store* already holds them)."""
-        return self._pull_cache(as_ref(ref), local_store)
+        digest (each counted as pulled)."""
+        return self._pull_cache(as_ref(ref))
 
-    def _pull_cache(self, ref: ImageRef,
-                    local_store: Optional[ContentStore]
+    def _pull_cache(self, ref: ImageRef
                     ) -> tuple[bytes, Callable[[str], bytes]]:
         digest = self._cache_digest(ref)
         with maybe_span(self.tracer,
                         f"pull-cache {ref.repository}:{ref.tag}", "pull",
                         registry=self.name):
-            manifest = self.fetch_blob(digest, local_store=local_store)
-
-        def fetch(d: str) -> bytes:
-            return self.fetch_blob(d, local_store=local_store)
-
-        return manifest, fetch
+            manifest = self.fetch_blob(digest)
+        return manifest, self.fetch_blob
 
     def _cache_digest(self, ref: ImageRef) -> str:
         try:

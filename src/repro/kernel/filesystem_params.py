@@ -27,7 +27,6 @@ FS_PARAMS: dict[str, FsParams] = {
     "tmpfs": FsParams(meta_op_cost=0.5, byte_cost=0.0005),
     "nfs": FsParams(meta_op_cost=25.0, byte_cost=0.01),
     "lustre": FsParams(meta_op_cost=15.0, byte_cost=0.002),
-    "gpfs": FsParams(meta_op_cost=18.0, byte_cost=0.003),
     "proc": FsParams(meta_op_cost=0.2, byte_cost=0.0),
     "sysfs": FsParams(meta_op_cost=0.2, byte_cost=0.0),
     "overlay": FsParams(meta_op_cost=1.2, byte_cost=0.0012, fuse_overhead=0.3),

@@ -157,20 +157,23 @@ class TestAstraWorkflow:
         assert not report.deploy.success  # ...but cannot run on Astra
         assert "Exec format error" in report.deploy.output
 
-    def test_cached_workflow_warm_rebuild_hits_everywhere(
+    def test_cached_workflow_exports_cache_and_deploys_one_image(
             self, astra, world_multiarch):
-        """§6.2.2: each node pre-seeds its cache from the registry export,
-        so its rebuild hits on every instruction, and the tree broadcast
-        takes the export out of the registry exactly once."""
+        """§6.2.2 + Fig 6: the cached build exports its instruction cache
+        beside the image for the next builder, and the deploy is the
+        uncached one: the tree takes one blob, the converted image, out
+        of the registry and every rank runs on it."""
         report = astra_cached_build_workflow(
             astra, "alice", ATSE_DOCKERFILE, "atse", n_nodes=3)
         assert report.success, report.phases
         assert report.cache_records == 3          # one per RUN
-        assert report.warm_hits == [3] * 3
-        cache_digests = world_multiarch.site_registry.cache_blob_digests(
-            "alice/atse-cache:latest")
-        assert report.distribution.registry_blobs_pulled \
-            == len(cache_digests)
+        registry = world_multiarch.site_registry
+        assert registry.cache_blob_digests("alice/atse-cache:latest")
+        (digest,) = world_multiarch.network.images
+        assert report.distribution.blobs == 1
+        assert report.distribution.registry_blobs_pulled == 1
+        assert all(node.content_store.has(digest) for node in astra.compute)
+        assert report.deploy.rank_statuses == [0] * 3
         assert report.deploy_strategy == "tree"
 
     @pytest.mark.parametrize("n_nodes", [0, -2, 4])

@@ -142,14 +142,17 @@ def test_empty_layer_replicates():
 
 
 def test_cached_workflow_deploys_through_a_fleet():
-    """The cache export's manifest blob may live on any shard: planning
-    reads it through the front door, not from one shard's store."""
+    """A cached build pushes its image and cache export into a 3-shard
+    fleet and deploys from it as the uncached build does (reading a
+    cache export through the front door is the parity table's
+    ``cache`` row)."""
     astra = make_astra(make_world(arches=("aarch64",)), n_compute=3)
     report = astra_cached_build_workflow(
         astra, "alice", "FROM centos:7\nRUN yum install -y atse\n", "atse",
         n_nodes=3, registry_shards=3, registry_replicas=2)
     assert report.success, report.phases
-    assert report.warm_hits == [1] * 3
+    assert report.registry_shards == 3
+    assert report.deploy.rank_statuses == [0] * 3
 
 
 def test_deploy_places_the_converted_image_on_the_ring():

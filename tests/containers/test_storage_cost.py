@@ -25,7 +25,7 @@ def _user_sys(host):
 
 class TestCostModel:
     def test_params_exist_for_all_modeled_types(self):
-        for fstype in ("ext4", "tmpfs", "nfs", "lustre", "gpfs", "overlay"):
+        for fstype in ("ext4", "tmpfs", "nfs", "lustre", "overlay"):
             assert fstype in FS_PARAMS
             assert FS_PARAMS[fstype].meta_op_cost > 0
 
