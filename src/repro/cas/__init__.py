@@ -1,8 +1,8 @@
 """Content-addressed storage and the shared build cache.
 
 The subsystem behind ``ch-image build-cache`` and the registry/driver
-blob dedup: a refcounted sha256 :class:`ContentStore` (LRU eviction, GC,
-pinning), tree-diff helpers shared with the storage drivers, and the
+blob dedup: a refcounted sha256 :class:`ContentStore` (LRU eviction, GC),
+tree-diff helpers shared with the storage drivers, and the
 Merkle-keyed :class:`BuildCache` whose values are layer diffs and whose
 manifests travel between builders via any OCI registry.
 
@@ -13,7 +13,6 @@ from .cache import (
     CACHE_MANIFEST_VERSION,
     BuildCache,
     BuildCacheStats,
-    CacheHandle,
     CacheRecord,
 )
 from .diff import (
@@ -31,7 +30,6 @@ from .store import CasError, CasStats, ContentStore, blob_digest
 __all__ = [
     "BuildCache",
     "BuildCacheStats",
-    "CacheHandle",
     "CacheRecord",
     "CACHE_MANIFEST_VERSION",
     "CasError",

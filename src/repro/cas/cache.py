@@ -37,7 +37,7 @@ from ..archive import TarArchive
 from ..errors import ReproError
 from .store import CasError, ContentStore
 
-__all__ = ["BuildCache", "BuildCacheStats", "CacheHandle", "CacheRecord",
+__all__ = ["BuildCache", "BuildCacheStats", "CacheRecord",
            "CACHE_MANIFEST_VERSION"]
 
 CACHE_MANIFEST_VERSION = 1
@@ -81,16 +81,6 @@ class BuildCacheStats:
             "inflight_hits": self.inflight_hits,
         }
 
-    def add(self, other: "BuildCacheStats") -> None:
-        """Fold *other* into this (per-handle aggregation)."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stores += other.stores
-        self.dropped_records += other.dropped_records
-        self.imports += other.imports
-        self.exports += other.exports
-        self.inflight_hits += other.inflight_hits
-
     def copy(self) -> "BuildCacheStats":
         """An independent snapshot of these counters."""
         return BuildCacheStats(**self.as_dict())
@@ -107,44 +97,21 @@ class BuildCache:
     """One build cache, possibly shared by many builders.
 
     Passing the same instance to several :class:`~repro.core.ChImage`
-    builders shares both records and blobs; passing only the same
-    *store* shares blob bytes but not cache entries.
+    builders shares records, blobs and the one :attr:`stats`; passing
+    only the same *store* shares blob bytes but not cache entries.  A
+    size bound belongs to the store: ``store=ContentStore(max_bytes=N)``.
     """
 
-    def __init__(self, *, store: Optional[ContentStore] = None,
-                 max_bytes: Optional[int] = None):
-        self.store = store if store is not None else \
-            ContentStore(max_bytes=max_bytes)
+    def __init__(self, *, store: Optional[ContentStore] = None):
+        self.store = store if store is not None else ContentStore()
         self.stats = BuildCacheStats()
         self.records: dict[str, CacheRecord] = {}
         self._parents: dict[str, str] = {}   # every chain key, incl. meta-only
         self._labels: dict[str, str] = {}
         self.tags: dict[str, str] = {}       # image tag -> chain key
-        self._handles: list["CacheHandle"] = []
         #: single-flight table: key -> waiter tokens parked behind the one
         #: in-flight execution of that key (see :meth:`flight_begin`)
         self._inflight: dict[str, list[Any]] = {}
-
-    # -- per-builder handles -------------------------------------------------------
-
-    def handle(self, name: str = "") -> "CacheHandle":
-        """A per-builder view of this cache with its **own** counters.
-
-        Sharing one BuildCache instance across builders used to share the
-        stats object by reference too, so concurrent builders double-
-        counted each other's hits; every builder now gets a handle and
-        :meth:`aggregate_stats` sums them on report."""
-        h = CacheHandle(self, name=name)
-        self._handles.append(h)
-        return h
-
-    def aggregate_stats(self) -> BuildCacheStats:
-        """This cache's own counters plus every handle's, summed."""
-        total = BuildCacheStats()
-        total.add(self.stats)
-        for h in self._handles:
-            total.add(h.stats)
-        return total
 
     # -- single-flight (BuildKit-style in-flight dedup) ----------------------------
 
@@ -170,9 +137,8 @@ class BuildCache:
         return the parked waiter tokens, in arrival order."""
         return self._inflight.pop(key, [])
 
-    def note_inflight_hit(self, *,
-                          stats: Optional[BuildCacheStats] = None) -> None:
-        (stats if stats is not None else self.stats).inflight_hits += 1
+    def note_inflight_hit(self) -> None:
+        self.stats.inflight_hits += 1
 
     # -- key derivation ------------------------------------------------------------
 
@@ -202,34 +168,31 @@ class BuildCache:
 
     # -- hit / store ---------------------------------------------------------------
 
-    def lookup(self, key: str, *,
-               stats: Optional[BuildCacheStats] = None) -> Optional[TarArchive]:
+    def lookup(self, key: str) -> Optional[TarArchive]:
         """The cached diff for *key*, or None.  A record whose blob was
-        evicted self-heals: it is dropped and the lookup is a miss.
-        *stats* is the counter sink (a handle's, or this cache's own)."""
-        s = stats if stats is not None else self.stats
+        evicted self-heals: it is dropped and the lookup is a miss."""
         rec = self.records.get(key)
         if rec is None:
-            s.misses += 1
+            self.stats.misses += 1
             return None
         try:
             blob = self.store.get(rec.diff_digest)
         except CasError:
             del self.records[key]
-            s.dropped_records += 1
-            s.misses += 1
+            self.stats.dropped_records += 1
+            self.stats.misses += 1
             return None
-        s.hits += 1
+        self.stats.hits += 1
         return TarArchive.deserialize(blob)
 
-    def store_diff(self, key: str, kind: str, text: str, diff: TarArchive,
-                   *, stats: Optional[BuildCacheStats] = None) -> CacheRecord:
+    def store_diff(self, key: str, kind: str, text: str,
+                   diff: TarArchive) -> CacheRecord:
         """Record *diff* as the result of the instruction at *key*."""
         digest = self.store.put(diff.serialize())
         rec = CacheRecord(key=key, parent=self._parents.get(key, ""),
                           kind=kind, text=text, diff_digest=digest)
         self.records[key] = rec
-        (stats if stats is not None else self.stats).stores += 1
+        self.stats.stores += 1
         return rec
 
     # -- tags & reachability -------------------------------------------------------
@@ -325,7 +288,7 @@ class BuildCache:
         return "\n".join(lines)
 
     def summary(self) -> str:
-        s = self.aggregate_stats()
+        s = self.stats
         st = self.store.stats
         lines = [
             f"records:       {len(self.records)}",
@@ -339,8 +302,6 @@ class BuildCache:
             f"inflight hits: {s.inflight_hits}",
             f"imported:      {s.imports}  exported: {s.exports}",
         ]
-        if self._handles:
-            lines.append(f"handles:       {len(self._handles)}")
         return "\n".join(lines)
 
     # -- export / import -----------------------------------------------------------
@@ -403,37 +364,3 @@ class BuildCache:
         manifest_bytes, fetch = registry.pull_cache(ref)
         return self.import_manifest(json.loads(manifest_bytes), fetch)
 
-
-class CacheHandle:
-    """One builder's view of a shared :class:`BuildCache`.
-
-    Records, blobs, tags, and the single-flight table are the shared
-    cache's; only the **counters** are private, so two builders hammering
-    the same cache report their own hit rates instead of double-counting
-    each other's (``aggregate_stats()`` on the cache sums them back up).
-    Everything not overridden here delegates to the underlying cache.
-    """
-
-    def __init__(self, cache: BuildCache, *, name: str = ""):
-        self._cache = cache
-        self.name = name
-        self.stats = BuildCacheStats()
-
-    def __getattr__(self, attr: str):
-        return getattr(self._cache, attr)
-
-    def __repr__(self) -> str:
-        return f"CacheHandle({self.name or 'anonymous'})"
-
-    # the stats-bearing operations route counters to this handle
-
-    def lookup(self, key: str) -> Optional[TarArchive]:
-        return self._cache.lookup(key, stats=self.stats)
-
-    def store_diff(self, key: str, kind: str, text: str,
-                   diff: TarArchive) -> CacheRecord:
-        return self._cache.store_diff(key, kind, text, diff,
-                                      stats=self.stats)
-
-    def note_inflight_hit(self) -> None:
-        self._cache.note_inflight_hit(stats=self.stats)

@@ -14,17 +14,17 @@ and drops them with a :class:`CasError` if they fail.  A ``put`` of bytes
 already present replaces a copy the store did not hash with the bytes it
 just hashed.
 
-Lifetime model — three independent protections, weakest to strongest:
+Lifetime model — two levels, weakest first:
 
-* **LRU residency**: unprotected blobs live in least-recently-used order
-  and are evicted when a ``max_bytes`` bound would be exceeded.  Build-
-  cache entries rely on this: losing one is just a future cache miss.
+* **LRU residency**: unreferenced blobs live in least-recently-used
+  order and are evicted when a ``max_bytes`` bound would be exceeded.
+  The bound is the store's alone; a build cache that should stay small
+  is given a bounded store.  Build-cache entries rely on this: losing
+  one is just a future cache miss.
 * **refcounts** (:meth:`ContentStore.incref`): durable references held by
   owners with persistence semantics (a registry that accepted a push, a
   storage driver that committed a layer).  Referenced blobs are never
   evicted and never garbage-collected.
-* **pins** (:meth:`ContentStore.pin`): temporary holds during multi-step
-  operations (e.g. a cache import in flight), immune like refcounts.
 
 :meth:`ContentStore.gc` additionally takes a ``keep`` set so callers with
 their own reachability notion (the build cache's Merkle chains) can
@@ -96,8 +96,8 @@ class ContentStore:
     ``max_bytes=None`` (the default) disables eviction entirely — the
     right mode for a registry, which must never silently lose a pushed
     layer.  With a bound, :meth:`put` evicts least-recently-used
-    *unprotected* blobs until the new blob fits; if everything resident is
-    protected the bound is allowed to overflow rather than lose data.
+    *unreferenced* blobs until the new blob fits; if everything resident
+    is referenced the bound is allowed to overflow rather than lose data.
     """
 
     def __init__(self, *, max_bytes: Optional[int] = None):
@@ -109,7 +109,6 @@ class ContentStore:
         #: digest -> the bytes object this store hashed for it
         self._hashed: dict[str, bytes] = {}
         self._refs: dict[str, int] = {}
-        self._pins: set[str] = set()
         self._size = 0
 
     # -- introspection -----------------------------------------------------------
@@ -141,12 +140,9 @@ class ContentStore:
     def refcount(self, digest: str) -> int:
         return self._refs.get(digest, 0)
 
-    def pinned(self, digest: str) -> bool:
-        return digest in self._pins
-
     def protected(self, digest: str) -> bool:
         """True if *digest* may be neither evicted nor garbage-collected."""
-        return self._refs.get(digest, 0) > 0 or digest in self._pins
+        return self._refs.get(digest, 0) > 0
 
     # -- data plane --------------------------------------------------------------
 
@@ -207,14 +203,6 @@ class ContentStore:
         else:
             self._refs[digest] = n - 1
 
-    def pin(self, digest: str) -> None:
-        if digest not in self._blobs:
-            raise CasError(f"cannot pin absent blob {digest[:19]}...")
-        self._pins.add(digest)
-
-    def unpin(self, digest: str) -> None:
-        self._pins.discard(digest)
-
     # -- reclamation --------------------------------------------------------------
 
     def _remove(self, digest: str) -> int:
@@ -246,7 +234,7 @@ class ContentStore:
         return True
 
     def gc(self, keep: Iterable[str] = ()) -> list[str]:
-        """Reclaim every blob that is unreferenced, unpinned, and not in
+        """Reclaim every blob that is unreferenced and not in
         *keep*; returns the reclaimed digests (LRU order)."""
         keep = set(keep)
         reclaimed: list[str] = []

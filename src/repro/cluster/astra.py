@@ -173,11 +173,11 @@ def _retried_push(report: WorkflowReport, registry, engine: SimEngine,
     if installed:
         registry.fault_injector = fault_plan.injector(engine.clock)
 
-    def on_retry(attempt, delay, exc):
+    def on_retry(attempt, wait, exc):
         report.faults_injected += 1
         report.retries += 1
         report.push_attempts += 1
-        report.backoff_seconds += delay
+        report.backoff_seconds += wait
 
     try:
         return retry_call(lambda attempt: fn(), policy=policy,

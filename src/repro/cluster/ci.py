@@ -135,7 +135,7 @@ class FarmReport:
 
     images: list[FarmImage]
     schedule: object                   # core.build_graph.ScheduleReport
-    cache_stats: object                # cas.BuildCacheStats (aggregated)
+    cache_stats: object                # cas.BuildCacheStats (a copy)
 
     @property
     def success(self) -> bool:
@@ -169,7 +169,7 @@ class FarmReport:
 
     def per_image_stats(self) -> dict[str, dict]:
         """Cache hit/miss/store/inflight attribution per submitted image
-        (tag -> counter dict).  The aggregate handle stats answer "how
+        (tag -> counter dict).  The cache's own stats answer "how
         warm was the farm"; this answers "which image paid for it" —
         e.g. which matrix cell amplified the cache and which one filled
         it."""
@@ -241,24 +241,21 @@ class BuildFarm:
         kernel = self.machine.kernel
         scheduler = BuildGraphScheduler(
             engine=self.engine, parallelism=self.parallelism,
-            ticks=lambda: kernel.ticks, cache=self.builder.cache,
+            ticks=lambda: kernel.ticks, cache=self.cache,
             kernel=kernel, fail_fast=False, fault_plan=self.fault_plan,
             retry_budget=self.retry_budget)
 
         def make_fn(spec: FarmImage):
             def build():
                 # builds execute synchronously at dispatch, so snapshotting
-                # the shared handle's counters around the call attributes
+                # the shared cache's counters around the call attributes
                 # exactly this image's cache traffic (re-run on a crash
                 # requeue, so the surviving attempt's slice wins)
-                before = self.builder.cache.stats.copy() \
-                    if self.builder.cache is not None else None
+                before = self.cache.stats.copy()
                 spec.result = self.builder.build(
                     tag=spec.tag, dockerfile=spec.dockerfile,
                     force=spec.force)
-                if before is not None:
-                    spec.cache_stats = \
-                        self.builder.cache.stats.delta(before)
+                spec.cache_stats = self.cache.stats.delta(before)
                 return spec.result
             return build
 
@@ -274,9 +271,9 @@ class BuildFarm:
         for spec, task in zip(self.pending, schedule.tasks):
             spec.deduped = task.deduped
             if task.deduped and spec.cache_stats is not None:
-                # the in-flight wait is booked on the scheduler's cache
-                # handle before the warm replay runs; mirror it onto the
-                # image's own slice so per-cell attribution sees the park
+                # the in-flight wait is booked on the shared cache before
+                # the warm replay runs; mirror it onto the image's own
+                # slice so per-cell attribution sees the park
                 spec.cache_stats.inflight_hits = 1
             if not task.ok and spec.result is not None \
                     and spec.result.success:
@@ -286,7 +283,7 @@ class BuildFarm:
                 spec.result = None
         self.report = FarmReport(images=list(self.pending),
                                  schedule=schedule,
-                                 cache_stats=self.cache.aggregate_stats())
+                                 cache_stats=self.cache.stats.copy())
         return self.report
 
 

@@ -56,10 +56,16 @@ class ShifterGateway:
             ref, arch=self.machine.arch)
         path = f"{self.store_dir}/{ref.flat_name}"
         self.sys.mkdir_p(path)
-        # flattened: site policy, ownership dropped to root:root
-        TarArchive.extract_layers(
-            (TarArchive([m.flattened() for m in layer]) for layer in layers),
-            self.sys, path, preserve_owner=True, on_chown_error="ignore")
+        try:
+            # flattened: site policy, ownership dropped to root:root
+            TarArchive.extract_layers(
+                (TarArchive([m.flattened() for m in layer])
+                 for layer in layers),
+                self.sys, path, preserve_owner=True, on_chown_error="ignore")
+        except Exception:
+            # a partial tree at *path* must not outlive the failed pull
+            self.sys.rm_tree(path)
+            raise
         # world-readable, like Shifter's loop-mounted squashfs images
         self._images[name] = path
         return path
@@ -114,8 +120,13 @@ class Enroot:
             ref, arch=self.machine.arch)
         path = f"{self.data_dir}/{ref.flat_name}"
         self.sys.mkdir_p(path)
-        TarArchive.extract_layers(layers, self.sys, path,
-                                  preserve_owner=False)
+        try:
+            TarArchive.extract_layers(layers, self.sys, path,
+                                      preserve_owner=False)
+        except Exception:
+            # a partial tree at *path* must not outlive the failed import
+            self.sys.rm_tree(path)
+            raise
         self._images[name] = path
         return path
 

@@ -261,7 +261,7 @@ class BuildGraphScheduler:
     on the virtual clock after their tick-scaled cost — so independent
     tasks overlap in virtual time and the run reports a real makespan.
 
-    *cache* (a :class:`~repro.cas.BuildCache` or handle) enables
+    *cache* (a :class:`~repro.cas.BuildCache`) enables
     single-flight: a task whose ``flight_key`` is already in flight
     releases its worker, parks, and re-runs warm after the leader
     finishes.  *kernel* (optional) provides obs spans and counters.

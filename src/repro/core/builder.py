@@ -81,8 +81,7 @@ class ChImage:
                  storage_dir: Optional[str] = None, *,
                  cache: bool = False, auto_map: bool = False,
                  force_mode: str = "fakeroot",
-                 build_cache: Optional[BuildCache] = None,
-                 cache_max_bytes: Optional[int] = None):
+                 build_cache: Optional[BuildCache] = None):
         if force_mode not in ("fakeroot", "seccomp"):
             raise ValueError(f"unknown force mode {force_mode!r}")
         self.machine = machine
@@ -94,14 +93,13 @@ class ChImage:
         #: The instruction-level build cache (None = disabled).  Passing a
         #: shared :class:`~repro.cas.BuildCache` lets several builders
         #: (even different users) hit each other's instruction results;
-        #: each builder gets its own :class:`~repro.cas.CacheHandle` so
-        #: concurrent builders never double-count each other's hit/miss
-        #: stats (the shared cache aggregates handles on report).
+        #: they share its one ``stats``, and a caller that wants one
+        #: build's traffic takes ``stats.delta`` around it (builds run
+        #: synchronously).  A size bound goes on the cache's store.
         if build_cache is not None:
-            self.cache: Optional[BuildCache] = build_cache.handle(
-                name=getattr(user_proc, "comm", "") or "builder")
+            self.cache: Optional[BuildCache] = build_cache
         elif cache:
-            self.cache = BuildCache(max_bytes=cache_max_bytes)
+            self.cache = BuildCache()
         else:
             self.cache = None
 

@@ -445,9 +445,11 @@ def retry_call(fn: Callable[[int], object], *, policy: RetryPolicy,
 
     Between attempts the (virtual) *clock* advances by the backoff delay,
     and past the failure's ``retry_at`` if that is later — simulated time
-    pays for waiting the way wall time would.  Used on the synchronous
-    legs of the pipeline (registry push, cache export); the event-driven
-    broadcast schedules its retries on the engine instead.
+    pays for waiting the way wall time would.  ``on_retry(attempt, wait,
+    exc)`` gets the wait actually taken on the clock (the drawn delay
+    when there is no clock).  Used on the synchronous legs of the
+    pipeline (registry push, cache export); the event-driven broadcast
+    schedules its retries on the engine instead.
     """
     attempt = 0
     while True:
@@ -456,9 +458,11 @@ def retry_call(fn: Callable[[int], object], *, policy: RetryPolicy,
         except TransientError as exc:
             if attempt >= policy.budget:
                 raise
-            delay = policy.backoff(attempt, key)
+            wait = policy.backoff(attempt, key)
             if clock is not None:
-                clock.advance_to(max(clock.now + delay, exc.retry_at))
+                at = max(clock.now + wait, exc.retry_at)
+                wait = at - clock.now
+                clock.advance_to(at)
             if on_retry is not None:
-                on_retry(attempt, delay, exc)
+                on_retry(attempt, wait, exc)
             attempt += 1

@@ -68,7 +68,8 @@ class TestHitMissStore:
         assert cache.stats.hits == 1 and cache.stats.stores == 1
 
     def test_evicted_blob_self_heals_to_miss(self):
-        cache = BuildCache(max_bytes=1)  # too small for any diff to stay
+        # a store too small for any diff to stay
+        cache = BuildCache(store=ContentStore(max_bytes=1))
         key = _chain(cache, "sha256:base", "echo hi")
         # the store() itself fit (bound may overflow only for protected
         # blobs — cache diffs are unprotected, so the next put evicts)

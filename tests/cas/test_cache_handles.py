@@ -1,13 +1,16 @@
-"""Per-handle BuildCache stats and single-flight bookkeeping.
+"""Builders sharing one BuildCache, and single-flight bookkeeping.
 
-Regression for the shared-by-reference stats bug: a BuildCache shared by
-several builders used to hand every one of them the *same* counters, so
-concurrent builders double-counted each other's hits.  Handles give each
-builder private counters; the cache aggregates them on report.
+Every builder handed a shared cache uses the cache itself, so the cache
+keeps one set of counters.  Builds run synchronously, so the traffic of
+one build is exactly the ``stats.delta`` taken around it: the deltas of
+builds that take turns on the cache sum to its stats.
 """
 
 from repro.archive import FileType, TarArchive, TarMember
-from repro.cas import BuildCache, CacheHandle
+from repro.cas import BuildCache
+from repro.core import ChImage
+
+from tests.conftest import FIG2_DOCKERFILE
 
 
 def mini_diff() -> TarArchive:
@@ -15,61 +18,51 @@ def mini_diff() -> TarArchive:
                                  uid=0, gid=0, data=b"payload")])
 
 
-class TestHandles:
-    def test_handle_stats_are_private(self):
+class TestSharedCache:
+    def _builds_in_turn(self, login):
+        """alice then bob build FIG2 on one shared cache; returns the
+        cache and each build's (result, stats delta)."""
+        cache = BuildCache()
+        builders = [ChImage(login, login.login(user), build_cache=cache)
+                    for user in ("alice", "bob")]
+        builds = []
+        for tag, ch in zip(("a", "b"), builders):
+            before = cache.stats.copy()
+            result = ch.build(tag=tag, dockerfile=FIG2_DOCKERFILE,
+                              force=True)
+            assert result.success
+            builds.append((result, cache.stats.delta(before)))
+        return cache, builders, builds
+
+    def test_builder_uses_the_shared_cache_itself(self, login):
+        cache, builders, _ = self._builds_in_turn(login)
+        assert all(ch.cache is cache for ch in builders)
+
+    def test_cache_stats_are_the_sum_of_build_deltas(self, login):
+        cache, _, builds = self._builds_in_turn(login)
+        total = {k: sum(d.as_dict()[k] for _, d in builds)
+                 for k in cache.stats.as_dict()}
+        assert cache.stats.as_dict() == total
+        assert total["stores"] > 0 and total["hits"] > 0
+
+    def test_each_delta_counts_its_own_builds_hits(self, login):
+        _, _, builds = self._builds_in_turn(login)
+        for result, delta in builds:
+            assert delta.hits == result.cache_hits
+        (cold, cold_delta), (warm, warm_delta) = builds
+        assert cold.cache_hits == 0 and cold_delta.stores > 0
+        assert warm.cache_hits > 0 and warm_delta.stores == 0
+
+    def test_summary_reads_the_cache_stats(self):
         cache = BuildCache()
         key = cache.begin("sha256:base")
         cache.store_diff(key, "RUN", "echo hi", mini_diff())
-        h1, h2 = cache.handle(name="alice"), cache.handle(name="bob")
-        assert h1.lookup(key) is not None
-        assert h1.lookup(key) is not None
-        assert h2.lookup("sha256:nope") is None
-        assert h1.stats.hits == 2 and h1.stats.misses == 0
-        assert h2.stats.hits == 0 and h2.stats.misses == 1
-        # the cache's own counters did not absorb the handle traffic
-        assert cache.stats.hits == 0 and cache.stats.misses == 0
-
-    def test_aggregate_sums_cache_and_handles(self):
-        cache = BuildCache()
-        key = cache.begin("sha256:base")
-        cache.store_diff(key, "RUN", "echo hi", mini_diff())  # cache: store
-        h = cache.handle()
-        h.lookup(key)                                         # handle: hit
-        cache.lookup("sha256:nope")                           # cache: miss
-        agg = cache.aggregate_stats()
-        assert agg.hits == 1 and agg.misses == 1 and agg.stores == 1
-
-    def test_handle_stores_count_on_the_handle(self):
-        cache = BuildCache()
-        h = cache.handle()
-        key = cache.begin("sha256:base")
-        h.store_diff(key, "RUN", "echo hi", mini_diff())
-        assert h.stats.stores == 1
-        assert cache.stats.stores == 0
-        assert cache.aggregate_stats().stores == 1
-        # the record itself lives in the shared cache
-        assert cache.lookup(key) is not None
-
-    def test_handle_delegates_everything_else(self):
-        cache = BuildCache()
-        h = cache.handle(name="farm")
-        assert isinstance(h, CacheHandle)
-        key = h.begin("sha256:base")       # delegated
-        key2 = h.extend(key, "RUN", "x")   # delegated
-        assert key != key2
-        h.tag("img", key2)                 # delegated
-        assert "img" in cache.tags
-
-    def test_summary_reports_aggregate_and_handles(self):
-        cache = BuildCache()
-        key = cache.begin("sha256:base")
-        cache.store_diff(key, "RUN", "echo hi", mini_diff())
-        h = cache.handle(name="alice")
-        h.lookup(key)
+        cache.lookup(key)
         text = cache.summary()
         assert "inflight hits:" in text
-        assert "handles:       1" in text
         assert "hits/misses:   1/0" in text
+        assert "stores:        1" in text
+        assert "handles:" not in text
 
 
 class TestSingleFlight:
@@ -87,14 +80,6 @@ class TestSingleFlight:
     def test_finish_without_flight_is_empty(self):
         cache = BuildCache()
         assert cache.flight_finish("ghost") == []
-
-    def test_inflight_hits_routed_to_handle(self):
-        cache = BuildCache()
-        h = cache.handle(name="builder2")
-        h.note_inflight_hit()
-        assert h.stats.inflight_hits == 1
-        assert cache.stats.inflight_hits == 0
-        assert cache.aggregate_stats().inflight_hits == 1
 
     def test_inflight_hits_in_as_dict(self):
         cache = BuildCache()

@@ -93,11 +93,11 @@ class TestIntegrity:
 class TestGcSafety:
     @_prop
     @given(blobs=blobs_st,
-           protect=st.lists(st.sampled_from(["ref", "pin", "keep", "no"]),
+           protect=st.lists(st.sampled_from(["ref", "keep", "no"]),
                             max_size=20))
     def test_gc_never_reclaims_protected_or_kept(self, blobs, protect):
         """GC reclaims exactly the unprotected, un-kept blobs — never a
-        referenced, pinned, or keep-listed one."""
+        referenced or keep-listed one."""
         store = ContentStore()
         keep = set()
         shielded = set()
@@ -106,14 +106,11 @@ class TestGcSafety:
             if how == "ref":
                 store.incref(d)
                 shielded.add(d)
-            elif how == "pin":
-                store.pin(d)
-                shielded.add(d)
             elif how == "keep":
                 keep.add(d)
         before = set(store.digests())
         reclaimed = set(store.gc(keep=keep))
-        # pins/refs are untouched by gc, so protected() still answers for
+        # refs are untouched by gc, so protected() still answers for
         # reclaimed digests: exactly the unprotected, un-kept ones went
         expected = {d for d in before
                     if not store.protected(d) and d not in keep}
@@ -148,13 +145,13 @@ class TestEviction:
         for blob, prot in zip(blobs, protect + [False] * len(blobs)):
             d = store.put(blob)
             if prot and not store.protected(d):
-                store.pin(d)
+                store.incref(d)
                 shielded[d] = bytes(blob)
             assert (store.size_bytes <= 64
                     or all(store.protected(x)
                            for x in store.digests()[:-1]))
             for sd, sblob in shielded.items():
-                assert store.has(sd), "evicted a pinned blob"
+                assert store.has(sd), "evicted a referenced blob"
         for sd, sblob in shielded.items():
             assert store.get(sd) == sblob
 

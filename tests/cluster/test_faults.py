@@ -175,6 +175,15 @@ class TestWorkflowUnderFaults:
         assert report.push_attempts > 1
         assert report.retries > 0
 
+    def test_push_backoff_books_the_wait_actually_taken(self):
+        """The push waits out the whole flake window, not just the drawn
+        backoff, and the distribution starts only once it has."""
+        report, _ = self.run_workflow(FaultPlan.parse("flake=0:0.5"), n=2)
+        assert report.success and report.push_attempts > 1
+        assert report.distribution.started_at >= 0.5
+        assert report.backoff_seconds == pytest.approx(
+            report.distribution.started_at)
+
     def test_same_seed_reproduces_the_workflow_report(self):
         plan_spec = dict(seed=21, link_loss=0.4, flake_rate=1.0)
         a, trees_a = self.run_workflow(FaultPlan(**plan_spec))

@@ -1,10 +1,11 @@
 """A pull whose unpack fails leaves nothing behind.
 
-Both image stores unpack a pulled image's layers into a fresh tree.  When
+The image stores unpack a pulled image's layers into a fresh tree.  When
 a layer cannot be applied (here an unprivileged user meets a device
 member), the partial tree must go too: otherwise ch-image's next pull
-returns it as the image, and Buildah's next pull fails with ``already in
-storage`` instead of the real error.
+returns it as the image, Buildah's next pull fails with ``already in
+storage`` instead of the real error, and Enroot's next import unpacks
+over the leftovers.
 """
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from repro.archive import TarArchive, TarMember
 from repro.cluster import make_machine
 from repro.containers import Podman
+from repro.containers.hpc_runtimes import Enroot
 from repro.containers.oci import ImageConfig
 from repro.containers.registry import Registry
 from repro.core import ChImage
@@ -64,3 +66,13 @@ def test_buildah_pull_leaves_no_partial_tree():
             podman.pull(REF)
         assert _errno(exc.value) is Errno.EPERM
         assert not driver.sys.exists(path)
+
+
+def test_enroot_import_leaves_no_partial_tree():
+    login = _login()
+    enroot = Enroot(login, login.login("alice"))
+    for _ in range(2):
+        with pytest.raises(KernelError) as exc:
+            enroot.import_image(REF)
+        assert exc.value.errno is Errno.EPERM
+        assert enroot.sys.readdir(enroot.data_dir) == []

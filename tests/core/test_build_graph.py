@@ -174,7 +174,7 @@ class TestSingleFlight:
         # the follower only starts once the leader's flight lands
         assert by_name["follower"].start == by_name["leader"].finish
         assert report.inflight_hits == 1
-        assert cache.aggregate_stats().inflight_hits == 1
+        assert cache.stats.inflight_hits == 1
 
     def test_follower_frees_its_worker(self):
         """Parking must not hold a worker slot hostage."""

@@ -133,7 +133,9 @@ RUN echo hello
         assert ch2.sys.exists(ch2.storage.path_of("a") + "/usr/bin/ssh")
 
     def test_eviction_degrades_to_miss_not_failure(self, login, alice):
-        ch = ChImage(login, alice, cache=True, cache_max_bytes=1)
+        from repro.cas import BuildCache, ContentStore
+        bounded = BuildCache(store=ContentStore(max_bytes=1))
+        ch = ChImage(login, alice, build_cache=bounded)
         r1 = ch.build(tag="a", dockerfile=FIG2_DOCKERFILE, force=True)
         assert r1.success
         r2 = ch.build(tag="b", dockerfile=FIG2_DOCKERFILE, force=True)
